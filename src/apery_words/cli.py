@@ -9,6 +9,7 @@ overrides the flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -56,10 +57,6 @@ def _oracle_cfg(args) -> OracleConfig:
     )
 
 
-def _print_value(label: str, value, digits: int) -> str:
-    return mpmath.nstr(value, digits, strip_zeros=False)
-
-
 def cmd_eval(args) -> int:
     spec = parse_spec(args.spec)
     digits = args.digits
@@ -102,9 +99,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cache = _cache(args)
+    # --digits sets only the compiled precision: verify's oracle gate cannot
+    # use more digits than its default oracle already gives
+    oracle_cfg = dataclasses.replace(
+        fixtures_mod.VERIFY_ORACLE, cutoff=args.cutoff, extrapolation_levels=args.levels
+    )
     report = fixtures_mod.verify_fixtures(
-        args.fixtures, _bits(args.digits), oracle_cfg=_oracle_cfg(args), cache=cache
+        args.fixtures, _bits(args.digits), oracle_cfg=oracle_cfg, cache=_cache(args)
     )
     print(fixtures_mod.render_report_table(report))
     if args.json:
@@ -169,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, digits=30):
+    def common(p, digits=30, cutoff=20_000):
         p.add_argument("--digits", type=int, default=digits)
-        p.add_argument("--cutoff", type=int, default=20_000, help="oracle outer-index cutoff")
+        p.add_argument("--cutoff", type=int, default=cutoff, help="oracle outer-index cutoff")
         p.add_argument("--levels", type=int, default=4, help="oracle extrapolation levels")
         p.add_argument("--cache-path", default="./cmzv-cache.jsonl",
                        help="word-value cache file (env CMZV_CACHE overrides)")
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the bundled reference-value suite")
     p.add_argument("--fixtures", default=None, help="fixtures JSON path (default: bundled set)")
     p.add_argument("--json", default=None, help="write the JSON report here")
-    common(p, digits=40)
+    common(p, digits=40, cutoff=fixtures_mod.VERIFY_ORACLE.cutoff)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="print the constant catalog")

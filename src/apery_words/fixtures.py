@@ -28,6 +28,9 @@ from .series import HarmonicSpec, Parity, SeriesSpec, parse_spec
 
 _PARITY_BY_SYMBOL = {p.value: p for p in Parity}
 
+# the oracle gate is max(decimal tolerance, 1e-8), so 16 digits are all it uses
+VERIFY_ORACLE = OracleConfig(cutoff=10_000, extrapolation_levels=4, precision_digits=16)
+
 
 @dataclass
 class HarmonicPart:
@@ -126,7 +129,7 @@ def verify_fixtures(
 ) -> dict:
     """Check every record; returns the JSON-ready report (sorted by id)."""
     records = sorted(load_fixtures(path), key=lambda r: r.id)
-    cfg = oracle_cfg or OracleConfig(cutoff=10_000, extrapolation_levels=4, precision_digits=16)
+    cfg = oracle_cfg or VERIFY_ORACLE
     digits = int(precision_bits * math.log10(2))
     closed_tol = mpf(10) ** (-(digits - 10))
     report_records = []

@@ -53,12 +53,6 @@ def compile_harmonic(h: HarmonicSpec) -> WordSum:
     return combine_wordsums([(coef, compile_spec(s)) for coef, s in expand_harmonic(h)])
 
 
-def evaluate_harmonic_compiled(
-    h: HarmonicSpec, precision_bits: int = 160, cache: ValueCache | None = None
-) -> BigComplex:
-    return eval_wordsum(compile_harmonic(h), precision_bits, cache)
-
-
 def trig_to_json_dict(expr: TrigExpr) -> dict:
     words = sorted(expr.terms.items(), key=lambda kv: (len(kv[0]), [f.value for f in kv[0]]))
     return {

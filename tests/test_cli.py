@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -66,6 +67,18 @@ def test_verify_fail_exit_code(tmp_path, capsys):
     path = tmp_path / "fx.json"
     path.write_text(json.dumps(fixtures))
     assert cli_main(["verify", "--fixtures", str(path), "--digits", "25", "--cutoff", "5000"]) == 1
+
+
+def test_verify_default_flags(tmp_path, capsys):
+    # default --digits 40 must not push the oracle past what its gate uses
+    bundled = json.loads(
+        resources.files("apery_words").joinpath("data/fixtures.json").read_text()
+    )
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([r for r in bundled if r["id"] == "a16-odd-even-even-111"]))
+    rc = cli_main(["verify", "--fixtures", str(path), "--cache-path", str(tmp_path / "c.jsonl")])
+    assert rc == 0
+    assert "passed 1/1" in capsys.readouterr().out
 
 
 def test_constants_output(capsys):

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -19,6 +22,9 @@ from apery_words.gauss import GaussRat
 from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, word_key
 
 POLE2 = Atom(GaussRat(2))
+# the atoms of the lower pieces of a word split at c, and their t -> 1-t images
+LOWER = (W0, X1, XM1, XI, XMI)
+UPPER = tuple(Atom(GaussRat(1) - a.pole, -a.sign) for a in LOWER)
 
 
 def test_segment_xm1():
@@ -29,6 +35,75 @@ def test_segment_xm1():
 def test_segment_pole_two():
     value = eval_segment(SegmentWord((POLE2,)), 128).to_mpc()
     assert abs(value - mpmath.log(mpf(4) / 3)) < 1e-36
+
+
+@pytest.mark.parametrize("bits", [140, 660])
+def test_segment_polylog_half(bits):
+    # over [0, 1/2], w0^(k-1) x1 is Li_k(1/2)
+    for k in range(2, 6):
+        value = eval_segment(SegmentWord((W0,) * (k - 1) + (X1,)), bits)
+        with workprec(bits + 32):
+            assert abs(value.to_mpc() - mpmath.polylog(k, mpf(1) / 2)) < mpf(2) ** (-bits)
+
+
+def test_segment_single_atom_logs():
+    # every nonzero pole of either alphabet (pole 0 alone diverges):
+    # sign * dt/(b - t) over [0, c] is -sign * log(1 - c/b)
+    poles = {a.pole for a in LOWER + UPPER if a.pole}
+    bits = 140
+    for pole, sign, c in product(poles, (1, -1), (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))):
+        value = eval_segment(SegmentWord((Atom(pole, sign),), c), bits)
+        with workprec(bits + 32):
+            expected = -sign * mpmath.log(1 - (mpf(c.numerator) / c.denominator) / pole.to_mpc())
+            assert abs(value.to_mpc() - expected) < mpf(2) ** (-bits)
+
+
+def test_segment_precision_agreement():
+    # rounding plus truncation: 64 more bits move no length <= 3 word over
+    # either alphabet by more than 2^-bits
+    bits = 140
+    for alphabet in (LOWER, UPPER):
+        for k in (1, 2, 3):
+            for atoms in product(alphabet, repeat=k):
+                if atoms[-1].pole == GaussRat(0):
+                    continue
+                lo = eval_segment(SegmentWord(atoms), bits)
+                hi = eval_segment(SegmentWord(atoms), bits + 64)
+                with workprec(bits + 96):
+                    assert abs(lo.to_mpc() - hi.to_mpc()) < mpf(2) ** (-bits)
+
+
+def _mpc_segment(atoms, radius, bits):
+    """Reference: the power-series recurrence run on mpmath complex numbers."""
+    n_terms = math.ceil((bits + 48) * math.log(2) / -math.log(float(radius)))
+    with workprec(bits + 64):
+        coeffs = [mpmath.mpc(1)] + [mpmath.mpc(0)] * n_terms
+        for atom in reversed(atoms):
+            new = [mpmath.mpc(0)] * (n_terms + 1)
+            if atom.pole == GaussRat(0):
+                for m in range(1, n_terms + 1):
+                    new[m] = -atom.sign * coeffs[m] / m
+            else:
+                inv_b, q = 1 / atom.pole.to_mpc(), mpmath.mpc(0)
+                for m in range(1, n_terms + 1):
+                    q = (coeffs[m - 1] + q) * inv_b
+                    new[m] = atom.sign * q / m
+            coeffs = new
+        return mpmath.polyval(coeffs[::-1], mpf(radius.numerator) / radius.denominator)
+
+
+def test_segment_matches_mpc_reference():
+    rng = random.Random(7)
+    bits = 140
+    for _ in range(40):
+        alphabet = rng.choice((LOWER, UPPER))
+        atoms = tuple(rng.choice(alphabet) for _ in range(rng.randint(4, 6)))
+        if atoms[-1].pole == GaussRat(0):
+            continue
+        radius = rng.choice((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
+        value = eval_segment(SegmentWord(atoms, radius), bits)
+        with workprec(bits + 64):
+            assert abs(value.to_mpc() - _mpc_segment(atoms, radius, bits)) < mpf(2) ** (-bits)
 
 
 def test_segment_guards():
