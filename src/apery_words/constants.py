@@ -10,7 +10,6 @@ cross-checks.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -75,16 +74,6 @@ def constant_value(
         return +(comp * mpf(mult.numerator) / mult.denominator)
 
 
-@dataclass(frozen=True)
-class ConstExpr:
-    """Arithmetic over catalog constants and rationals, e.g. '2*G - pi*log2/2'."""
-
-    text: str
-
-    def tree(self) -> ast.expression:
-        return ast.parse(self.text, mode="eval")
-
-
 class ConstExprError(ValueError):
     pass
 
@@ -93,13 +82,12 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def eval_const(
-    expr: ConstExpr | str,
+    expr: str,
     precision_bits: int = 160,
     cache: ValueCache | None = None,
 ) -> mpc:
-    """Evaluate a closed-form expression tree at the requested precision."""
-    if isinstance(expr, str):
-        expr = ConstExpr(expr)
+    """Evaluate arithmetic over catalog constants and integers, e.g.
+    '2*G - pi*log2/2', at the requested precision."""
     leaves: dict[str, mpc] = {}
 
     def leaf(name: str) -> mpc:
@@ -141,4 +129,4 @@ def eval_const(
         raise ConstExprError(f"unsupported syntax: {ast.dump(node)}")
 
     with workprec(precision_bits + 16):
-        return +walk(expr.tree())
+        return +walk(ast.parse(expr, mode="eval"))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpc, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 from .gauss import GaussRat
 from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
@@ -61,7 +61,9 @@ class BigComplex:
             raise ValueError("BigComplex components must be finite")
 
     def to_mpc(self) -> mpc:
-        return mpc(self.real, self.imag)
+        # mpc() rounds to the ambient precision, 53 bits outside a workprec
+        with workprec(max(mp.prec, self.precision_bits)):
+            return mpc(self.real, self.imag)
 
     @classmethod
     def from_mpc(cls, value: mpc, precision_bits: int) -> "BigComplex":

@@ -1,9 +1,19 @@
 """Direct high-precision summation of series specs, with tail extrapolation.
 
-The nested sum is swept over the outer index once, keeping one incremental
-cumulative sum per inner level (cost O(N * depth)).  Arithmetic is fixed-point
-over Python integers scaled by 2^F with F ~ (digits + 15) * log2(10) bits;
-each operation's truncation error is below 2^-F.
+One fixed-point kernel, `_sweep`, sums both plain specs and harmonic-weighted
+heads.  It runs over the outer index n once and keeps, for every nesting
+level, the cumulative sum over that level's index (cost O(N * depth)).  A
+plain spec is one chain of levels; a harmonic head has two, the zh chain over
+n and the odd chain over 2n - 1.  Arithmetic is on Python integers scaled by
+2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119 at 16 digits.
+
+Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
+a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
+the head's index power (>= n) divides both back down before they reach the
+sum.  So each index loses under (2p + 1) T + depth + 1 ulps, with p the
+binomial power and T the largest product of chain tops (a polylogarithm: below
+500 for depth 4 at N = 3.2e5).  A sweep of that length stays within 2^31 ulps,
+10^-(digits + 10), of the exact partial sum.
 
 The tail beyond the cutoff decays like N^(1-alpha) * ln(N)^j with the known
 exponent alpha = s_1 + binom_power/2 and j < depth, so the extrapolation
@@ -17,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 from mpmath import mpf, workdps
@@ -85,8 +96,88 @@ def central_ratio(n: int, x: Fraction | float = Fraction(1), digits: int = 40):
         return mpf(a) / mpf(one)
 
 
-def _index_value(parity: Parity, n: int) -> int:
-    return parity.index_value(n)
+# one nesting level of the sweep: the index m*n + c, that index's exponent,
+# and whether the level above reads this level's sum at n itself (a weak
+# link, >=) or at n - 1 (a strict link, >)
+_Level = tuple[int, int, int, bool]
+
+# indices per block: long enough to spread each level's per-block set-up,
+# short enough that the block's columns stay small (about 0.1 MiB at 16
+# digits and depth 3; 1024 took 0.4 MiB and was no faster)
+_BLOCK = 256
+
+
+def _sweep(
+    head: tuple[int, int, int],
+    chains: list[list[_Level]],
+    start: int,
+    binom_power: int,
+    x: Fraction,
+    F: int,
+    points: list[int],
+) -> list[int]:
+    """The fixed-point sweep behind both direct_sum and direct_harmonic_sum.
+
+    Returns, at each of the ascending `points` N, the partial sum scaled by
+    2^F of  sum_{n <= N} a_n(x)^p * prod(top of each chain at n) / head(n)^q,
+    where head = (m, c, q) stands for (m*n + c)^q.  A chain is a list of
+    levels in bottom-up order; each level keeps the cumulative sum over its
+    index of (the value it reads from the level below) / index^exponent.
+    The bottom level reads 1 from n = start on, and so does the head from
+    an empty chain.
+
+    The sweep runs in blocks of at most _BLOCK indices, one level at a time:
+    a level's increments over the block are one list, their running sums
+    (seeded with the level's value before the block) are its values, and
+    the level above reads them shifted by one index when its link is strict.
+    Every floor and sum is the one the index-by-index recurrence takes, so
+    the scaled sums do not depend on the blocking.
+    """
+    one = 1 << F
+    x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
+    x_is_one = x == 1
+    # an empty chain reads 1 at every index, which leaves the product as it is
+    chains = [chain for chain in chains if chain]
+    cums = [[0] * len(chain) for chain in chains]
+    exponents = {head} | {(m, c, e) for chain in chains for m, c, e, _ in chain}
+    sums = [0 for pt in points if pt < start]
+    a = one  # a_0 = 1
+    for n in range(1, start):
+        a = a * (2 * n - 1) // (2 * n)
+        if not x_is_one:
+            a = (a * x2) >> F
+    s_total = 0
+    n0 = start
+    for point in points[len(sums):]:
+        while n0 <= point:
+            ns = range(n0, min(n0 + _BLOCK, point + 1))
+            n0 = ns.stop
+            a_col = []
+            for n in ns:
+                if n:
+                    a = a * (2 * n - 1) // (2 * n)
+                    if not x_is_one:
+                        a = (a * x2) >> F
+                a_col.append(a)
+            powers = {(m, c, e): [(m * n + c) ** e for n in ns] for m, c, e in exponents}
+            if not ns[0]:
+                # only n = 0 meets an index 2n = 0, and validate() leaves
+                # nothing there to divide
+                for col in powers.values():
+                    col[0] = col[0] or 1
+            w = a_col if binom_power == 1 else [(u * u) >> F for u in a_col]
+            for chain, cum in zip(chains, cums):
+                t = [one] * len(ns)
+                for i, (m, c, e, weak) in enumerate(chain):
+                    col = list(accumulate([u // d for u, d in zip(t, powers[m, c, e])], initial=cum[i]))
+                    cum[i] = col[-1]
+                    t = col[1:] if weak else col[:-1]
+                w = [(u * v) >> F for u, v in zip(w, t)]
+            # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0; at
+            # n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
+            s_total += sum([u // d for u, d in zip(w, powers[head])])
+        sums.append(s_total)
+    return sums
 
 
 def _partial_sums(
@@ -96,58 +187,20 @@ def _partial_sums(
 
     Returns (scaled sums, scale bits F, terms swept).
     """
-    F = _scale_bits(max(digits, 40))
-    one = 1 << F
-    d = spec.depth
-    terms = spec.terms
+    F = _scale_bits(digits)
     rels = spec.relations
-    x = spec.argument
-    x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
-    x_is_one = x == 1
-    p = spec.binom_power
-    n_max = max(checkpoints)
-    tail = spec.tail_bound
-    bottom_start = tail + (1 if rels[-1] is Relation.STRICT else 0)
-
-    cum = [0] * (d + 1)  # cum[j]: cumulative sum for level j (1-based), cum[d] unused
-    prev = [0] * (d + 1)
-    a = one  # a_0 = 1
-    sums: list[int] = []
+    # 2n, 2n+1 and 2n-1 are 2n + l(0)
+    chain = [
+        (2, term.parity.index_value(0), term.exponent, rels[j - 1] is Relation.WEAK)
+        for j, term in reversed(list(enumerate(spec.terms)))
+        if j
+    ]
+    head = (2, spec.terms[0].parity.index_value(0), spec.terms[0].exponent)
+    bottom_start = spec.tail_bound + (1 if rels[-1] is Relation.STRICT else 0)
     points = sorted(set(checkpoints))
-    next_point = 0
-    s_total = 0
-    swept = 0
-
-    for n in range(0, n_max + 1):
-        if n > 0:
-            a = a * (2 * n - 1) // (2 * n)
-            if not x_is_one:
-                a = (a * x2) >> F
-        prev[1:d] = cum[1:d]
-        for j in range(d - 1, 0, -1):
-            if j == d - 1:
-                t_next = one if n >= bottom_start else 0
-            else:
-                t_next = cum[j + 1] if rels[j] is Relation.WEAK else prev[j + 1]
-            if t_next:
-                l = _index_value(terms[j].parity, n)
-                if l != 0:
-                    cum[j] += t_next // (l ** terms[j].exponent)
-        if d == 1:
-            t1 = one if n >= bottom_start else 0
-        else:
-            t1 = cum[1] if rels[0] is Relation.WEAK else prev[1]
-        if t1:
-            l0 = _index_value(terms[0].parity, n)
-            if l0 != 0:
-                ap = a if p == 1 else (a * a) >> F
-                s_total += (ap * t1) // (l0 ** terms[0].exponent << F)
-        swept += 1
-        while next_point < len(points) and n == points[next_point]:
-            sums.append(s_total)
-            next_point += 1
-    ordered = {pt: sums[i] for i, pt in enumerate(points)}
-    return [ordered[pt] for pt in checkpoints], F, swept
+    sums = _sweep(head, [chain], bottom_start, spec.binom_power, spec.argument, F, points)
+    at = dict(zip(points, sums))
+    return [at[pt] for pt in checkpoints], F, points[-1] + 1
 
 
 def _extrapolate(
@@ -189,6 +242,34 @@ def _extrapolate(
     return last, abs(last - previous)
 
 
+def _settle(
+    points: list[int],
+    sums: list[int],
+    F: int,
+    alpha: Fraction | None,
+    log_degree: int,
+    digits: int,
+) -> tuple[mpf, mpf]:
+    """Value and error estimate from the scaled partial sums at `points`.
+
+    With alpha None the sum has converged geometrically and the last step is
+    the error; otherwise the tail is extrapolated.  Raises ConfigTooSmallError
+    when the estimate exceeds the 10^(-digits/2) budget.
+    """
+    one = mpf(1 << F)
+    values = [mpf(s) / one for s in sums]
+    if alpha is None:
+        value, err = values[-1], abs(values[-1] - values[-2])
+    else:
+        value, err = _extrapolate(points, values, alpha, log_degree, len(points) - 1)
+    if err > mpf(10) ** (-digits / 2):
+        raise ConfigTooSmallError(
+            f"tail error estimate {mpmath.nstr(err, 5)} exceeds the "
+            f"10^-{digits / 2:g} budget; raise cutoff or levels"
+        )
+    return value, err
+
+
 def direct_sum(spec: SeriesSpec, cfg: OracleConfig | None = None) -> OracleResult:
     """Sum the nested series; the outer tail is removed by extrapolation."""
     cfg = cfg or OracleConfig()
@@ -197,22 +278,15 @@ def direct_sum(spec: SeriesSpec, cfg: OracleConfig | None = None) -> OracleResul
             return OracleResult(mpf(0), mpf(0), 0)
         points = _checkpoints(cfg)
         sums, F, swept = _partial_sums(spec, points, cfg.precision_digits)
-        one = mpf(1 << F)
-        values = [mpf(s) / one for s in sums]
         if spec.argument != 1 or cfg.extrapolation_levels == 0:
             # geometric decay in x^(2n): the partial sum is already converged
-            value, err = values[-1], abs(values[-1] - values[-2])
+            alpha = None
         else:
             # outer terms decay like n^-(s_1 + p/2) times polylog: inner sums
             # only grow logarithmically, and their deficits shift the exponent
             # by integers
             alpha = Fraction(spec.terms[0].exponent) + Fraction(spec.binom_power, 2)
-            value, err = _extrapolate(points, values, alpha, spec.depth - 1, len(points) - 1)
-        if err > mpf(10) ** (-cfg.precision_digits / 2):
-            raise ConfigTooSmallError(
-                f"tail error estimate {mpmath.nstr(err, 5)} exceeds the "
-                f"10^-{cfg.precision_digits / 2:g} budget; raise cutoff or levels"
-            )
+        value, err = _settle(points, sums, F, alpha, spec.depth - 1, cfg.precision_digits)
         return OracleResult(value, err, swept)
 
 
@@ -232,6 +306,22 @@ def gamma_tail_check(n: int, d: int, cfg: OracleConfig | None = None):
     return direct_sum(spec, cfg).value
 
 
+def _harmonic_partial_sums(h: HarmonicSpec, points: list[int], F: int) -> list[int]:
+    """Scaled partial sums of a harmonic-weighted head at the ascending points."""
+    # zh_n(k) sums over n >= m_1 > ... > m_e > 0 and odd_n(l) over
+    # n >= r_1 > ... > r_f > 0 with index 2r - 1: the head reads both tops at
+    # n, every other level reads the one below at n - 1, both bottoms start
+    # at 1
+    zh = [(1, 0, k, j == 0) for j, k in reversed(list(enumerate(h.k_vec)))]
+    odd = [(2, -1, l, j == 0) for j, l in reversed(list(enumerate(h.l_vec)))]
+    # EVEN heads divide by n^q (expand_harmonic's 2^q factor is the rewrite
+    # to (2n)^q); odd heads divide by 2n+1 or 2n-1.  Only a 2n+1 head without
+    # weights has an n = 0 term
+    m, c = (1, 0) if h.head_parity is Parity.EVEN else (2, h.head_parity.index_value(0))
+    start = 0 if h.head_parity is Parity.ODD_HIGH and not (h.k_vec or h.l_vec) else 1
+    return _sweep((m, c, h.head_exponent), [zh, odd], start, h.binom_power, Fraction(1), F, points)
+
+
 def direct_harmonic_sum(h: HarmonicSpec, cfg: OracleConfig | None = None) -> OracleResult:
     """Directly sum a harmonic-weighted series (independent of expand_harmonic)."""
     cfg = cfg or OracleConfig()
@@ -239,42 +329,9 @@ def direct_harmonic_sum(h: HarmonicSpec, cfg: OracleConfig | None = None) -> Ora
         points = _checkpoints(cfg) if cfg.extrapolation_levels else _checkpoints(
             OracleConfig(cfg.cutoff, 1, cfg.precision_digits)
         )
-        F = _scale_bits(max(cfg.precision_digits, 40))
-        one = 1 << F
-        n_max = points[-1]
-        e, f = len(h.k_vec), len(h.l_vec)
-        z = [0] * (e + 1)
-        z[e] = one
-        t = [0] * (f + 1)
-        t[f] = one
-        a = one
-        p = h.binom_power
-        s_total = 0
-        sums_at = {}
-        point_set = set(points)
-        for n in range(0, n_max + 1):
-            if n > 0:
-                a = a * (2 * n - 1) // (2 * n)
-                # z_j(n) = z_j(n-1) + n^-k_j * z_{j+1}(n-1), ascending j keeps
-                # the j+1 value from the previous round
-                for j in range(e):
-                    z[j] += z[j + 1] // n ** h.k_vec[j]
-                for j in range(f):
-                    t[j] += t[j + 1] // (2 * n - 1) ** h.l_vec[j]
-                # EVEN heads divide by n^q (expand_harmonic's 2^q factor is the
-                # rewrite to (2n)^q); odd heads divide by 2n+1 or 2n-1
-                head = n if h.head_parity is Parity.EVEN else _index_value(h.head_parity, n)
-                ap = a if p == 1 else (a * a) >> F
-                weighted = (ap * z[0]) >> F
-                weighted = (weighted * t[0]) >> F
-                s_total += weighted // head**h.head_exponent
-            elif h.head_parity is Parity.ODD_HIGH and e == 0 and f == 0:
-                s_total += one  # n = 0 term: a_0^p / 1
-            if n in point_set:
-                sums_at[n] = s_total
-        values = [mpf(sums_at[pt]) / mpf(one) for pt in points]
-        alpha = Fraction(h.head_exponent) + Fraction(p, 2)
-        value, err = _extrapolate(points, values, alpha, e + f, len(points) - 1)
-        if err > mpf(10) ** (-cfg.precision_digits / 2):
-            raise ConfigTooSmallError("harmonic tail estimate too large for the precision budget")
-        return OracleResult(value, err, n_max + 1)
+        F = _scale_bits(cfg.precision_digits)
+        sums = _harmonic_partial_sums(h, points, F)
+        alpha = Fraction(h.head_exponent) + Fraction(h.binom_power, 2)
+        log_degree = len(h.k_vec) + len(h.l_vec)
+        value, err = _settle(points, sums, F, alpha, log_degree, cfg.precision_digits)
+        return OracleResult(value, err, points[-1] + 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -246,14 +246,9 @@ def render(spec: SeriesSpec) -> str:
     return body
 
 
-def canonicalize(spec: SeriesSpec) -> SeriesSpec:
-    """Return the canonical-form spec (fields already normalized on build)."""
-    return replace(spec, argument=Fraction(spec.argument))
-
-
 def canonical_key(spec: SeriesSpec) -> str:
-    """Lowercase hex of a 256-bit hash of the canonical rendering."""
-    return hashlib.sha256(render(canonicalize(spec)).encode()).hexdigest()
+    """Lowercase hex of a 256-bit hash of the rendering (one per valid spec)."""
+    return hashlib.sha256(render(spec).encode()).hexdigest()
 
 
 def expand_harmonic(h: HarmonicSpec) -> list[tuple[Fraction, SeriesSpec]]:

@@ -246,6 +246,14 @@ def test_cache_ignores_corruption(tmp_path):
     assert abs(value.to_mpc() - mpmath.pi**2 / 6) < 1e-40
 
 
+def test_to_mpc_keeps_precision_outside_workprec():
+    value = eval_word((W0, X1), 660)
+    with workprec(53):  # mpmath's default; conftest.py raises the ambient precision
+        loose = value.to_mpc()
+    with workprec(660):
+        assert abs(loose - value.to_mpc()) < mpf(2) ** -600
+
+
 def test_bigcomplex_invariants():
     with pytest.raises(ValueError):
         BigComplex(mpf(1), mpf(0), 32)

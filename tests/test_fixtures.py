@@ -1,6 +1,15 @@
 import json
 
+import pytest
+
 from apery_words.fixtures import load_fixtures, render_report_table, verify_fixtures
+
+
+@pytest.fixture(scope="module")
+def report():
+    # the repository's flagship check: every bundled record verifies at
+    # 40-digit working precision; one run serves every test below
+    return verify_fixtures(precision_bits=140)
 
 
 def test_bundled_set_shape():
@@ -17,10 +26,7 @@ def test_tolerance_from_decimal_count():
     assert abs(records["a11-odd-even-11"].abs_tolerance - 1e-9) < 1e-18
 
 
-def test_flagship_bundled_fixtures_pass():
-    # the repository's flagship check: every bundled record verifies at
-    # 40-digit working precision
-    report = verify_fixtures(precision_bits=140)
+def test_flagship_bundled_fixtures_pass(report):
     failing = [r["id"] for r in report["records"] if r["status"] != "PASS"]
     assert not failing, failing
     assert report["passed"] == report["total"] >= 40
@@ -28,16 +34,14 @@ def test_flagship_bundled_fixtures_pass():
     assert f"passed {report['total']}/{report['total']}" in table
 
 
-def test_report_is_sorted_and_json_stable():
-    report = verify_fixtures(precision_bits=140)  # memoized compiles keep this quick
+def test_report_is_sorted_and_json_stable(report):
     ids = [r["id"] for r in report["records"]]
     assert ids == sorted(ids)
     blob = json.dumps(report, sort_keys=True)
     assert json.dumps(json.loads(blob), sort_keys=True) == blob
 
 
-def test_report_carries_weight_bookkeeping():
-    report = verify_fixtures(precision_bits=140)
+def test_report_carries_weight_bookkeeping(report):
     by_id = {r["id"]: r for r in report["records"]}
     rep = by_id["a22-low-even-21"]["weight_report"]
     assert rep == {"weight": 3, "nu": 1, "max_word_weight": 2}

@@ -1,19 +1,36 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
+from apery_words.fixtures import load_fixtures
 from apery_words.oracle import (
     ConfigTooSmallError,
     OracleConfig,
+    _BLOCK,
+    _checkpoints,
+    _harmonic_partial_sums,
+    _partial_sums,
+    _scale_bits,
     central_ratio,
+    direct_harmonic_sum,
     direct_sum,
     gamma_tail_check,
-    _partial_sums,
 )
-from apery_words.series import IndexTerm, Parity, Relation, SeriesSpec, parse_spec
+from apery_words.series import (
+    HarmonicSpec,
+    IndexTerm,
+    Parity,
+    Relation,
+    SeriesSpec,
+    SpecValidationError,
+    parse_spec,
+)
 
 from conftest import random_spec
 
@@ -71,21 +88,23 @@ def test_gamma_tail_values():
     assert abs(gamma_tail_check(2, 2, CFG) - mpf(3) / 8) < 1e-8
 
 
+BRUTE_FORCE_SPECS = [
+    "S[2n^1 > 0]",
+    "S[2n+1^2 >= 0]",
+    "S[2n+1^1 >= 2n^1 > 0]",
+    "S[2n^1 > 2n-1^1 > 0]",
+    "S2[2n+1^1 >= 2n+1^1 >= 0]",
+    "S[2n+1^1 >= 2n+1^1 >= 2n+1^1 >= 0]",
+    "S[2n^2 > 2n+1^1 >= 0]@tail=2",
+    "S[2n-1^1 > 2n^1 > 0]@x=1/2",
+]
+
+
 def test_partial_sums_match_brute_force():
     # exactness of the incremental sweep, including weak steps, against
     # straightforward nested loops at a tiny cutoff
-    specs = [
-        "S[2n^1 > 0]",
-        "S[2n+1^2 >= 0]",
-        "S[2n+1^1 >= 2n^1 > 0]",
-        "S[2n^1 > 2n-1^1 > 0]",
-        "S2[2n+1^1 >= 2n+1^1 >= 0]",
-        "S[2n+1^1 >= 2n+1^1 >= 2n+1^1 >= 0]",
-        "S[2n^2 > 2n+1^1 >= 0]@tail=2",
-        "S[2n-1^1 > 2n^1 > 0]@x=1/2",
-    ]
     n_cap = 40
-    for text in specs:
+    for text in BRUTE_FORCE_SPECS:
         spec = parse_spec(text)
         sums, F, _ = _partial_sums(spec, [n_cap], 20)
         got = float(sums[0]) / float(1 << F)
@@ -172,3 +191,179 @@ def test_leading_gamma_drop_oracle():
         a = direct_sum(headed, CFG)
         b = direct_sum(tail, CFG)
         assert abs(a.value - b.value) < float(a.error_estimate + b.error_estimate) + 1e-9
+
+
+# The two sweeps the oracle ran before its single kernel, verbatim but for F,
+# which is passed in (they took max(digits, 40) digits), and for the index
+# values, which come straight from Parity.index_value.  At equal F the kernel
+# must reproduce their scaled partial sums bit for bit.
+
+
+def _reference_partial_sums(spec: SeriesSpec, checkpoints: list[int], F: int) -> list[int]:
+    one = 1 << F
+    d = spec.depth
+    terms = spec.terms
+    rels = spec.relations
+    x = spec.argument
+    x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
+    x_is_one = x == 1
+    p = spec.binom_power
+    n_max = max(checkpoints)
+    tail = spec.tail_bound
+    bottom_start = tail + (1 if rels[-1] is Relation.STRICT else 0)
+
+    cum = [0] * (d + 1)  # cum[j]: cumulative sum for level j (1-based), cum[d] unused
+    prev = [0] * (d + 1)
+    a = one  # a_0 = 1
+    sums: list[int] = []
+    points = sorted(set(checkpoints))
+    next_point = 0
+    s_total = 0
+
+    for n in range(0, n_max + 1):
+        if n > 0:
+            a = a * (2 * n - 1) // (2 * n)
+            if not x_is_one:
+                a = (a * x2) >> F
+        prev[1:d] = cum[1:d]
+        for j in range(d - 1, 0, -1):
+            if j == d - 1:
+                t_next = one if n >= bottom_start else 0
+            else:
+                t_next = cum[j + 1] if rels[j] is Relation.WEAK else prev[j + 1]
+            if t_next:
+                l = terms[j].parity.index_value(n)
+                if l != 0:
+                    cum[j] += t_next // (l ** terms[j].exponent)
+        if d == 1:
+            t1 = one if n >= bottom_start else 0
+        else:
+            t1 = cum[1] if rels[0] is Relation.WEAK else prev[1]
+        if t1:
+            l0 = terms[0].parity.index_value(n)
+            if l0 != 0:
+                ap = a if p == 1 else (a * a) >> F
+                s_total += (ap * t1) // (l0 ** terms[0].exponent << F)
+        while next_point < len(points) and n == points[next_point]:
+            sums.append(s_total)
+            next_point += 1
+    ordered = {pt: sums[i] for i, pt in enumerate(points)}
+    return [ordered[pt] for pt in checkpoints]
+
+
+def _reference_harmonic_sums(h: HarmonicSpec, points: list[int], F: int) -> list[int]:
+    one = 1 << F
+    n_max = points[-1]
+    e, f = len(h.k_vec), len(h.l_vec)
+    z = [0] * (e + 1)
+    z[e] = one
+    t = [0] * (f + 1)
+    t[f] = one
+    a = one
+    p = h.binom_power
+    s_total = 0
+    sums_at = {}
+    point_set = set(points)
+    for n in range(0, n_max + 1):
+        if n > 0:
+            a = a * (2 * n - 1) // (2 * n)
+            for j in range(e):
+                z[j] += z[j + 1] // n ** h.k_vec[j]
+            for j in range(f):
+                t[j] += t[j + 1] // (2 * n - 1) ** h.l_vec[j]
+            head = n if h.head_parity is Parity.EVEN else h.head_parity.index_value(n)
+            ap = a if p == 1 else (a * a) >> F
+            weighted = (ap * z[0]) >> F
+            weighted = (weighted * t[0]) >> F
+            s_total += weighted // head**h.head_exponent
+        elif h.head_parity is Parity.ODD_HIGH and e == 0 and f == 0:
+            s_total += one  # n = 0 term: a_0^p / 1
+        if n in point_set:
+            sums_at[n] = s_total
+    return [sums_at[pt] for pt in points]
+
+
+def _assert_same_sums(spec: SeriesSpec, checkpoints: list[int], digits: int = 40):
+    sums, F, swept = _partial_sums(spec, checkpoints, digits)
+    assert sums == _reference_partial_sums(spec, checkpoints, F), spec
+    assert swept == max(checkpoints) + 1
+
+
+def test_scale_bits_without_floor():
+    assert _scale_bits(16) == 119
+    assert _partial_sums(parse_spec("S[2n^1 > 0]"), [100], 16)[1] == 119
+
+
+def test_sweep_matches_reference_on_brute_force_specs():
+    for text in BRUTE_FORCE_SPECS:
+        _assert_same_sums(parse_spec(text), [40])
+        _assert_same_sums(parse_spec(text), [0, 7, 33, 7, 120, 64])
+
+
+def test_sweep_matches_reference_on_random_specs():
+    # cutoff 300 sweeps past several block boundaries; the variants add a
+    # tail bound and a geometric argument
+    rng = random.Random(20240817)
+    points = _checkpoints(OracleConfig(cutoff=300, extrapolation_levels=4, precision_digits=16))
+    assert points[-1] > 4 * _BLOCK
+    for _ in range(40):
+        spec = random_spec(rng)
+        tail = rng.randint(1, 400)
+        for variant in (spec, replace(spec, tail_bound=tail), replace(spec, argument=Fraction(1, 2))):
+            _assert_same_sums(variant, points)
+
+
+def _harmonic_shapes() -> list[HarmonicSpec]:
+    shapes = {part.spec for rec in load_fixtures() if rec.harmonic for part in rec.harmonic}
+    for parity in Parity:
+        for p in (1, 2):
+            for k_vec, l_vec in (((), ()), ((1,), ()), ((), (2,)), ((2, 1), (1,)), ((1,), (1, 3))):
+                shapes.add(HarmonicSpec(k_vec, l_vec, parity, 3 - p, p))
+    return sorted(shapes, key=repr)
+
+
+@pytest.mark.parametrize("points", [[150, 300], [100, 1500, 3000]])
+def test_harmonic_sweep_matches_reference(points):
+    F = _scale_bits(40)
+    for h in _harmonic_shapes():
+        assert _harmonic_partial_sums(h, points, F) == _reference_harmonic_sums(h, points, F), h
+
+
+_TERMS = st.tuples(st.sampled_from(list(Parity)), st.integers(1, 3))
+
+
+@st.composite
+def _small_specs(draw) -> SeriesSpec:
+    depth = draw(st.integers(1, 4))
+    terms = tuple(IndexTerm(*draw(_TERMS)) for _ in range(depth))
+    rels = tuple(draw(st.sampled_from(list(Relation))) for _ in range(depth))
+    tail = draw(st.integers(0, 30))
+    x = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(7, 10)]))
+    try:
+        return SeriesSpec(draw(st.sampled_from((1, 2))), terms, rels, tail, x)
+    except SpecValidationError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs(), st.lists(st.integers(0, 1200), min_size=1, max_size=4))
+def test_sweep_matches_reference_property(spec, checkpoints):
+    _assert_same_sums(spec, checkpoints)
+
+
+def test_dropped_floor_agrees_with_forty_digits():
+    for text in ("S[2n+1^2 >= 0]", "S2[2n-1^1 > 2n^2 > 0]", "S[2n-1^1 > 2n^1 > 0]@x=1/2"):
+        spec = parse_spec(text)
+        low = direct_sum(spec, OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16))
+        high = direct_sum(spec, OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=40))
+        assert abs(low.value - high.value) < 1e-14, text
+
+
+def test_harmonic_config_too_small_message():
+    h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
+    cfg = OracleConfig(cutoff=100, extrapolation_levels=0, precision_digits=30)
+    pattern = r"^tail error estimate \d\.\d+e?-?\d* exceeds the 10\^-15 budget; raise cutoff or levels$"
+    with pytest.raises(ConfigTooSmallError, match=pattern):
+        direct_harmonic_sum(h, cfg)
+    with pytest.raises(ConfigTooSmallError, match=pattern):
+        direct_sum(parse_spec("S[2n^1 > 0]"), cfg)

@@ -12,7 +12,6 @@ from apery_words.series import (
     SpecSyntaxError,
     SpecValidationError,
     canonical_key,
-    canonicalize,
     enumerate_specs,
     expand_harmonic,
     parse_spec,
@@ -79,9 +78,14 @@ def test_roundtrip_corpus(corpus):
         assert parse_spec(render(spec)) == spec
 
 
-def test_canonicalize_idempotent():
-    spec = parse_spec("S[2n-1^2 > 2n^1 > 0]")
-    assert canonicalize(spec) == canonicalize(canonicalize(spec))
+def test_canonical_key_pinned_digest():
+    # the on-disk caches are keyed by these digests: they must not move
+    assert canonical_key(parse_spec("S[2n-1^2 > 2n^1 > 0]")) == (
+        "8e4b4b72d9959a2c6331f160223deb809c21c4c507547c4e7a19e245330b4bb4"
+    )
+    assert canonical_key(parse_spec("S2[2n+1^1 >= 2n^2 > 0]@tail=3@x=0.50")) == (
+        "3f34a17005cb6b20ad0ed277f9c2bf91a5ed1c72d270d767b42664a386dae907"
+    )
 
 
 def test_equal_keys_for_spellings():
