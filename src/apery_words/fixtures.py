@@ -21,7 +21,7 @@ from mpmath import mpf, workprec
 
 from .constants import eval_const
 from .evaluate import ValueCache, eval_wordsum
-from .oracle import OracleConfig, direct_harmonic_sum, direct_sum
+from .oracle import ConfigTooSmallError, OracleConfig, direct_sums
 from .pipeline import compile_harmonic, compile_spec
 from .trig import predicted_weight_report
 from .series import HarmonicSpec, Parity, SeriesSpec, parse_spec
@@ -111,14 +111,31 @@ def _compiled_value(rec: FixtureRecord, precision_bits: int, cache: ValueCache |
     return total
 
 
-def _oracle_value(rec: FixtureRecord, cfg: OracleConfig):
-    if rec.series is not None:
-        return direct_sum(rec.series, cfg).value
-    total = mpf(0)
-    for part in rec.harmonic:
-        value = direct_harmonic_sum(part.spec, cfg).value
-        total += value * mpf(part.coef.numerator) / part.coef.denominator
-    return total
+def _oracle_values(records: list[FixtureRecord], cfg: OracleConfig) -> list[mpf]:
+    """Every record's oracle value, from one batched direct summation.
+
+    A ConfigTooSmallError is raised again with the id of the first record
+    whose sum raised it.
+    """
+    items, owners = [], []
+    for rec in records:
+        parts = [rec.series] if rec.series is not None else [part.spec for part in rec.harmonic]
+        items += parts
+        owners += [rec.id] * len(parts)
+    try:
+        results = iter(direct_sums(items, cfg))
+    except ConfigTooSmallError as exc:
+        raise ConfigTooSmallError(f"{owners[exc.index]}: {exc}") from exc
+    values = []
+    for rec in records:
+        if rec.series is not None:
+            values.append(next(results).value)
+            continue
+        total = mpf(0)
+        for part in rec.harmonic:
+            total += next(results).value * mpf(part.coef.numerator) / part.coef.denominator
+        values.append(total)
+    return values
 
 
 def verify_fixtures(
@@ -135,9 +152,8 @@ def verify_fixtures(
     report_records = []
     failures = 0
     with workprec(precision_bits + 16):
-        for rec in records:
+        for rec, oracle in zip(records, _oracle_values(records, cfg)):
             compiled = _compiled_value(rec, precision_bits, cache)
-            oracle = _oracle_value(rec, cfg)
             entry: dict = {
                 "id": rec.id,
                 "anchor": rec.anchor,

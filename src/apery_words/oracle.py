@@ -1,11 +1,24 @@
 """Direct high-precision summation of series specs, with tail extrapolation.
 
-One fixed-point kernel, `_sweep`, sums both plain specs and harmonic-weighted
-heads.  It runs over the outer index n once and keeps, for every nesting
-level, the cumulative sum over that level's index (cost O(N * depth)).  A
-plain spec is one chain of levels; a harmonic head has two, the zh chain over
-n and the odd chain over 2n - 1.  Arithmetic is on Python integers scaled by
-2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119 at 16 digits.
+One fixed-point kernel, `_sweep`, sums a batch of plain specs and
+harmonic-weighted heads.  It runs over the outer index n once and keeps, for
+every nesting level, the cumulative sum over that level's index (cost
+O(N * depth)).  A plain spec is one chain of levels; a harmonic head has two,
+the zh chain over n and the odd chain over 2n - 1.  Arithmetic is on Python
+integers scaled by 2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119
+at 16 digits.
+
+`direct_sums` hands the kernel a whole batch at one configuration, and the
+single-item entry points are batches of one.  Per block of indices the batch
+shares the a_n(x) column (one per distinct x, squared only if some item needs
+it) and each distinct index power column.  Chain levels form a trie keyed by
+the chain's start and its bottom-up prefix, so a level common to several
+chains is accumulated once.  Items start at different n (a tail bound, or
+the n = 0 term of a 2n+1 head); each reads a start mask of exact 1s and 0s
+at its bottom level, or at its head if it has no chain, which leaves every
+floor unchanged.  Only the outer term, (a^p * tops >> F) // head^q, is per
+item, and equal items are swept once.  The scaled sums are bit-identical to
+a sweep of each item alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
@@ -25,9 +38,11 @@ previous extrapolation level.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf, workdps
@@ -36,7 +51,12 @@ from .series import HarmonicSpec, Parity, Relation, SeriesSpec
 
 
 class ConfigTooSmallError(ValueError):
-    """The tail estimate is not credible at the requested precision."""
+    """The tail estimate is not credible at the requested precision.
+
+    Raised by direct_sums, `index` is the batch position of the failing item.
+    """
+
+    index: int | None = None
 
 
 @dataclass
@@ -101,82 +121,152 @@ def central_ratio(n: int, x: Fraction | float = Fraction(1), digits: int = 40):
 # link, >=) or at n - 1 (a strict link, >)
 _Level = tuple[int, int, int, bool]
 
+
+class _Job(NamedTuple):
+    """One sum for the kernel: sum_{n >= start} a_n(x)^p * tops / head(n)^q.
+
+    head = (m, c, q) stands for (m*n + c)^q.  A chain is a nonempty tuple of
+    levels in bottom-up order; its bottom reads 1 from n = start on, and so
+    does the head of a job without chains.
+    """
+
+    head: tuple[int, int, int]
+    chains: tuple[tuple[_Level, ...], ...]
+    start: int
+    binom_power: int
+    x: Fraction
+
+
+def _job(item: SeriesSpec | HarmonicSpec) -> _Job:
+    if isinstance(item, HarmonicSpec):
+        # zh_n(k) sums over n >= m_1 > ... > m_e > 0 and odd_n(l) over
+        # n >= r_1 > ... > r_f > 0 with index 2r - 1: the head reads both
+        # tops at n, every other level reads the one below at n - 1, both
+        # bottoms start at 1
+        zh = tuple((1, 0, k, j == 0) for j, k in reversed(list(enumerate(item.k_vec))))
+        odd = tuple((2, -1, l, j == 0) for j, l in reversed(list(enumerate(item.l_vec))))
+        # EVEN heads divide by n^q (expand_harmonic's 2^q factor is the
+        # rewrite to (2n)^q); odd heads divide by 2n+1 or 2n-1.  Only a 2n+1
+        # head without weights has an n = 0 term
+        parity = item.head_parity
+        m, c = (1, 0) if parity is Parity.EVEN else (2, parity.index_value(0))
+        start = 0 if parity is Parity.ODD_HIGH and not (zh or odd) else 1
+        chains = tuple(chain for chain in (zh, odd) if chain)
+        return _Job((m, c, item.head_exponent), chains, start, item.binom_power, Fraction(1))
+    rels = item.relations
+    # 2n, 2n+1 and 2n-1 are 2n + l(0)
+    chain = tuple(
+        (2, term.parity.index_value(0), term.exponent, rels[j - 1] is Relation.WEAK)
+        for j, term in reversed(list(enumerate(item.terms)))
+        if j
+    )
+    head = (2, item.terms[0].parity.index_value(0), item.terms[0].exponent)
+    start = item.tail_bound + (1 if rels[-1] is Relation.STRICT else 0)
+    return _Job(head, (chain,) if chain else (), start, item.binom_power, item.argument)
+
+
 # indices per block: long enough to spread each level's per-block set-up,
 # short enough that the block's columns stay small (about 0.1 MiB at 16
 # digits and depth 3; 1024 took 0.4 MiB and was no faster)
 _BLOCK = 256
 
 
-def _sweep(
-    head: tuple[int, int, int],
-    chains: list[list[_Level]],
-    start: int,
-    binom_power: int,
-    x: Fraction,
-    F: int,
-    points: list[int],
-) -> list[int]:
-    """The fixed-point sweep behind both direct_sum and direct_harmonic_sum.
+def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
+    """The fixed-point sweep behind every direct sum, for a batch of jobs.
 
-    Returns, at each of the ascending `points` N, the partial sum scaled by
-    2^F of  sum_{n <= N} a_n(x)^p * prod(top of each chain at n) / head(n)^q,
-    where head = (m, c, q) stands for (m*n + c)^q.  A chain is a list of
-    levels in bottom-up order; each level keeps the cumulative sum over its
-    index of (the value it reads from the level below) / index^exponent.
-    The bottom level reads 1 from n = start on, and so does the head from
-    an empty chain.
-
-    The sweep runs in blocks of at most _BLOCK indices, one level at a time:
-    a level's increments over the block are one list, their running sums
-    (seeded with the level's value before the block) are its values, and
-    the level above reads them shifted by one index when its link is strict.
-    Every floor and sum is the one the index-by-index recurrence takes, so
-    the scaled sums do not depend on the blocking.
+    Returns, per job, its partial sums scaled by 2^F at each of the
+    ascending `points` N.  The batch runs over n once, from its smallest
+    start, in blocks of at most _BLOCK indices.  Per block it builds each
+    a_n(x) column (and its square) once per distinct x, and each index power
+    column (m*n + c)^e once.  Chain levels form a trie: a node is a start and
+    a bottom-up prefix of levels, shared by every chain that begins with it.
+    A node's increments over the block are one list (the column it reads
+    from its parent, divided by its index power), their running sums (seeded
+    with the node's value before the block) are its values, and a child
+    reads them shifted by one index when the link between them is strict.
+    A root reads 1 from its start on and 0 before, as does the head of a job
+    without chains; since 0 // d = 0 and (u * 2^F) >> F = u, the masks leave
+    every floor unchanged.  Only the outer term stays per job.  Every floor
+    and sum is the one the index-by-index recurrence takes, so the scaled
+    sums depend neither on the blocking nor on the rest of the batch.
     """
     one = 1 << F
-    x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
-    x_is_one = x == 1
-    # an empty chain reads 1 at every index, which leaves the product as it is
-    chains = [chain for chain in chains if chain]
-    cums = [[0] * len(chain) for chain in chains]
-    exponents = {head} | {(m, c, e) for chain in chains for m, c, e, _ in chain}
-    sums = [0 for pt in points if pt < start]
-    a = one  # a_0 = 1
-    for n in range(1, start):
-        a = a * (2 * n - 1) // (2 * n)
-        if not x_is_one:
-            a = (a * x2) >> F
-    s_total = 0
-    n0 = start
-    for point in points[len(sums):]:
+    n0 = min(job.start for job in jobs)
+    # node -> its value before the block; a parent enters before its children
+    nodes: dict[tuple[int, tuple[_Level, ...]], int] = {}
+    for job in jobs:
+        for chain in job.chains:
+            for i in range(1, len(chain) + 1):
+                nodes.setdefault((job.start, chain[:i]), 0)
+    exponents = {job.head for job in jobs} | {prefix[-1][:3] for _, prefix in nodes}
+    squared = {job.x for job in jobs if job.binom_power == 2}
+    # x -> [x^2 scaled by 2^F, the last a_n(x) reached]
+    a_at: dict[Fraction, list[int]] = {}
+    for x in {job.x for job in jobs}:
+        x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
+        x_is_one = x == 1
+        a = one  # a_0 = 1
+        for n in range(1, n0):
+            a = a * (2 * n - 1) // (2 * n)
+            if not x_is_one:
+                a = (a * x2) >> F
+        a_at[x] = [x2, a]
+    totals = [0] * len(jobs)
+    sums: list[list[int]] = [[] for _ in jobs]
+    for point in points:
         while n0 <= point:
             ns = range(n0, min(n0 + _BLOCK, point + 1))
             n0 = ns.stop
-            a_col = []
-            for n in ns:
-                if n:
-                    a = a * (2 * n - 1) // (2 * n)
-                    if not x_is_one:
-                        a = (a * x2) >> F
-                a_col.append(a)
+            a_cols = {}
+            for x, state in a_at.items():
+                x2, a = state
+                x_is_one = x == 1
+                col = []
+                for n in ns:
+                    if n:
+                        a = a * (2 * n - 1) // (2 * n)
+                        if not x_is_one:
+                            a = (a * x2) >> F
+                    col.append(a)
+                state[1] = a
+                a_cols[x, 1] = col
+                if x in squared:
+                    a_cols[x, 2] = [(u * u) >> F for u in col]
             powers = {(m, c, e): [(m * n + c) ** e for n in ns] for m, c, e in exponents}
             if not ns[0]:
                 # only n = 0 meets an index 2n = 0, and validate() leaves
                 # nothing there to divide
                 for col in powers.values():
                     col[0] = col[0] or 1
-            w = a_col if binom_power == 1 else [(u * u) >> F for u in a_col]
-            for chain, cum in zip(chains, cums):
-                t = [one] * len(ns)
-                for i, (m, c, e, weak) in enumerate(chain):
-                    col = list(accumulate([u // d for u, d in zip(t, powers[m, c, e])], initial=cum[i]))
-                    cum[i] = col[-1]
-                    t = col[1:] if weak else col[:-1]
-                w = [(u * v) >> F for u, v in zip(w, t)]
-            # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0; at
-            # n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
-            s_total += sum([u // d for u, d in zip(w, powers[head])])
-        sums.append(s_total)
+            tops = {}
+            for node, before in nodes.items():
+                start, prefix = node
+                m, c, e, weak = prefix[-1]
+                if len(prefix) > 1:
+                    t = tops[start, prefix[:-1]]
+                elif start <= ns[0]:
+                    t = [one] * len(ns)
+                else:
+                    t = [one if n >= start else 0 for n in ns]
+                col = list(accumulate([u // d for u, d in zip(t, powers[m, c, e])], initial=before))
+                nodes[node] = col[-1]
+                tops[node] = col[1:] if weak else col[:-1]
+            for j, job in enumerate(jobs):
+                w = a_cols[job.x, job.binom_power]
+                head = powers[job.head]
+                if not job.chains:
+                    if job.start > ns[0]:
+                        w = [u if n >= job.start else 0 for u, n in zip(w, ns)]
+                    totals[j] += sum([u // d for u, d in zip(w, head)])
+                    continue
+                for chain in job.chains[:-1]:
+                    w = [(u * v) >> F for u, v in zip(w, tops[job.start, chain])]
+                # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0;
+                # at n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
+                t = tops[job.start, job.chains[-1]]
+                totals[j] += sum([(u * v >> F) // d for u, v, d in zip(w, t, head)])
+        for job_sums, total in zip(sums, totals):
+            job_sums.append(total)
     return sums
 
 
@@ -188,19 +278,14 @@ def _partial_sums(
     Returns (scaled sums, scale bits F, terms swept).
     """
     F = _scale_bits(digits)
-    rels = spec.relations
-    # 2n, 2n+1 and 2n-1 are 2n + l(0)
-    chain = [
-        (2, term.parity.index_value(0), term.exponent, rels[j - 1] is Relation.WEAK)
-        for j, term in reversed(list(enumerate(spec.terms)))
-        if j
-    ]
-    head = (2, spec.terms[0].parity.index_value(0), spec.terms[0].exponent)
-    bottom_start = spec.tail_bound + (1 if rels[-1] is Relation.STRICT else 0)
     points = sorted(set(checkpoints))
-    sums = _sweep(head, [chain], bottom_start, spec.binom_power, spec.argument, F, points)
-    at = dict(zip(points, sums))
+    at = dict(zip(points, _sweep([_job(spec)], F, points)[0]))
     return [at[pt] for pt in checkpoints], F, points[-1] + 1
+
+
+def _harmonic_partial_sums(h: HarmonicSpec, points: list[int], F: int) -> list[int]:
+    """Scaled partial sums of a harmonic-weighted head at the ascending points."""
+    return _sweep([_job(h)], F, points)[0]
 
 
 def _extrapolate(
@@ -243,51 +328,86 @@ def _extrapolate(
 
 
 def _settle(
+    item: SeriesSpec | HarmonicSpec,
     points: list[int],
     sums: list[int],
     F: int,
-    alpha: Fraction | None,
-    log_degree: int,
-    digits: int,
-) -> tuple[mpf, mpf]:
-    """Value and error estimate from the scaled partial sums at `points`.
+    cfg: OracleConfig,
+) -> OracleResult:
+    """Value and error estimate of `item` from its scaled partial sums.
 
-    With alpha None the sum has converged geometrically and the last step is
-    the error; otherwise the tail is extrapolated.  Raises ConfigTooSmallError
-    when the estimate exceeds the 10^(-digits/2) budget.
+    With no extrapolation levels, or with geometric decay in x^(2n), the last
+    partial sum is the value and its step from the one before is the error;
+    otherwise the tail is extrapolated.  Raises ConfigTooSmallError when the
+    estimate exceeds the 10^(-digits/2) budget.
     """
-    one = mpf(1 << F)
-    values = [mpf(s) / one for s in sums]
-    if alpha is None:
-        value, err = values[-1], abs(values[-1] - values[-2])
-    else:
-        value, err = _extrapolate(points, values, alpha, log_degree, len(points) - 1)
-    if err > mpf(10) ** (-digits / 2):
-        raise ConfigTooSmallError(
-            f"tail error estimate {mpmath.nstr(err, 5)} exceeds the "
-            f"10^-{digits / 2:g} budget; raise cutoff or levels"
-        )
-    return value, err
+    digits = cfg.precision_digits
+    with workdps(digits + 15):
+        one = mpf(1 << F)
+        values = [mpf(s) / one for s in sums]
+        # outer terms decay like n^-(s_1 + p/2) times polylog: inner sums only
+        # grow logarithmically, and their deficits shift the exponent by
+        # integers
+        if isinstance(item, HarmonicSpec):
+            alpha = Fraction(item.head_exponent) + Fraction(item.binom_power, 2)
+            log_degree = len(item.k_vec) + len(item.l_vec)
+        elif item.argument == 1:
+            alpha = Fraction(item.terms[0].exponent) + Fraction(item.binom_power, 2)
+            log_degree = item.depth - 1
+        else:
+            alpha = None
+        if alpha is None or cfg.extrapolation_levels == 0:
+            value, err = values[-1], abs(values[-1] - values[-2])
+        else:
+            value, err = _extrapolate(points, values, alpha, log_degree, len(points) - 1)
+        if err > mpf(10) ** (-digits / 2):
+            raise ConfigTooSmallError(
+                f"tail error estimate {mpmath.nstr(err, 5)} exceeds the "
+                f"10^-{digits / 2:g} budget; raise cutoff or levels"
+            )
+        return OracleResult(value, err, points[-1] + 1)
+
+
+def direct_sums(
+    items: Sequence[SeriesSpec | HarmonicSpec], cfg: OracleConfig | None = None
+) -> list[OracleResult]:
+    """Directly sum every plain or harmonic-weighted series in one sweep.
+
+    Equal items are swept once; a plain spec whose tail bound reaches the
+    cutoff sums to 0 unswept.  A ConfigTooSmallError names the position of
+    the first item that raised it in its `index`.
+    """
+    cfg = cfg or OracleConfig()
+    points = _checkpoints(cfg)
+    F = _scale_bits(cfg.precision_digits)
+    jobs = {
+        item: _job(item)
+        for item in items
+        if isinstance(item, HarmonicSpec) or item.tail_bound < cfg.cutoff
+    }
+    unique = list(dict.fromkeys(jobs.values()))
+    swept = dict(zip(unique, _sweep(unique, F, points))) if unique else {}
+    results = []
+    for index, item in enumerate(items):
+        if item not in jobs:
+            results.append(OracleResult(mpf(0), mpf(0), 0))
+            continue
+        try:
+            results.append(_settle(item, points, swept[jobs[item]], F, cfg))
+        except ConfigTooSmallError as exc:
+            exc.index = index
+            raise
+    return results
 
 
 def direct_sum(spec: SeriesSpec, cfg: OracleConfig | None = None) -> OracleResult:
     """Sum the nested series; the outer tail is removed by extrapolation."""
     cfg = cfg or OracleConfig()
-    with workdps(cfg.precision_digits + 15):
-        if spec.tail_bound >= cfg.cutoff:
-            return OracleResult(mpf(0), mpf(0), 0)
-        points = _checkpoints(cfg)
-        sums, F, swept = _partial_sums(spec, points, cfg.precision_digits)
-        if spec.argument != 1 or cfg.extrapolation_levels == 0:
-            # geometric decay in x^(2n): the partial sum is already converged
-            alpha = None
-        else:
-            # outer terms decay like n^-(s_1 + p/2) times polylog: inner sums
-            # only grow logarithmically, and their deficits shift the exponent
-            # by integers
-            alpha = Fraction(spec.terms[0].exponent) + Fraction(spec.binom_power, 2)
-        value, err = _settle(points, sums, F, alpha, spec.depth - 1, cfg.precision_digits)
-        return OracleResult(value, err, swept)
+    if spec.tail_bound >= cfg.cutoff:
+        return OracleResult(mpf(0), mpf(0), 0)
+    points = _checkpoints(cfg)
+    sums, F, _ = _partial_sums(spec, points, cfg.precision_digits)
+    return _settle(spec, points, sums, F, cfg)
 
 
 def gamma_tail_check(n: int, d: int, cfg: OracleConfig | None = None):
@@ -306,32 +426,9 @@ def gamma_tail_check(n: int, d: int, cfg: OracleConfig | None = None):
     return direct_sum(spec, cfg).value
 
 
-def _harmonic_partial_sums(h: HarmonicSpec, points: list[int], F: int) -> list[int]:
-    """Scaled partial sums of a harmonic-weighted head at the ascending points."""
-    # zh_n(k) sums over n >= m_1 > ... > m_e > 0 and odd_n(l) over
-    # n >= r_1 > ... > r_f > 0 with index 2r - 1: the head reads both tops at
-    # n, every other level reads the one below at n - 1, both bottoms start
-    # at 1
-    zh = [(1, 0, k, j == 0) for j, k in reversed(list(enumerate(h.k_vec)))]
-    odd = [(2, -1, l, j == 0) for j, l in reversed(list(enumerate(h.l_vec)))]
-    # EVEN heads divide by n^q (expand_harmonic's 2^q factor is the rewrite
-    # to (2n)^q); odd heads divide by 2n+1 or 2n-1.  Only a 2n+1 head without
-    # weights has an n = 0 term
-    m, c = (1, 0) if h.head_parity is Parity.EVEN else (2, h.head_parity.index_value(0))
-    start = 0 if h.head_parity is Parity.ODD_HIGH and not (h.k_vec or h.l_vec) else 1
-    return _sweep((m, c, h.head_exponent), [zh, odd], start, h.binom_power, Fraction(1), F, points)
-
-
 def direct_harmonic_sum(h: HarmonicSpec, cfg: OracleConfig | None = None) -> OracleResult:
     """Directly sum a harmonic-weighted series (independent of expand_harmonic)."""
     cfg = cfg or OracleConfig()
-    with workdps(cfg.precision_digits + 15):
-        points = _checkpoints(cfg) if cfg.extrapolation_levels else _checkpoints(
-            OracleConfig(cfg.cutoff, 1, cfg.precision_digits)
-        )
-        F = _scale_bits(cfg.precision_digits)
-        sums = _harmonic_partial_sums(h, points, F)
-        alpha = Fraction(h.head_exponent) + Fraction(h.binom_power, 2)
-        log_degree = len(h.k_vec) + len(h.l_vec)
-        value, err = _settle(points, sums, F, alpha, log_degree, cfg.precision_digits)
-        return OracleResult(value, err, points[-1] + 1)
+    points = _checkpoints(cfg)
+    F = _scale_bits(cfg.precision_digits)
+    return _settle(h, points, _harmonic_partial_sums(h, points, F), F, cfg)

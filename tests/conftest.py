@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from apery_words.evaluate import BigComplex
-from apery_words.oracle import OracleConfig, direct_sum
+from apery_words.oracle import OracleConfig, direct_sums
 
 # reference constants in the tests are compared at up to ~1e-45; keep the
 # ambient mpmath precision comfortably above that
@@ -79,10 +79,9 @@ def corpus() -> list[SeriesSpec]:
 @pytest.fixture(scope="session")
 def corpus_results(corpus) -> list[CorpusEntry]:
     out = []
-    for spec in corpus:
+    for spec, res in zip(corpus, direct_sums(corpus, ORACLE_CFG)):
         words = compile_spec(spec)
         compiled = eval_wordsum(words, CORPUS_BITS)
-        res = direct_sum(spec, ORACLE_CFG)
         out.append(CorpusEntry(spec, words, compiled, res.value, res.error_estimate))
     return out
 

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -79,6 +80,22 @@ def test_verify_default_flags(tmp_path, capsys):
     rc = cli_main(["verify", "--fixtures", str(path), "--cache-path", str(tmp_path / "c.jsonl")])
     assert rc == 0
     assert "passed 1/1" in capsys.readouterr().out
+
+
+def test_verify_names_failing_record(tmp_path, capsys):
+    # both records fail the oracle budget at cutoff 100; the error names the
+    # first in sorted id order
+    bundled = {
+        r["id"]: r
+        for r in json.loads(resources.files("apery_words").joinpath("data/fixtures.json").read_text())
+    }
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([bundled["a18-odd-even-odd-111"], bundled["a16-odd-even-even-111"]]))
+    rc = cli_main(["verify", "--fixtures", str(path), "--cutoff", "100",
+                   "--cache-path", str(tmp_path / "c.jsonl")])
+    assert rc == 2
+    assert re.match(r"error: a16-odd-even-even-111: tail error estimate \S+ exceeds",
+                    capsys.readouterr().err)
 
 
 def test_constants_output(capsys):

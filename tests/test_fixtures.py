@@ -1,8 +1,11 @@
 import json
 
+import mpmath
 import pytest
+from mpmath import mpf, workprec
 
-from apery_words.fixtures import load_fixtures, render_report_table, verify_fixtures
+from apery_words.fixtures import VERIFY_ORACLE, load_fixtures, render_report_table, verify_fixtures
+from apery_words.oracle import direct_harmonic_sum, direct_sum
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +50,20 @@ def test_report_carries_weight_bookkeeping(report):
     assert rep == {"weight": 3, "nu": 1, "max_word_weight": 2}
     rep = by_id["b17-sq-low-even-21"]["weight_report"]
     assert rep["max_word_weight"] == max(rep["weight"] + 1 - rep["eta"], rep["iota"])
+
+
+def test_report_oracle_matches_single_sums(report):
+    # verify sums every record in one batch; each record summed on its own
+    # must print the same oracle value
+    records = sorted(load_fixtures(), key=lambda r: r.id)
+    assert [r["id"] for r in report["records"]] == [rec.id for rec in records]
+    with workprec(140 + 16):
+        for rec, entry in zip(records, report["records"]):
+            if rec.series is not None:
+                value = direct_sum(rec.series, VERIFY_ORACLE).value
+            else:
+                value = mpf(0)
+                for part in rec.harmonic:
+                    coef = mpf(part.coef.numerator) / part.coef.denominator
+                    value += direct_harmonic_sum(part.spec, VERIFY_ORACLE).value * coef
+            assert entry["oracle"] == mpmath.nstr(value, 16), rec.id

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from apery_words import oracle
 from apery_words.fixtures import load_fixtures
 from apery_words.oracle import (
     ConfigTooSmallError,
@@ -15,11 +17,14 @@ from apery_words.oracle import (
     _BLOCK,
     _checkpoints,
     _harmonic_partial_sums,
+    _job,
     _partial_sums,
     _scale_bits,
+    _sweep,
     central_ratio,
     direct_harmonic_sum,
     direct_sum,
+    direct_sums,
     gamma_tail_check,
 )
 from apery_words.series import (
@@ -367,3 +372,118 @@ def test_harmonic_config_too_small_message():
         direct_harmonic_sum(h, cfg)
     with pytest.raises(ConfigTooSmallError, match=pattern):
         direct_sum(parse_spec("S[2n^1 > 0]"), cfg)
+
+
+def test_harmonic_zero_levels_settles_on_last_sum():
+    # with no extrapolation levels the harmonic estimate is |S(N) - S(N/2)|,
+    # as it is for a plain spec
+    h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
+    cfg = OracleConfig(cutoff=100, extrapolation_levels=0, precision_digits=30)
+    F = _scale_bits(30)
+    s50, s100 = _harmonic_partial_sums(h, [50, 100], F)
+    with mpmath.workdps(45):
+        one = mpf(1 << F)
+        err = abs(mpf(s100) / one - mpf(s50) / one)
+    pattern = re.escape(f"tail error estimate {mpmath.nstr(err, 5)} exceeds")
+    with pytest.raises(ConfigTooSmallError, match=pattern):
+        direct_harmonic_sum(h, cfg)
+
+
+# The batch kernel against the same kernel run on one item at a time, which
+# the reference tests above tie to the old loops: every item's scaled sums
+# must not depend on what else is in its batch.
+
+
+def _assert_batch_matches_single(items, points: list[int], digits: int = 16):
+    F = _scale_bits(digits)
+    batch = _sweep([_job(item) for item in items], F, points)
+    for item, sums in zip(items, batch):
+        if isinstance(item, HarmonicSpec):
+            single = _harmonic_partial_sums(item, points, F)
+        else:
+            single = _partial_sums(item, points, digits)[0]
+        assert sums == single, item
+
+
+def _fixture_items() -> list[SeriesSpec | HarmonicSpec]:
+    items = []
+    for rec in load_fixtures():
+        items += [rec.series] if rec.series is not None else [part.spec for part in rec.harmonic]
+    return items
+
+
+def test_batch_matches_single_on_fixture_jobs():
+    items = _fixture_items()
+    assert len(items) == 74
+    _assert_batch_matches_single(items, _checkpoints(OracleConfig(300, 4, 16)))
+
+
+def test_batch_matches_single_on_random_specs_and_harmonic_shapes():
+    # the tail bounds start items past several block boundaries, and x = 1/2
+    # brings a second a_n column
+    rng = random.Random(20240817)
+    items = []
+    for _ in range(40):
+        spec = random_spec(rng)
+        tail = rng.randint(1, 400)
+        items += [spec, replace(spec, tail_bound=tail), replace(spec, argument=Fraction(1, 2))]
+    items += _harmonic_shapes()
+    rng.shuffle(items)
+    _assert_batch_matches_single(items, _checkpoints(OracleConfig(300, 4, 16)))
+
+
+@st.composite
+def _harmonic_specs(draw) -> HarmonicSpec:
+    weights = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+    p = draw(st.sampled_from((1, 2)))
+    head = draw(st.integers(3 - p, 3))
+    return HarmonicSpec(draw(weights), draw(weights), draw(st.sampled_from(list(Parity))), head, p)
+
+
+_ITEMS = st.one_of(_small_specs(), _harmonic_specs())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_ITEMS, min_size=1, max_size=6),
+    st.lists(_ITEMS, max_size=3),
+    st.lists(st.integers(0, 900), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_batch_is_independent_of_its_company(items, others, points, rng):
+    points = sorted(set(points))
+    _assert_batch_matches_single(items, points)
+    F = _scale_bits(16)
+    alone = _sweep([_job(item) for item in items], F, points)
+    mixed = items + others
+    rng.shuffle(mixed)
+    together = dict(zip(mixed, _sweep([_job(item) for item in mixed], F, points)))
+    assert [together[item] for item in items] == alone
+
+
+def test_direct_sums_sweeps_equal_items_once(monkeypatch):
+    h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
+    spec = parse_spec("S[2n+1^2 >= 0]")
+    want = [direct_harmonic_sum(h, FAST_CFG), direct_sum(spec, FAST_CFG)]
+    batches = []
+
+    def recording_sweep(jobs, F, points):
+        batches.append(len(jobs))
+        return _sweep(jobs, F, points)
+
+    monkeypatch.setattr(oracle, "_sweep", recording_sweep)
+    got = direct_sums([h, h, spec, h], FAST_CFG)
+    assert batches == [2]
+    for res, ref in zip(got, [want[0], want[0], want[1], want[0]]):
+        assert (res.value, res.error_estimate, res.terms_used) == (
+            ref.value, ref.error_estimate, ref.terms_used
+        )
+
+
+def test_direct_sums_names_the_failing_item():
+    cfg = OracleConfig(cutoff=100, extrapolation_levels=0, precision_digits=30)
+    empty = parse_spec("S[2n^1 > 0]@tail=100")
+    with pytest.raises(ConfigTooSmallError) as info:
+        direct_sums([empty, empty, parse_spec("S[2n^1 > 0]"), empty], cfg)
+    assert info.value.index == 2
+    assert [r.terms_used for r in direct_sums([empty], cfg)] == [0]
