@@ -2,7 +2,7 @@
 words and evaluated to arbitrary precision, with a direct-summation oracle."""
 
 from .oracle import OracleConfig, OracleResult, central_ratio, direct_sum
-from .pipeline import compile_spec, evaluate_compiled, evaluate_direct
+from .pipeline import compile_spec
 from .series import HarmonicSpec, SeriesSpec, expand_harmonic, parse_spec, render
 
 __all__ = [
@@ -13,8 +13,6 @@ __all__ = [
     "central_ratio",
     "compile_spec",
     "direct_sum",
-    "evaluate_compiled",
-    "evaluate_direct",
     "expand_harmonic",
     "parse_spec",
     "render",

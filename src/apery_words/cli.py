@@ -21,23 +21,11 @@ from mpmath import workprec
 from . import fixtures as fixtures_mod
 from .constants import CATALOG_DESCRIPTIONS, constant_value
 from .evaluate import ValueCache, eval_wordsum
-from .oracle import OracleConfig, direct_harmonic_sum
-from .pipeline import (
-    compile_harmonic,
-    compile_spec,
-    evaluate_direct,
-    trig_to_json_dict,
-)
-from .series import (
-    HarmonicSpec,
-    Parity,
-    SpecSyntaxError,
-    SpecValidationError,
-    canonical_key,
-    parse_spec,
-    render,
-)
-from .trig import CompileError, compile_spec_to_trig, predicted_weight_report
+from .oracle import OracleConfig, direct_sums
+from .pipeline import compile_harmonic, compile_spec
+from .series import HarmonicSpec, canonical_key, parse_head, parse_spec, render
+from .trig import compile_spec_to_trig, predicted_weight_report, trig_to_json_dict
+from .words import words_to_json_dict
 
 
 def _bits(digits: int) -> int:
@@ -57,26 +45,39 @@ def _oracle_cfg(args) -> OracleConfig:
     )
 
 
-def cmd_eval(args) -> int:
-    spec = parse_spec(args.spec)
+def _evaluate(args, item, compile_item, out: dict):
+    """The compiled / direct / both flow shared by eval and harmonic.
+
+    Adds "compiled", "direct" and "deviation" to `out` as --method asks and
+    returns the compiled value and the oracle result (None where skipped).
+    """
     digits = args.digits
-    out: dict = {"spec": render(spec), "key": canonical_key(spec), "method": args.method}
     cache = _cache(args)
+    value = res = None
     with workprec(_bits(digits) + 16):
         if args.method in ("compiled", "both"):
-            value = eval_wordsum(compile_spec(spec), _bits(digits), cache)
+            value = eval_wordsum(compile_item(item), _bits(digits), cache)
             out["compiled"] = mpmath.nstr(value.real, digits)
-            out["compiled_imag"] = mpmath.nstr(value.imag, 5)
-            out["max_word_weight"] = compile_spec(spec).max_weight()
-            out["weight_report"] = predicted_weight_report(spec)
         if args.method in ("direct", "both"):
-            res = evaluate_direct(spec, _oracle_cfg(args))
+            res = direct_sums([item], _oracle_cfg(args))[0]
             out["direct"] = mpmath.nstr(res.value, digits)
-            out["direct_error_estimate"] = mpmath.nstr(res.error_estimate, 3)
-            out["terms_used"] = res.terms_used
         if args.method == "both":
             dev = abs(mpmath.mpf(out["compiled"]) - mpmath.mpf(out["direct"]))
             out["deviation"] = mpmath.nstr(dev, 3)
+    return value, res
+
+
+def cmd_eval(args) -> int:
+    spec = parse_spec(args.spec)
+    out: dict = {"spec": render(spec), "key": canonical_key(spec), "method": args.method}
+    value, res = _evaluate(args, spec, compile_spec, out)
+    if value is not None:
+        out["compiled_imag"] = mpmath.nstr(value.imag, 5)
+        out["max_word_weight"] = compile_spec(spec).max_weight()
+        out["weight_report"] = predicted_weight_report(spec)
+    if res is not None:
+        out["direct_error_estimate"] = mpmath.nstr(res.error_estimate, 3)
+        out["terms_used"] = res.terms_used
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -93,7 +94,7 @@ def cmd_compile(args) -> int:
     if args.ir == "trig":
         data = trig_to_json_dict(compile_spec_to_trig(spec))
     else:
-        data = compile_spec(spec).to_json_dict()
+        data = words_to_json_dict(compile_spec(spec))
     print(json.dumps(data, sort_keys=True))
     return 0
 
@@ -131,28 +132,16 @@ def _parse_weight_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_harmonic(args) -> int:
-    parity_by_symbol = {p.value: p for p in Parity}
-    symbol, _, exp = args.head.partition("^")
+    parity, exponent = parse_head(args.head)
     h = HarmonicSpec(
         _parse_weight_list(args.k),
         _parse_weight_list(args.l),
-        parity_by_symbol[symbol],
-        int(exp or 1),
+        parity,
+        exponent,
         args.binom,
     )
-    digits = args.digits
-    cache = _cache(args)
     out: dict = {"k": list(h.k_vec), "l": list(h.l_vec), "head": args.head, "binom": h.binom_power}
-    with workprec(_bits(digits) + 16):
-        if args.method in ("compiled", "both"):
-            value = eval_wordsum(compile_harmonic(h), _bits(digits), cache)
-            out["compiled"] = mpmath.nstr(value.real, digits)
-        if args.method in ("direct", "both"):
-            res = direct_harmonic_sum(h, _oracle_cfg(args))
-            out["direct"] = mpmath.nstr(res.value, digits)
-        if args.method == "both":
-            dev = abs(mpmath.mpf(out["compiled"]) - mpmath.mpf(out["direct"]))
-            out["deviation"] = mpmath.nstr(dev, 3)
+    _evaluate(args, h, compile_harmonic, out)
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -216,7 +205,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecSyntaxError, SpecValidationError, CompileError, ValueError) as exc:
+    # every typed error of the package is a ValueError; an OSError is a file
+    # the user named (fixtures, report or cache path)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,7 @@ from .evaluate import ValueCache, eval_wordsum
 from .oracle import ConfigTooSmallError, OracleConfig, direct_sums
 from .pipeline import compile_harmonic, compile_spec
 from .trig import predicted_weight_report
-from .series import HarmonicSpec, Parity, SeriesSpec, parse_spec
-
-_PARITY_BY_SYMBOL = {p.value: p for p in Parity}
+from .series import HarmonicSpec, SeriesSpec, parse_head, parse_spec
 
 # the oracle gate is max(decimal tolerance, 1e-8), so 16 digits are all it uses
 VERIFY_ORACLE = OracleConfig(cutoff=10_000, extrapolation_levels=4, precision_digits=16)
@@ -55,18 +53,13 @@ class FixtureRecord:
         return 10.0 ** (1 - decimals)
 
 
-def _parse_head(text: str) -> tuple[Parity, int]:
-    symbol, _, exp = text.partition("^")
-    return _PARITY_BY_SYMBOL[symbol], int(exp)
-
-
 def _record_from_dict(data: dict) -> FixtureRecord:
     series = parse_spec(data["series"]) if data.get("series") else None
     harmonic = None
     if data.get("harmonic"):
         harmonic = []
         for part in data["harmonic"]:
-            parity, exp = _parse_head(part["head"])
+            parity, exp = parse_head(part["head"])
             harmonic.append(
                 HarmonicPart(
                     Fraction(part.get("coef", "1")),

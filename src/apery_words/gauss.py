@@ -1,13 +1,18 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational arithmetic and the exact word sums built on it.
 
 Coefficients of word sums live in Q[i].  A GaussRat is a pair of
 fractions.Fraction values (real and imaginary part); all ring operations are
 exact, and division inverts through the conjugate.  Values convert to mpmath
 complex numbers only at evaluation time.
+
+A WordSum is the one sparse linear combination of the compiler: trig words
+with Fraction coefficients (the rewrite's output) and level-4 atom words with
+GaussRat coefficients (the change of variables' output) are both WordSums.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -112,6 +117,44 @@ def _coerce(value) -> GaussRat:
     raise TypeError(f"cannot coerce {type(value).__name__} to GaussRat")
 
 
-ZERO = GaussRat(0)
-ONE = GaussRat(1)
-I = GaussRat(0, 1)
+@dataclass
+class WordSum:
+    """Exact combination of words, a peeled constant and a 2/pi scale.
+
+    Value = (2/pi)^pi_scale * (sum coef * I(word) + scalar + scalar_pi * pi).
+    Coefficients and scalar are GaussRats over atom words (the default) and
+    Fractions over trig words; scalar_pi is always rational.
+    """
+
+    terms: dict[tuple, Fraction | GaussRat] = field(default_factory=dict)
+    scalar: Fraction | GaussRat = GaussRat(0)
+    scalar_pi: Fraction = Fraction(0)
+    pi_scale: int = 0
+
+    def add_term(self, word: tuple, coef: Fraction | GaussRat) -> None:
+        old = self.terms.get(word)
+        new = coef if old is None else old + coef
+        if new:
+            self.terms[word] = new
+        else:
+            self.terms.pop(word, None)
+
+    def scaled(self, coef: Fraction) -> "WordSum":
+        return WordSum(
+            {w: c * coef for w, c in self.terms.items()},
+            self.scalar * coef,
+            self.scalar_pi * coef,
+            self.pi_scale,
+        )
+
+    def __iadd__(self, other: "WordSum") -> "WordSum":
+        if other.pi_scale != self.pi_scale:
+            raise ValueError("cannot add word sums with different 2/pi scales")
+        for w, c in other.terms.items():
+            self.add_term(w, c)
+        self.scalar += other.scalar
+        self.scalar_pi += other.scalar_pi
+        return self
+
+    def max_weight(self) -> int:
+        return max((len(w) for w in self.terms), default=0)

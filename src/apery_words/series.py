@@ -232,6 +232,20 @@ def parse_spec(text: str) -> SeriesSpec:
     return SeriesSpec(binom_power, tuple(terms), tuple(relations), tail_bound, argument)
 
 
+def parse_head(text: str) -> tuple[Parity, int]:
+    """Parse a harmonic head like "2n-1^2"; a missing "^e" means exponent 1."""
+    symbol, caret, exp = text.partition("^")
+    try:
+        parity = Parity(symbol)
+    except ValueError:
+        raise SpecSyntaxError(f"unknown head index {symbol!r}, expected 2n, 2n+1 or 2n-1", 0) from None
+    if not caret:
+        return parity, 1
+    if not re.fullmatch(r"[1-9][0-9]*", exp):
+        raise SpecSyntaxError(f"head exponent must be a positive integer, got {exp!r}", len(symbol) + 1)
+    return parity, int(exp)
+
+
 def render(spec: SeriesSpec) -> str:
     """Inverse printer; parse_spec(render(s)) == s."""
     head = "S2" if spec.binom_power == 2 else "S"

@@ -19,17 +19,20 @@ The pipeline stages, in order:
                             prefixes are peeled into the eight-form alphabet
                             plus exact constants.
 
-Everything here is exact: words map to Fraction coefficients, constants are a
-rational plus a rational multiple of pi.
+The output is a gauss.WordSum over trig words: everything here is exact, words
+map to Fraction coefficients, the peeled scalar is a rational plus a rational
+multiple of pi, and pi_scale marks the 2/pi factor.  trig_to_json_dict writes
+it as the `compile --ir trig` shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .gauss import WordSum
 from .series import IndexTerm, Parity, Relation, SeriesSpec
 
 
@@ -45,44 +48,6 @@ class TrigForm(Enum):
 
 
 TrigWord = tuple[TrigForm, ...]
-
-
-@dataclass
-class TrigExpr:
-    """Rational combination of trig words, a peeled constant, a 2/pi marker.
-
-    Value = (2/pi)^two_over_pi_power * (sum of word integrals over (0, pi/2)
-    + constant + constant_pi * pi).
-    """
-
-    terms: dict[TrigWord, Fraction] = field(default_factory=dict)
-    constant: Fraction = Fraction(0)
-    constant_pi: Fraction = Fraction(0)
-    two_over_pi_power: int = 0
-
-    def add_term(self, word: TrigWord, coef: Fraction) -> None:
-        new = self.terms.get(word, Fraction(0)) + coef
-        if new:
-            self.terms[word] = new
-        else:
-            self.terms.pop(word, None)
-
-    def scaled(self, coef: Fraction) -> "TrigExpr":
-        return TrigExpr(
-            {w: c * coef for w, c in self.terms.items()},
-            self.constant * coef,
-            self.constant_pi * coef,
-            self.two_over_pi_power,
-        )
-
-    def __iadd__(self, other: "TrigExpr") -> "TrigExpr":
-        if other.two_over_pi_power != self.two_over_pi_power:
-            raise CompileError("cannot combine expressions with different 2/pi scales")
-        for w, c in other.terms.items():
-            self.add_term(w, c)
-        self.constant += other.constant
-        self.constant_pi += other.constant_pi
-        return self
 
 
 class CompileError(ValueError):
@@ -468,17 +433,17 @@ def _gamma_items(s: int, chain: WordItems, next_parity: Parity | None, p: int) -
     return items, Fraction(0)
 
 
-def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> TrigExpr:
+def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> WordSum:
     """Emit the trig-word combination for one block-shape item."""
     pow2 = 1 if binom_power == 2 else 0
-    expr = TrigExpr(two_over_pi_power=pow2)
+    expr = WordSum(scalar=Fraction(0), pi_scale=pow2)
 
     if item is None:
         # scalar 1; inside a squared combination the value 1 is (2/pi)*(pi/2)
         if binom_power == 2:
-            expr.constant_pi = Fraction(1, 2)
+            expr.scalar_pi = Fraction(1, 2)
         else:
-            expr.constant = Fraction(1)
+            expr.scalar = Fraction(1)
         return expr
 
     if isinstance(item, GammaHead):
@@ -499,7 +464,7 @@ def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> Tri
                 expr.add_term(w, c)
             else:
                 const += c
-        expr.constant += const
+        expr.scalar += const
         return expr
 
     items = _plain_chain(tail.terms)
@@ -511,14 +476,14 @@ def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> Tri
     return expr
 
 
-def compile_spec_to_trig(spec: SeriesSpec) -> TrigExpr:
+def compile_spec_to_trig(spec: SeriesSpec) -> WordSum:
     """Full rewrite: relations, index shifts, gamma handling, block emission."""
     if spec.tail_bound != 0:
         raise CompileError("compiled path requires tail_bound = 0 (use the oracle)")
     if spec.argument != 1:
         raise CompileError("compiled path requires x = 1 (use the oracle)")
     p = spec.binom_power
-    total = TrigExpr(two_over_pi_power=1 if p == 2 else 0)
+    total = WordSum(scalar=Fraction(0), pi_scale=1 if p == 2 else 0)
     for coef, item in rewrite_to_block_shape(spec):
         if item is not None and p == 1:
             for c2, reduced in reduce_leading_gamma(item):
@@ -526,6 +491,19 @@ def compile_spec_to_trig(spec: SeriesSpec) -> TrigExpr:
         else:
             total += compile_blocks(item, p).scaled(coef)
     return total
+
+
+def trig_to_json_dict(expr: WordSum) -> dict:
+    """The `compile --ir trig` shape; words sorted by length, then form names."""
+    words = sorted(expr.terms.items(), key=lambda kv: (len(kv[0]), [f.value for f in kv[0]]))
+    return {
+        "two_over_pi_power": expr.pi_scale,
+        "constant": str(expr.scalar),
+        "constant_pi": str(expr.scalar_pi),
+        "terms": [
+            {"word": [f.value for f in w], "coef": str(c)} for w, c in words
+        ],
+    }
 
 
 def predicted_weight_report(spec: SeriesSpec) -> dict:

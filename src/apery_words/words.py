@@ -6,19 +6,20 @@ An Atom is the 1-form sign * dt/(pole - t); the canonical alphabet is
 Words are tuples of atoms ordered with the leftmost factor nearest t = 1.
 A word converges iff it does not start with x1 and does not end with w0.
 
-cov() applies t -> arcsin((1-u^2)/(1+u^2)) to a trig expression: each trig
-form maps to a fixed combination of atoms, the substitution reverses
-orientation, so each word is reversed and picks up (-1)^length.
+cov() applies t -> arcsin((1-u^2)/(1+u^2)) to a WordSum over trig words: each
+trig form maps to a fixed combination of atoms, the substitution reverses
+orientation, so each word is reversed and picks up (-1)^length.  The result is
+a WordSum over atom words with Gaussian-rational coefficients (WordSum lives in
+gauss and is re-exported here); words_to_json_dict writes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .gauss import GaussRat
+from .gauss import GaussRat, WordSum
 from .series import Parity, SeriesSpec
-from .trig import CompileError, TrigExpr, TrigForm
+from .trig import CompileError, TrigForm
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ XI = Atom(GaussRat(0, 1), 1)
 XMI = Atom(GaussRat(0, -1), 1)
 
 _CANONICAL_NAMES = {W0: "w0", X1: "x1", XM1: "x-1", XI: "xi", XMI: "x-i"}
-_NAMES_TO_ATOM = {v: k for k, v in _CANONICAL_NAMES.items()}
 
 Word = tuple[Atom, ...]
 
@@ -51,32 +51,6 @@ def atom_name(atom: Atom) -> str:
         return name
     sign = "" if atom.sign == 1 else "-"
     return f"{sign}x({atom.pole})"
-
-
-def atom_from_name(name: str) -> Atom:
-    if name in _NAMES_TO_ATOM:
-        return _NAMES_TO_ATOM[name]
-    sign = 1
-    if name.startswith("-"):
-        sign = -1
-        name = name[1:]
-    if not (name.startswith("x(") and name.endswith(")")):
-        raise ValueError(f"unknown atom name {name!r}")
-    body = name[2:-1]
-    re_part, im_part = Fraction(0), Fraction(0)
-    if body.endswith("i"):
-        head, _, tail = body[:-1].rpartition("+")
-        if head:
-            re_part, im_part = Fraction(head), Fraction(tail)
-        else:
-            head, _, tail = body[:-1].rpartition("-")
-            if head and not head.endswith("/"):
-                re_part, im_part = Fraction(head), -Fraction(tail)
-            else:
-                im_part = Fraction(body[:-1])
-    else:
-        re_part = Fraction(body)
-    return Atom(GaussRat(re_part, im_part), sign)
 
 
 def word_key(word: Word) -> str:
@@ -98,66 +72,24 @@ class NonconvergentWordError(ValueError):
     """The change of variables produced a divergent word: a compiler bug."""
 
 
-@dataclass
-class WordSum:
-    """Gaussian-rational combination of convergent words.
-
-    Value = (2/pi)^pi_scale * (sum coef * I(word) + scalar + scalar_pi * pi).
-    """
-
-    terms: dict[Word, GaussRat] = field(default_factory=dict)
-    pi_scale: int = 0
-    scalar: GaussRat = field(default_factory=GaussRat)
-    scalar_pi: Fraction = Fraction(0)
-
-    def add_term(self, word: Word, coef: GaussRat) -> None:
-        new = self.terms.get(word, GaussRat(0)) + coef
-        if new:
-            self.terms[word] = new
-        else:
-            self.terms.pop(word, None)
-
-    def scaled(self, coef: GaussRat | Fraction | int) -> "WordSum":
-        coef = coef if isinstance(coef, GaussRat) else GaussRat(coef)
-        if not coef.is_real() and self.scalar_pi:
-            raise ValueError("cannot scale a pi-carrying scalar by a complex factor")
-        return WordSum(
-            {w: c * coef for w, c in self.terms.items()},
-            self.pi_scale,
-            self.scalar * coef,
-            self.scalar_pi * coef.re,
-        )
-
-    def max_weight(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def to_json_dict(self) -> dict:
-        words = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), word_key(kv[0])))
-        return {
-            "pi_scale": self.pi_scale,
-            "scalar": {
-                "re": str(self.scalar.re),
-                "im": str(self.scalar.im),
-                "pi": str(self.scalar_pi),
-            },
-            "terms": [
-                {
-                    "word": [atom_name(a) for a in w],
-                    "coef": {"re": str(c.re), "im": str(c.im)},
-                }
-                for w, c in words
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WordSum":
-        ws = cls(pi_scale=int(data["pi_scale"]))
-        ws.scalar = GaussRat(Fraction(data["scalar"]["re"]), Fraction(data["scalar"]["im"]))
-        ws.scalar_pi = Fraction(data["scalar"]["pi"])
-        for item in data["terms"]:
-            word = tuple(atom_from_name(n) for n in item["word"])
-            ws.add_term(word, GaussRat(Fraction(item["coef"]["re"]), Fraction(item["coef"]["im"])))
-        return ws
+def words_to_json_dict(ws: WordSum) -> dict:
+    """The `compile --ir words` shape; words sorted by length, then key."""
+    words = sorted(ws.terms.items(), key=lambda kv: (len(kv[0]), word_key(kv[0])))
+    return {
+        "pi_scale": ws.pi_scale,
+        "scalar": {
+            "re": str(ws.scalar.re),
+            "im": str(ws.scalar.im),
+            "pi": str(ws.scalar_pi),
+        },
+        "terms": [
+            {
+                "word": [atom_name(a) for a in w],
+                "coef": {"re": str(c.re), "im": str(c.im)},
+            }
+            for w, c in words
+        ],
+    }
 
 
 # the substitution table: each trig form becomes a fixed atom combination
@@ -176,11 +108,14 @@ _COV = {
 }
 
 
-def cov(expr: TrigExpr) -> WordSum:
-    """Change of variables onto [0, 1]: expand, reverse, sign, collect."""
-    ws = WordSum(pi_scale=expr.two_over_pi_power)
-    ws.scalar = GaussRat(expr.constant)
-    ws.scalar_pi = expr.constant_pi
+def cov(expr: WordSum) -> WordSum:
+    """Change of variables onto [0, 1]: expand, reverse, sign, collect.
+
+    Takes a word sum over trig words, returns one over atom words.
+    """
+    ws = WordSum(
+        scalar=GaussRat(expr.scalar), scalar_pi=expr.scalar_pi, pi_scale=expr.pi_scale
+    )
     for tword, coef in expr.terms.items():
         for f in tword:
             if f not in _COV:

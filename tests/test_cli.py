@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from importlib import resources
@@ -5,6 +6,9 @@ from importlib import resources
 import pytest
 
 from apery_words.cli import cli_main
+from apery_words.series import render
+
+from conftest import build_corpus
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +37,23 @@ def test_compile_ir_roundtrips(capsys):
         assert cli_main(["compile", "S[2n^2 > 0]", "--ir", ir]) == 0
         blob = capsys.readouterr().out.strip()
         assert blob == json.dumps(json.loads(blob), sort_keys=True)
+
+
+# SHA-256 of the concatenated `compile --ir <ir>` output over build_corpus(100)
+_COMPILE_DIGESTS = {
+    "trig": "e6aa3f57ded831428311e7144f686d154b034ac9b4cb9b74d356ddc3b2bc7647",
+    "words": "7ff221901106601b599165286186cebf802456e7986a5893fabd3d4039f45d5e",
+}
+
+
+@pytest.mark.parametrize("ir", ["trig", "words"])
+def test_compile_output_pinned(ir, capsys):
+    # the two IR writers' bytes must not drift
+    blob = ""
+    for spec in build_corpus(100):
+        assert cli_main(["compile", render(spec), "--ir", ir]) == 0
+        blob += capsys.readouterr().out
+    assert hashlib.sha256(blob.encode()).hexdigest() == _COMPILE_DIGESTS[ir]
 
 
 def test_verify_subset(tmp_path, capsys):
@@ -98,6 +119,18 @@ def test_verify_names_failing_record(tmp_path, capsys):
                     capsys.readouterr().err)
 
 
+def test_verify_missing_fixtures_file(tmp_path, capsys):
+    assert cli_main(["verify", "--fixtures", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_bad_fixture_head(tmp_path, capsys):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([{"id": "h", "harmonic": [{"k": [1], "head": "3n^2"}]}]))
+    assert cli_main(["verify", "--fixtures", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown head index '3n'")
+
+
 def test_constants_output(capsys):
     assert cli_main(["constants", "--digits", "15"]) == 0
     out = capsys.readouterr().out
@@ -112,6 +145,11 @@ def test_harmonic_command(capsys):
     # (8 log 2 - 4)/pi
     assert out["compiled"].startswith("0.4918452564")
     assert float(out["deviation"]) < 1e-8
+
+
+def test_harmonic_bad_head_status(capsys):
+    assert cli_main(["harmonic", "--k", "1", "--head", "2m^2"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown head index '2m'")
 
 
 def test_usage_error_status():

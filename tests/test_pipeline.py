@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import mpmath
@@ -7,15 +6,10 @@ from mpmath import workprec
 from apery_words.constants import eval_const
 from apery_words.evaluate import eval_wordsum
 from apery_words.oracle import OracleConfig, direct_sum
-from apery_words.pipeline import (
-    combine_wordsums,
-    compile_harmonic,
-    compile_spec,
-    trig_from_json_dict,
-    trig_to_json_dict,
-)
-from apery_words.series import HarmonicSpec, Parity, parse_spec
-from apery_words.trig import compile_spec_to_trig, predicted_weight_report
+from apery_words.pipeline import compile_harmonic, compile_spec
+from apery_words.series import HarmonicSpec, Parity, expand_harmonic, parse_spec
+from apery_words.trig import predicted_weight_report
+from apery_words.words import words_to_json_dict
 
 CFG = OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16)
 
@@ -89,7 +83,8 @@ def test_harmonic_compiled_vs_closed():
 def test_combine_wordsums_scalars():
     a = compile_spec(parse_spec("S2[2n-1^2 > 0]"))
     b = compile_spec(parse_spec("S2[2n-1^1 > 0]"))
-    total = combine_wordsums([(Fraction(2), a), (Fraction(-1), b)])
+    total = a.scaled(Fraction(2))
+    total += b.scaled(Fraction(-1))
     with workprec(150):
         got = eval_wordsum(total, 140).to_mpc()
         want = 2 * eval_wordsum(a, 140).to_mpc() - eval_wordsum(b, 140).to_mpc()
@@ -113,11 +108,14 @@ def test_weight_report():
     assert rep["iota"] == 1  # the depth-1 convention
 
 
-def test_trig_json_roundtrip_bytes():
-    expr = compile_spec_to_trig(parse_spec("S2[2n-1^2 > 2n^1 > 0]"))
-    blob = json.dumps(trig_to_json_dict(expr), sort_keys=True)
-    again = json.dumps(trig_to_json_dict(trig_from_json_dict(json.loads(blob))), sort_keys=True)
-    assert blob == again
+def test_compile_harmonic_leaves_memo_intact():
+    # compile_harmonic adds scaled copies; the memoized parts must not change
+    h = HarmonicSpec((1, 2), (1,), Parity.ODD_LOW, 2, 2)
+    parts = [compile_spec(s) for _, s in expand_harmonic(h)]
+    before = [words_to_json_dict(ws) for ws in parts]
+    compile_harmonic(h)
+    compile_harmonic(h)
+    assert [words_to_json_dict(ws) for ws in parts] == before
 
 
 def test_compiled_words_match_weight_bound(corpus_results):

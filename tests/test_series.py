@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from apery_words.oracle import OracleConfig, direct_harmonic_sum, direct_sum
 from apery_words.series import (
@@ -14,6 +16,7 @@ from apery_words.series import (
     canonical_key,
     enumerate_specs,
     expand_harmonic,
+    parse_head,
     parse_spec,
     render,
 )
@@ -76,6 +79,36 @@ def test_roundtrip_enumerated():
 def test_roundtrip_corpus(corpus):
     for spec in corpus:
         assert parse_spec(render(spec)) == spec
+
+
+@st.composite
+def _specs(draw) -> SeriesSpec:
+    depth = draw(st.integers(1, 4))
+    terms = tuple(
+        IndexTerm(draw(st.sampled_from(list(Parity))), draw(st.integers(1, 12)))
+        for _ in range(depth)
+    )
+    rels = tuple(draw(st.sampled_from(list(Relation))) for _ in range(depth))
+    tail = draw(st.integers(0, 10**6))
+    x = draw(st.fractions(0, 1, max_denominator=10**6).filter(bool))
+    try:
+        return SeriesSpec(draw(st.sampled_from((1, 2))), terms, rels, tail, x)
+    except SpecValidationError:
+        assume(False)
+
+
+@given(_specs())
+def test_roundtrip_property(spec):
+    assert parse_spec(render(spec)) == spec
+
+
+def test_parse_head():
+    assert parse_head("2n-1^2") == (Parity.ODD_LOW, 2)
+    assert parse_head("2n+1^13") == (Parity.ODD_HIGH, 13)
+    assert parse_head("2n") == (Parity.EVEN, 1)
+    for bad in ("2m^2", "3n^2", "2n^", "2n^0", "2n^-1", "2n^ 2", "2n^2^3", ""):
+        with pytest.raises(SpecSyntaxError):
+            parse_head(bad)
 
 
 def test_canonical_key_pinned_digest():

@@ -150,7 +150,7 @@ def test_compile_even_end_block(s):
         F + (TrigForm.CSC,): Fraction(1),
         F + (TrigForm.COT,): Fraction(-1),
     }
-    assert expr.constant == 0 and expr.two_over_pi_power == 0
+    assert expr.scalar == 0 and expr.pi_scale == 0
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
@@ -162,7 +162,7 @@ def test_compile_odd_end_block(s):
 def test_compile_squared_odd_prefix():
     expr = compile_blocks(parse_spec("S2[2n+1^1 >= 0]"), 2)
     assert expr.terms == {(TrigForm.CSC, TrigForm.DT): Fraction(1)}
-    assert expr.two_over_pi_power == 1
+    assert expr.pi_scale == 1
 
 
 def test_constant_only_from_gamma_heads(corpus):
@@ -174,7 +174,7 @@ def test_constant_only_from_gamma_heads(corpus):
             for _, item in block_items
         )
         if not gamma_ran:
-            assert expr.constant == 0 and expr.constant_pi == 0, spec
+            assert expr.scalar == 0 and expr.scalar_pi == 0, spec
 
 
 def test_compile_rejects_tail_and_argument():

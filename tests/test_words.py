@@ -1,14 +1,16 @@
-import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apery_words.evaluate import eval_wordsum
 from apery_words.gauss import GaussRat
-from apery_words.pipeline import compile_spec
 from apery_words.series import parse_spec
-from apery_words.trig import CompileError, TrigExpr, TrigForm
+from apery_words.trig import CompileError, TrigForm, compile_spec_to_trig
 from apery_words.words import (
     W0,
     X1,
@@ -19,7 +21,6 @@ from apery_words.words import (
     NonconvergentWordError,
     RealityClass,
     WordSum,
-    atom_from_name,
     atom_name,
     cov,
     deconcatenations,
@@ -27,12 +28,14 @@ from apery_words.words import (
     reality_class,
 )
 
+from conftest import random_spec
+
 
 def _expr(words, constant=Fraction(0), pow2=0):
-    e = TrigExpr(two_over_pi_power=pow2)
+    e = WordSum(pi_scale=pow2)
     for word, coef in words.items():
         e.add_term(word, Fraction(coef))
-    e.constant = Fraction(constant)
+    e.scalar = Fraction(constant)
     return e
 
 
@@ -59,24 +62,22 @@ def test_cov_scalar_only():
     assert abs(eval_wordsum(ws, 140).to_mpc() - mpmath.mpf(3) / 7) < 1e-40
 
 
-def test_cov_linearity():
-    from apery_words.trig import compile_spec_to_trig
+_RATIONALS = st.fractions(max_denominator=12).filter(bool)
 
-    e1 = compile_spec_to_trig(parse_spec("S[2n^1 > 2n+1^1 >= 0]"))
-    e2 = compile_spec_to_trig(parse_spec("S[2n+1^1 >= 2n^1 > 0]"))
-    a, b = Fraction(3), Fraction(-5, 2)
-    combined = TrigExpr()
-    for w, c in e1.terms.items():
-        combined.add_term(w, a * c)
-    for w, c in e2.terms.items():
-        combined.add_term(w, b * c)
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32), _RATIONALS, _RATIONALS)
+def test_cov_linearity(seed_a, seed_b, p, q):
+    # cov(p A + q B) == p cov(A) + q cov(B) for corpus-style specs A and B
+    a = random_spec(random.Random(seed_a))
+    b = replace(random_spec(random.Random(seed_b)), binom_power=a.binom_power)
+    e1, e2 = compile_spec_to_trig(a), compile_spec_to_trig(b)
+    combined = e1.scaled(p)
+    combined += e2.scaled(q)
     lhs = cov(combined)
-    rhs: dict = {}
-    for coef, e in ((a, e1), (b, e2)):
-        for w, c in cov(e).terms.items():
-            rhs[w] = rhs.get(w, GaussRat(0)) + c * coef
-    rhs = {w: c for w, c in rhs.items() if c}
-    assert lhs.terms == rhs
+    rhs = cov(e1).scaled(p)
+    rhs += cov(e2).scaled(q)
+    assert lhs == rhs
 
 
 def test_cov_rejects_unpeeled_sin():
@@ -139,27 +140,20 @@ def test_all_corpus_words_convergent(corpus_results):
 
 
 def test_atom_names_roundtrip():
-    atoms = [
-        W0,
-        X1,
-        XM1,
-        XI,
-        XMI,
-        Atom(GaussRat(2)),
-        Atom(GaussRat(1, -1)),
-        Atom(GaussRat(Fraction(-3, 2), Fraction(1, 4))),
-        Atom(GaussRat(2), -1),
-    ]
-    for atom in atoms:
-        assert atom_from_name(atom_name(atom)) == atom
-    assert atom_name(W0) == "w0" and atom_name(XMI) == "x-i"
-
-
-def test_wordsum_json_roundtrip_bytes():
-    ws = compile_spec(parse_spec("S2[2n-1^2 > 2n^1 > 0]"))
-    blob = json.dumps(ws.to_json_dict(), sort_keys=True)
-    again = json.dumps(WordSum.from_json_dict(json.loads(blob)).to_json_dict(), sort_keys=True)
-    assert blob == again
+    # word keys are the value-cache keys: these names must not drift
+    atoms = {
+        W0: "w0",
+        X1: "x1",
+        XM1: "x-1",
+        XI: "xi",
+        XMI: "x-i",
+        Atom(GaussRat(2)): "x(2)",
+        Atom(GaussRat(1, -1)): "x(1-1i)",
+        Atom(GaussRat(Fraction(-3, 2), Fraction(1, 4))): "x(-3/2+1/4i)",
+        Atom(GaussRat(2), -1): "-x(2)",
+    }
+    for atom, name in atoms.items():
+        assert atom_name(atom) == name
 
 
 def test_nonconvergent_word_error():
