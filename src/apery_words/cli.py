@@ -19,7 +19,7 @@ import mpmath
 from mpmath import workprec
 
 from . import fixtures as fixtures_mod
-from .constants import CATALOG_DESCRIPTIONS, constant_value
+from .constants import CONSTANT_WORDS, constant_value
 from .evaluate import ValueCache, eval_wordsum
 from .oracle import OracleConfig, direct_sums
 from .pipeline import compile_harmonic, compile_spec
@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     cache = _cache(args)
     bits = _bits(args.digits)
-    for name, description in CATALOG_DESCRIPTIONS.items():
+    for name, (*_, description) in CONSTANT_WORDS.items():
         value = constant_value(name, bits, cache)
         print(f"{name:10s} {mpmath.nstr(value, args.digits):<{args.digits + 6}s} {description}")
     return 0

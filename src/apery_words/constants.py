@@ -3,8 +3,7 @@
 Every leaf constant is pinned to a defining word (real or imaginary part of
 one iterated integral over the extended pole alphabet), so closed forms are
 checkable by the same evaluator that computes compiled sums.  pi and log 2
-come from mpmath's built-ins by default; their pinned words exist for
-cross-checks.
+come from mpmath's built-ins; their pinned words exist for cross-checks.
 """
 
 from __future__ import annotations
@@ -22,53 +21,33 @@ from .words import W0, X1, XMI, Atom, Word
 _POLE2 = Atom(GaussRat(2))
 _POLE_1MI = Atom(GaussRat(1, -1))  # 1/z for z = (1+i)/2
 
-# name -> (word, part, rational multiplier)
-CONSTANT_WORDS: dict[str, tuple[Word, str, Fraction]] = {
-    "pi": ((XMI,), "im", Fraction(4)),
-    "log2": ((_POLE2,), "re", Fraction(1)),
-    "zeta2": ((W0, X1), "re", Fraction(1)),
-    "zeta3": ((W0, W0, X1), "re", Fraction(1)),
-    "G": ((W0, XMI), "im", Fraction(1)),
-    "beta4": ((W0, W0, W0, XMI), "im", Fraction(1)),
-    "li2_half": ((W0, _POLE2), "re", Fraction(1)),
-    "li3_half": ((W0, W0, _POLE2), "re", Fraction(1)),
-    "li4_half": ((W0, W0, W0, _POLE2), "re", Fraction(1)),
-    "reli3": ((W0, W0, _POLE_1MI), "re", Fraction(1)),
-    "imli3": ((W0, W0, _POLE_1MI), "im", Fraction(1)),
-    "reli4": ((W0, W0, W0, _POLE_1MI), "re", Fraction(1)),
-    "imli4": ((W0, W0, W0, _POLE_1MI), "im", Fraction(1)),
-}
-
-CATALOG_DESCRIPTIONS = {
-    "pi": "pi",
-    "log2": "log 2",
-    "zeta2": "zeta(2)",
-    "zeta3": "zeta(3)",
-    "G": "Catalan constant",
-    "beta4": "Dirichlet beta(4)",
-    "li2_half": "Li_2(1/2)",
-    "li3_half": "Li_3(1/2)",
-    "li4_half": "Li_4(1/2)",
-    "reli3": "Re Li_3((1+i)/2)",
-    "imli3": "Im Li_3((1+i)/2)",
-    "reli4": "Re Li_4((1+i)/2)",
-    "imli4": "Im Li_4((1+i)/2)",
+# name -> (word, part, rational multiplier, description); the order is the
+# `constants` listing's
+CONSTANT_WORDS: dict[str, tuple[Word, str, Fraction, str]] = {
+    "pi": ((XMI,), "im", Fraction(4), "pi"),
+    "log2": ((_POLE2,), "re", Fraction(1), "log 2"),
+    "zeta2": ((W0, X1), "re", Fraction(1), "zeta(2)"),
+    "zeta3": ((W0, W0, X1), "re", Fraction(1), "zeta(3)"),
+    "G": ((W0, XMI), "im", Fraction(1), "Catalan constant"),
+    "beta4": ((W0, W0, W0, XMI), "im", Fraction(1), "Dirichlet beta(4)"),
+    "li2_half": ((W0, _POLE2), "re", Fraction(1), "Li_2(1/2)"),
+    "li3_half": ((W0, W0, _POLE2), "re", Fraction(1), "Li_3(1/2)"),
+    "li4_half": ((W0, W0, W0, _POLE2), "re", Fraction(1), "Li_4(1/2)"),
+    "reli3": ((W0, W0, _POLE_1MI), "re", Fraction(1), "Re Li_3((1+i)/2)"),
+    "imli3": ((W0, W0, _POLE_1MI), "im", Fraction(1), "Im Li_3((1+i)/2)"),
+    "reli4": ((W0, W0, W0, _POLE_1MI), "re", Fraction(1), "Re Li_4((1+i)/2)"),
+    "imli4": ((W0, W0, W0, _POLE_1MI), "im", Fraction(1), "Im Li_4((1+i)/2)"),
 }
 
 
-def constant_value(
-    name: str,
-    precision_bits: int = 160,
-    cache: ValueCache | None = None,
-    from_words: bool = False,
-) -> mpf:
-    """One catalog constant; built-ins for pi/log2 unless from_words is set."""
+def constant_value(name: str, precision_bits: int = 160, cache: ValueCache | None = None) -> mpf:
+    """One catalog constant; pi and log 2 come from mpmath's built-ins."""
     with workprec(precision_bits + 16):
-        if not from_words and name == "pi":
+        if name == "pi":
             return +mpmath.pi
-        if not from_words and name == "log2":
+        if name == "log2":
             return +mpmath.log(2)
-        word, part, mult = CONSTANT_WORDS[name]
+        word, part, mult, _ = CONSTANT_WORDS[name]
         value = eval_word(word, precision_bits, cache).to_mpc()
         comp = value.real if part == "re" else value.imag
         return +(comp * mpf(mult.numerator) / mult.denominator)

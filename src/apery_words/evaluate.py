@@ -69,9 +69,6 @@ class BigComplex:
     def from_mpc(cls, value: mpc, precision_bits: int) -> "BigComplex":
         return cls(value.real, value.imag, precision_bits)
 
-    def __abs__(self):
-        return abs(self.to_mpc())
-
 
 @dataclass(frozen=True)
 class SegmentWord:
@@ -179,12 +176,13 @@ class ValueCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    bits = int(rec["p"])
+                    key, bits = rec["k"], int(rec["p"])
                     with workprec(bits + _GUARD_BITS):
                         value = BigComplex(mpf(rec["re"]), mpf(rec["im"]), bits)
                 except (ValueError, KeyError, TypeError):
                     continue
-                self._mem[(rec["k"], bits)] = value
+                if isinstance(key, str):
+                    self._mem[(key, bits)] = value
 
     def get(self, key: str, precision_bits: int) -> BigComplex | None:
         return self._mem.get((key, precision_bits))

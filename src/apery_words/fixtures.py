@@ -53,12 +53,18 @@ class FixtureRecord:
         return 10.0 ** (1 - decimals)
 
 
-def _record_from_dict(data: dict) -> FixtureRecord:
+def _record_from_dict(data: dict, index: int) -> FixtureRecord:
+    if not isinstance(data, dict):
+        raise ValueError(f"fixture record {index} is not an object")
+    if "id" not in data:
+        raise ValueError(f"fixture record {index} has no id")
     series = parse_spec(data["series"]) if data.get("series") else None
     harmonic = None
     if data.get("harmonic"):
         harmonic = []
-        for part in data["harmonic"]:
+        for j, part in enumerate(data["harmonic"]):
+            if not isinstance(part, dict) or "head" not in part:
+                raise ValueError(f"fixture {data['id']}: harmonic part {j} has no head")
             parity, exp = parse_head(part["head"])
             harmonic.append(
                 HarmonicPart(
@@ -90,7 +96,10 @@ def load_fixtures(path: str | None = None) -> list[FixtureRecord]:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return [_record_from_dict(item) for item in json.loads(text)]
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("fixtures file must hold a JSON list of records")
+    return [_record_from_dict(item, i) for i, item in enumerate(data)]
 
 
 def _compiled_value(rec: FixtureRecord, precision_bits: int, cache: ValueCache | None):

@@ -1,9 +1,9 @@
 """Exact Gaussian-rational arithmetic and the exact word sums built on it.
 
 Coefficients of word sums live in Q[i].  A GaussRat is a pair of
-fractions.Fraction values (real and imaginary part); all ring operations are
-exact, and division inverts through the conjugate.  Values convert to mpmath
-complex numbers only at evaluation time.
+fractions.Fraction values (real and imaginary part); addition, subtraction and
+multiplication are exact (the compiler never divides one).  Values convert to
+mpmath complex numbers only at evaluation time.
 
 A WordSum is the one sparse linear combination of the compiler: trig words
 with Fraction coefficients (the rewrite's output) and level-4 atom words with
@@ -37,9 +37,6 @@ class GaussRat:
         other = _coerce(other)
         return GaussRat(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "GaussRat":
-        return _coerce(other) - self
-
     def __mul__(self, other) -> "GaussRat":
         other = _coerce(other)
         return GaussRat(
@@ -48,22 +45,6 @@ class GaussRat:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussRat":
-        other = _coerce(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other) -> "GaussRat":
-        return _coerce(other) / self
-
-    def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (GaussRat, int, Fraction)):
@@ -87,15 +68,6 @@ class GaussRat:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_imaginary(self) -> bool:
-        return self.re == 0
 
     def norm2(self) -> Fraction:
         """|z|^2, exact."""

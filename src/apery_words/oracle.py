@@ -283,11 +283,6 @@ def _partial_sums(
     return [at[pt] for pt in checkpoints], F, points[-1] + 1
 
 
-def _harmonic_partial_sums(h: HarmonicSpec, points: list[int], F: int) -> list[int]:
-    """Scaled partial sums of a harmonic-weighted head at the ascending points."""
-    return _sweep([_job(h)], F, points)[0]
-
-
 def _extrapolate(
     points: list[int],
     values: list[mpf],
@@ -295,7 +290,11 @@ def _extrapolate(
     log_degree: int,
     levels: int,
 ):
-    """Fit {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0} to the samples."""
+    """Fit {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0} to the samples.
+
+    `levels`, at least 2, counts the basis functions beside the constant;
+    the estimate is the change from the fit with two fewer.
+    """
     basis = []
     k = 0
     while len(basis) < levels:
@@ -323,7 +322,7 @@ def _extrapolate(
             return mpmath.lu_solve(mat, rhs)[0]
 
     last = solve(levels)
-    previous = solve(max(levels - 2, 0)) if levels >= 1 else values[-1]
+    previous = solve(levels - 2)
     return last, abs(last - previous)
 
 
@@ -410,25 +409,6 @@ def direct_sum(spec: SeriesSpec, cfg: OracleConfig | None = None) -> OracleResul
     return _settle(spec, points, sums, F, cfg)
 
 
-def gamma_tail_check(n: int, d: int, cfg: OracleConfig | None = None):
-    """Tail sum over n_1 > ... > n_d > n of a_{n_1}/((2n_1-1)...(2n_d-1)).
-
-    Compare against central_ratio(n, 1): the two agree exactly.
-    """
-    from .series import IndexTerm
-
-    spec = SeriesSpec(
-        1,
-        tuple(IndexTerm(Parity.ODD_LOW, 1) for _ in range(d)),
-        tuple(Relation.STRICT for _ in range(d)),
-        tail_bound=n,
-    )
-    return direct_sum(spec, cfg).value
-
-
 def direct_harmonic_sum(h: HarmonicSpec, cfg: OracleConfig | None = None) -> OracleResult:
     """Directly sum a harmonic-weighted series (independent of expand_harmonic)."""
-    cfg = cfg or OracleConfig()
-    points = _checkpoints(cfg)
-    F = _scale_bits(cfg.precision_digits)
-    return _settle(h, points, _harmonic_partial_sums(h, points, F), F, cfg)
+    return direct_sums([h], cfg)[0]

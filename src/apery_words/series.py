@@ -316,28 +316,3 @@ def expand_harmonic(h: HarmonicSpec) -> list[tuple[Fraction, SeriesSpec]]:
         )
     return out
 
-
-def enumerate_specs(limit: int) -> list[SeriesSpec]:
-    """Deterministic enumeration of small valid specs (for key-collision tests)."""
-    specs: list[SeriesSpec] = []
-    parities = list(Parity)
-    relations = list(Relation)
-    for depth in (1, 2, 3):
-        for p in (1, 2):
-            for terms in itertools.product(
-                [(par, e) for par in parities for e in (1, 2, 3)], repeat=depth
-            ):
-                for rels in itertools.product(relations, repeat=depth):
-                    try:
-                        specs.append(
-                            SeriesSpec(
-                                p,
-                                tuple(IndexTerm(par, e) for par, e in terms),
-                                rels,
-                            )
-                        )
-                    except SpecValidationError:
-                        continue
-                    if len(specs) >= limit:
-                        return specs
-    return specs

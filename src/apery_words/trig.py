@@ -8,16 +8,15 @@ The pipeline stages, in order:
                             mixed-parity merges split by partial fractions.
   eliminate_inner_oddlow -- index shifts 2n-1 -> 2m+1 so that a 2n-1 index
                             survives only in the leading position.
-  reduce_leading_gamma   -- a weight-1 leading 2n-1 factor drops outright; a
-                            higher weight becomes a GammaHead marker.
   compile_blocks         -- emits the word combination: each index contributes
                             a block of 1-forms, a block's trailing sec/tan
                             multiplies the head form of the next block, and a
-                            GammaHead unrolls through the weight-lowering
-                            recursion.  Squared-binomial sums get a Wallis
-                            prefix form and a 2/pi scale; their sin/cos
-                            prefixes are peeled into the eight-form alphabet
-                            plus exact constants.
+                            leading 2n-1 block unrolls through the
+                            weight-lowering recursion (at weight 1 it drops:
+                            sum_{n>m} a_n/(2n-1) = a_m).  Squared-binomial sums
+                            get a Wallis prefix form and a 2/pi scale; their
+                            sin/cos prefixes are peeled into the eight-form
+                            alphabet plus exact constants.
 
 The output is a gauss.WordSum over trig words: everything here is exact, words
 map to Fraction coefficients, the peeled scalar is a rational plus a rational
@@ -28,7 +27,6 @@ it as the `compile --ir trig` shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -52,14 +50,6 @@ TrigWord = tuple[TrigForm, ...]
 
 class CompileError(ValueError):
     """A spec reached the compiler in a shape it does not support."""
-
-
-@dataclass(frozen=True)
-class GammaHead:
-    """Leading 2n-1 factor of weight >= 2, to be unrolled by compile_blocks."""
-
-    weight: int
-    tail: SeriesSpec | None
 
 
 Combination = list[tuple[Fraction, SeriesSpec | None]]
@@ -214,7 +204,7 @@ def eliminate_inner_oddlow(spec: SeriesSpec) -> Combination:
     upper_was_strict = rels[j - 1] is Relation.STRICT
     shifted_rels[j - 1] = Relation.STRICT
     out: Combination = []
-    for c, s in _renormalize(_rebuild(spec, shifted_terms, shifted_rels)):
+    for c, s in rewrite_to_block_shape(_rebuild(spec, shifted_terms, shifted_rels)):
         out.append((c, s))
 
     if upper_was_strict:
@@ -224,12 +214,13 @@ def eliminate_inner_oddlow(spec: SeriesSpec) -> Combination:
         ):
             col_terms = terms[: j - 1] + [merged] + terms[j + 1 :]
             col_rels = rels[: j - 1] + rels[j:]
-            for c, s in _renormalize(_rebuild(spec, col_terms, col_rels)):
+            for c, s in rewrite_to_block_shape(_rebuild(spec, col_terms, col_rels)):
                 out.append((-coef * c, s))
     return _collect(out)
 
 
-def _renormalize(spec: SeriesSpec | None) -> Combination:
+def rewrite_to_block_shape(spec: SeriesSpec | None) -> Combination:
+    """convert_relations + eliminate_inner_oddlow, fully normalized."""
     if spec is None:
         return [(Fraction(1), None)]
     out: Combination = []
@@ -242,11 +233,6 @@ def _renormalize(spec: SeriesSpec | None) -> Combination:
     return _collect(out)
 
 
-def rewrite_to_block_shape(spec: SeriesSpec) -> Combination:
-    """convert_relations + eliminate_inner_oddlow, fully normalized."""
-    return _renormalize(spec)
-
-
 def _collect(items: Combination) -> Combination:
     acc: dict[SeriesSpec | None, Fraction] = {}
     order: list[SeriesSpec | None] = []
@@ -256,23 +242,6 @@ def _collect(items: Combination) -> Combination:
             order.append(s)
         acc[s] += c
     return [(acc[s], s) for s in order if acc[s]]
-
-
-def reduce_leading_gamma(spec: SeriesSpec) -> list[tuple[Fraction, SeriesSpec | GammaHead | None]]:
-    """Handle a leading 2n-1 factor for plain (non-squared) sums.
-
-    Weight 1 drops (the tail keeps its value); weight >= 2 becomes a GammaHead
-    marker for compile_blocks.  None stands for the scalar 1.
-    """
-    if spec.binom_power != 1:
-        raise CompileError("leading-gamma reduction applies to binom_power 1")
-    if spec.terms[0].parity is not Parity.ODD_LOW:
-        return [(Fraction(1), spec)]
-    s = spec.terms[0].exponent
-    tail = _rebuild(spec, list(spec.terms[1:]), list(spec.relations[1:]))
-    if s == 1:
-        return [(Fraction(1), tail)]
-    return [(Fraction(1), GammaHead(s, tail))]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +402,7 @@ def _gamma_items(s: int, chain: WordItems, next_parity: Parity | None, p: int) -
     return items, Fraction(0)
 
 
-def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> WordSum:
+def compile_blocks(item: SeriesSpec | None, binom_power: int) -> WordSum:
     """Emit the trig-word combination for one block-shape item."""
     pow2 = 1 if binom_power == 2 else 0
     expr = WordSum(scalar=Fraction(0), pi_scale=pow2)
@@ -446,9 +415,7 @@ def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> Wor
             expr.scalar = Fraction(1)
         return expr
 
-    if isinstance(item, GammaHead):
-        head_s, tail = item.weight, item.tail
-    elif item.terms[0].parity is Parity.ODD_LOW:
+    if item.terms[0].parity is Parity.ODD_LOW:
         head_s, tail = item.terms[0].exponent, _rebuild(item, list(item.terms[1:]), list(item.relations[1:]))
     else:
         head_s, tail = None, item
@@ -477,7 +444,7 @@ def compile_blocks(item: SeriesSpec | GammaHead | None, binom_power: int) -> Wor
 
 
 def compile_spec_to_trig(spec: SeriesSpec) -> WordSum:
-    """Full rewrite: relations, index shifts, gamma handling, block emission."""
+    """Full rewrite: relations, index shifts, block emission."""
     if spec.tail_bound != 0:
         raise CompileError("compiled path requires tail_bound = 0 (use the oracle)")
     if spec.argument != 1:
@@ -485,11 +452,7 @@ def compile_spec_to_trig(spec: SeriesSpec) -> WordSum:
     p = spec.binom_power
     total = WordSum(scalar=Fraction(0), pi_scale=1 if p == 2 else 0)
     for coef, item in rewrite_to_block_shape(spec):
-        if item is not None and p == 1:
-            for c2, reduced in reduce_leading_gamma(item):
-                total += compile_blocks(reduced, p).scaled(coef * c2)
-        else:
-            total += compile_blocks(item, p).scaled(coef)
+        total += compile_blocks(item, p).scaled(coef)
     return total
 
 

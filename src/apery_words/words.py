@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gauss import GaussRat, WordSum
-from .series import Parity, SeriesSpec
 from .trig import CompileError, TrigForm
 
 
@@ -131,21 +130,3 @@ def cov(expr: WordSum) -> WordSum:
             raise NonconvergentWordError(word_key(word))
     return ws
 
-
-class RealityClass:
-    REAL = "REAL"
-    IMAGINARY_PAIRED = "IMAGINARY_PAIRED"
-
-
-def reality_class(spec: SeriesSpec) -> str:
-    """REAL for an even leading index, IMAGINARY_PAIRED for 2n+1.
-
-    Applies to block-shape specs; a 2n-1 leading index must be reduced
-    first.
-    """
-    lead = spec.terms[0].parity
-    if lead is Parity.EVEN:
-        return RealityClass.REAL
-    if lead is Parity.ODD_HIGH:
-        return RealityClass.IMAGINARY_PAIRED
-    raise CompileError("reality class undefined for a 2n-1 leading index")

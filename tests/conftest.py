@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from apery_words.evaluate import BigComplex
-from apery_words.oracle import OracleConfig, direct_sums
+from apery_words.oracle import OracleConfig, direct_sum, direct_sums
 
 # reference constants in the tests are compared at up to ~1e-45; keep the
 # ambient mpmath precision comfortably above that
@@ -60,6 +60,20 @@ def build_corpus(count: int, seed: int = 20240817) -> list[SeriesSpec]:
             seen.add(key)
             out.append(spec)
     return out
+
+
+def gamma_tail_check(n: int, d: int, cfg: OracleConfig | None = None):
+    """Tail sum over n_1 > ... > n_d > n of a_{n_1}/((2n_1-1)...(2n_d-1)).
+
+    Compare against central_ratio(n, 1): the two agree exactly.
+    """
+    spec = SeriesSpec(
+        1,
+        tuple(IndexTerm(Parity.ODD_LOW, 1) for _ in range(d)),
+        tuple(Relation.STRICT for _ in range(d)),
+        tail_bound=n,
+    )
+    return direct_sum(spec, cfg).value
 
 
 @dataclass

@@ -17,7 +17,7 @@ from apery_words.pipeline import compile_harmonic, compile_spec
 from apery_words.series import HarmonicSpec, Parity, parse_spec
 from apery_words.words import is_convergent
 
-from conftest import CORPUS_BITS, ORACLE_CFG
+from conftest import CORPUS_BITS, ORACLE_CFG, gamma_tail_check
 
 BITS = 140
 TAIL_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
@@ -159,8 +159,6 @@ def test_criterion_5b_gamma_tails():
     worst = mpf(0)
     for d in range(1, 5):
         for n in range(0, 11):
-            from apery_words.oracle import gamma_tail_check
-
             tail = gamma_tail_check(n, d, TAIL_CFG)
             worst = max(worst, abs(tail - central_ratio(n)))
     ok = worst < 1e-8

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from apery_words.cli import cli_main
+from apery_words.evaluate import ValueCache
 from apery_words.series import render
 
 from conftest import build_corpus
@@ -131,6 +132,23 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown head index '3n'")
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ({"id": "x"}, "error: fixtures file must hold a JSON list of records"),
+        (["x"], "error: fixture record 0 is not an object"),
+        ([{"series": "S[2n^1 > 0]"}], "error: fixture record 0 has no id"),
+        ([{"id": "h", "harmonic": [{"k": [1]}]}], "error: fixture h: harmonic part 0 has no head"),
+    ],
+    ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head"],
+)
+def test_verify_malformed_fixtures(records, message, tmp_path, capsys):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(records))
+    assert cli_main(["verify", "--fixtures", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_constants_output(capsys):
     assert cli_main(["constants", "--digits", "15"]) == 0
     out = capsys.readouterr().out
@@ -169,3 +187,17 @@ def test_cache_env_override(tmp_path, monkeypatch, capsys):
     assert cli_main(["eval", "S[2n+1^2 >= 0]", "--method", "compiled"]) == 0
     capsys.readouterr()
     assert cache_file.exists() and cache_file.read_text().strip()
+
+
+def test_cache_skips_lines_without_string_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CMZV_CACHE", raising=False)
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        '{"p": 140, "re": "1", "im": "0"}\n'
+        '{"k": ["w0"], "p": 140, "re": "1", "im": "0"}\n'
+        '{"k": "w0.x1", "p": 140, "re": "1.5", "im": "0"}\n'
+    )
+    assert list(ValueCache(path)._mem) == [("w0.x1", 140)]
+    rc = cli_main(["eval", "S[2n^1 > 0]", "--method", "compiled", "--cache-path", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("compiled")

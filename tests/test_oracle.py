@@ -16,7 +16,6 @@ from apery_words.oracle import (
     OracleConfig,
     _BLOCK,
     _checkpoints,
-    _harmonic_partial_sums,
     _job,
     _partial_sums,
     _scale_bits,
@@ -25,7 +24,6 @@ from apery_words.oracle import (
     direct_harmonic_sum,
     direct_sum,
     direct_sums,
-    gamma_tail_check,
 )
 from apery_words.series import (
     HarmonicSpec,
@@ -37,7 +35,7 @@ from apery_words.series import (
     parse_spec,
 )
 
-from conftest import random_spec
+from conftest import gamma_tail_check, random_spec
 
 FAST_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
 CFG = OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16)
@@ -331,7 +329,7 @@ def _harmonic_shapes() -> list[HarmonicSpec]:
 def test_harmonic_sweep_matches_reference(points):
     F = _scale_bits(40)
     for h in _harmonic_shapes():
-        assert _harmonic_partial_sums(h, points, F) == _reference_harmonic_sums(h, points, F), h
+        assert _sweep([_job(h)], F, points)[0] == _reference_harmonic_sums(h, points, F), h
 
 
 _TERMS = st.tuples(st.sampled_from(list(Parity)), st.integers(1, 3))
@@ -380,7 +378,7 @@ def test_harmonic_zero_levels_settles_on_last_sum():
     h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
     cfg = OracleConfig(cutoff=100, extrapolation_levels=0, precision_digits=30)
     F = _scale_bits(30)
-    s50, s100 = _harmonic_partial_sums(h, [50, 100], F)
+    s50, s100 = _sweep([_job(h)], F, [50, 100])[0]
     with mpmath.workdps(45):
         one = mpf(1 << F)
         err = abs(mpf(s100) / one - mpf(s50) / one)
@@ -399,7 +397,7 @@ def _assert_batch_matches_single(items, points: list[int], digits: int = 16):
     batch = _sweep([_job(item) for item in items], F, points)
     for item, sums in zip(items, batch):
         if isinstance(item, HarmonicSpec):
-            single = _harmonic_partial_sums(item, points, F)
+            single = _sweep([_job(item)], F, points)[0]
         else:
             single = _partial_sums(item, points, digits)[0]
         assert sums == single, item

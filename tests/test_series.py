@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from apery_words.series import (
     SpecSyntaxError,
     SpecValidationError,
     canonical_key,
-    enumerate_specs,
     expand_harmonic,
     parse_head,
     parse_spec,
@@ -22,6 +22,32 @@ from apery_words.series import (
 )
 
 FAST_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
+
+
+def enumerate_specs(limit: int) -> list[SeriesSpec]:
+    """Deterministic enumeration of small valid specs (for key-collision tests)."""
+    specs: list[SeriesSpec] = []
+    parities = list(Parity)
+    relations = list(Relation)
+    for depth in (1, 2, 3):
+        for p in (1, 2):
+            for terms in itertools.product(
+                [(par, e) for par in parities for e in (1, 2, 3)], repeat=depth
+            ):
+                for rels in itertools.product(relations, repeat=depth):
+                    try:
+                        specs.append(
+                            SeriesSpec(
+                                p,
+                                tuple(IndexTerm(par, e) for par, e in terms),
+                                rels,
+                            )
+                        )
+                    except SpecValidationError:
+                        continue
+                    if len(specs) >= limit:
+                        return specs
+    return specs
 
 
 def test_parse_minimal():

@@ -3,19 +3,27 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from apery_words.gauss import WordSum
 from apery_words.oracle import OracleConfig, direct_sum
-from apery_words.series import IndexTerm, Parity, Relation, SeriesSpec, parse_spec
+from apery_words.series import (
+    IndexTerm,
+    Parity,
+    Relation,
+    SeriesSpec,
+    SpecValidationError,
+    parse_spec,
+)
 from apery_words.trig import (
     CompileError,
-    GammaHead,
     TrigForm,
     compile_blocks,
     compile_spec_to_trig,
     convert_relations,
     eliminate_inner_oddlow,
     pf_decompose,
-    reduce_leading_gamma,
     rewrite_to_block_shape,
 )
 
@@ -117,27 +125,50 @@ def test_eliminate_oracle_equivalence_random():
         assert abs(total - want) < 1e-8, spec
 
 
-# --- leading gamma reduction -------------------------------------------------
+# --- leading 2n-1 heads ------------------------------------------------------
 
 def test_reduce_leading_gamma_drop():
-    items = reduce_leading_gamma(parse_spec("S[2n-1^1 > 2n^1 > 0]"))
-    assert items == [(Fraction(1), parse_spec("S[2n^1 > 0]"))]
-
-
-def test_reduce_leading_gamma_head_marker():
-    [(coef, head)] = reduce_leading_gamma(parse_spec("S[2n-1^3 > 2n^1 > 0]"))
-    assert coef == 1
-    assert isinstance(head, GammaHead)
-    assert head.weight == 3 and head.tail == parse_spec("S[2n^1 > 0]")
-
-
-def test_reduce_leading_gamma_identity():
-    spec = parse_spec("S[2n+1^2 >= 0]")
-    assert reduce_leading_gamma(spec) == [(Fraction(1), spec)]
+    # sum_{n>m} a_n/(2n-1) = a_m: a weight-1 leading 2n-1 index drops
+    assert compile_spec_to_trig(parse_spec("S[2n-1^1 > 2n^1 > 0]")) == compile_spec_to_trig(
+        parse_spec("S[2n^1 > 0]")
+    )
 
 
 def test_reduce_depth1_gamma_is_scalar():
-    assert reduce_leading_gamma(parse_spec("S[2n-1^1 > 0]")) == [(Fraction(1), None)]
+    assert compile_spec_to_trig(parse_spec("S[2n-1^1 > 0]")) == WordSum(scalar=Fraction(1))
+
+
+def test_reduce_leading_gamma_identity():
+    # a spec without a leading 2n-1 index compiles as its own single block
+    spec = parse_spec("S[2n+1^2 >= 0]")
+    assert compile_spec_to_trig(spec) == compile_blocks(spec, 1)
+
+
+@st.composite
+def _compilable_specs(draw) -> SeriesSpec:
+    depth = draw(st.integers(1, 4))
+    terms = tuple(
+        IndexTerm(draw(st.sampled_from(list(Parity))), draw(st.integers(1, 3)))
+        for _ in range(depth)
+    )
+    rels = tuple(draw(st.sampled_from(list(Relation))) for _ in range(depth))
+    try:
+        return SeriesSpec(draw(st.sampled_from((1, 2))), terms, rels)
+    except SpecValidationError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compilable_specs())
+def test_block_shape_items_compile_one_by_one(spec):
+    # every item of the rewrite is already in block shape, and the compiled
+    # sum is the coefficient-weighted sum of the items' blocks
+    p = spec.binom_power
+    total = WordSum(scalar=Fraction(0), pi_scale=1 if p == 2 else 0)
+    for coef, item in rewrite_to_block_shape(spec):
+        assert rewrite_to_block_shape(item) == [(Fraction(1), item)]
+        total += compile_blocks(item, p).scaled(coef)
+    assert compile_spec_to_trig(spec) == total
 
 
 # --- block emission ----------------------------------------------------------
@@ -185,9 +216,8 @@ def test_compile_rejects_tail_and_argument():
 
 
 def test_compile_rejects_gamma_gamma_head():
-    head = GammaHead(2, parse_spec("S[2n-1^1 > 2n^1 > 0]"))
     with pytest.raises(CompileError):
-        compile_blocks(head, 1)
+        compile_blocks(parse_spec("S[2n-1^2 > 2n-1^1 > 2n^1 > 0]"), 1)
 
 
 def test_gamma_drop_compiled_exact():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from apery_words.evaluate import eval_wordsum
 from apery_words.gauss import GaussRat
-from apery_words.series import parse_spec
 from apery_words.trig import CompileError, TrigForm, compile_spec_to_trig
 from apery_words.words import (
     W0,
@@ -19,13 +18,11 @@ from apery_words.words import (
     XMI,
     Atom,
     NonconvergentWordError,
-    RealityClass,
     WordSum,
     atom_name,
     cov,
     deconcatenations,
     is_convergent,
-    reality_class,
 )
 
 from conftest import random_spec
@@ -102,13 +99,6 @@ def test_convergence_rule():
     assert not is_convergent((XM1, W0))
 
 
-def test_reality_class():
-    assert reality_class(parse_spec("S[2n^2 > 0]")) == RealityClass.REAL
-    assert reality_class(parse_spec("S[2n+1^2 >= 0]")) == RealityClass.IMAGINARY_PAIRED
-    with pytest.raises(CompileError):
-        reality_class(parse_spec("S[2n-1^2 > 0]"))
-
-
 def test_reality_coefficient_audit(corpus_results):
     from apery_words.series import Parity
     from apery_words.trig import rewrite_to_block_shape
@@ -122,9 +112,9 @@ def test_reality_coefficient_audit(corpus_results):
             item.terms[0].parity for _, item in items if item is not None
         }
         if parities == {Parity.EVEN}:
-            assert all(c.is_real() for c in entry.words.terms.values()), spec
+            assert all(c.im == 0 for c in entry.words.terms.values()), spec
         if parities == {Parity.ODD_HIGH}:
-            assert all(c.is_imaginary() for c in entry.words.terms.values()), spec
+            assert all(c.re == 0 for c in entry.words.terms.values()), spec
 
 
 def test_word_count_bound(corpus_results):
