@@ -159,10 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, digits=30, cutoff=20_000):
+    def common(p, digits=30, cutoff=20_000, levels=4):
         p.add_argument("--digits", type=int, default=digits)
-        p.add_argument("--cutoff", type=int, default=cutoff, help="oracle outer-index cutoff")
-        p.add_argument("--levels", type=int, default=4, help="oracle extrapolation levels")
+        p.add_argument("--cutoff", type=int, default=cutoff,
+                       help="oracle outer-index cutoff: the first of the samples at "
+                       "cutoff*2^(i/2), i = 0..2*levels")
+        p.add_argument("--levels", type=int, default=levels,
+                       help="oracle extrapolation levels: the sweep takes 2*levels+1 "
+                       "samples and ends at cutoff*2^levels; 0 fits nothing")
         p.add_argument("--cache-path", default="./cmzv-cache.jsonl",
                        help="word-value cache file (env CMZV_CACHE overrides)")
 
@@ -181,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the bundled reference-value suite")
     p.add_argument("--fixtures", default=None, help="fixtures JSON path (default: bundled set)")
     p.add_argument("--json", default=None, help="write the JSON report here")
-    common(p, digits=40, cutoff=fixtures_mod.VERIFY_ORACLE.cutoff)
+    common(p, digits=40, cutoff=fixtures_mod.VERIFY_ORACLE.cutoff,
+           levels=fixtures_mod.VERIFY_ORACLE.extrapolation_levels)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="print the constant catalog")

@@ -54,7 +54,11 @@ def constant_value(name: str, precision_bits: int = 160, cache: ValueCache | Non
 
 
 class ConstExprError(ValueError):
-    pass
+    """A closed form that does not parse, or names or uses what it may not."""
+
+
+class ConstZeroDivisionError(ConstExprError, ZeroDivisionError):
+    """A closed form that divides by zero."""
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -98,14 +102,20 @@ def eval_const(
                 return left * right
             if isinstance(node.op, ast.Div):
                 if right == 0:
-                    raise ZeroDivisionError("division by zero in closed form")
+                    raise ConstZeroDivisionError(f"division by zero in closed form {expr!r}")
                 return left / right
             if not isinstance(node.right, ast.Constant) or not isinstance(
                 node.right.value, int
             ):
                 raise ConstExprError("exponents must be integer literals")
+            if left == 0 and node.right.value < 0:
+                raise ConstZeroDivisionError(f"division by zero in closed form {expr!r}")
             return left ** node.right.value
         raise ConstExprError(f"unsupported syntax: {ast.dump(node)}")
 
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ConstExprError(f"closed form {expr!r} does not parse: {exc.msg}") from None
     with workprec(precision_bits + 16):
-        return +walk(ast.parse(expr, mode="eval"))
+        return +walk(tree)

@@ -26,8 +26,11 @@ from .pipeline import compile_harmonic, compile_spec
 from .trig import predicted_weight_report
 from .series import HarmonicSpec, SeriesSpec, parse_head, parse_spec
 
-# the oracle gate is max(decimal tolerance, 1e-8), so 16 digits are all it uses
-VERIFY_ORACLE = OracleConfig(cutoff=10_000, extrapolation_levels=4, precision_digits=16)
+# the oracle gate is max(decimal tolerance, 1e-8), so 16 digits are all it
+# uses.  The 13 samples at 1000 * 2^(i/2), i = 0..12, end at n = 64,000; on
+# the bundled items the largest tail estimate is 6.1e-15, and every value is
+# within 1.3e-16 of a sweep to n = 1,280,000
+VERIFY_ORACLE = OracleConfig(cutoff=1_000, extrapolation_levels=6, precision_digits=16)
 
 
 @dataclass
@@ -53,39 +56,59 @@ class FixtureRecord:
         return 10.0 ** (1 - decimals)
 
 
+def _text(data: dict, field: str, owner: str, required: bool = False) -> str | None:
+    value = data.get(field)
+    if (required or value is not None) and not isinstance(value, str):
+        raise ValueError(f"fixture {owner}: {field} must be a string")
+    return value
+
+
+def _harmonic_part(part, owner: str, j: int) -> HarmonicPart:
+    where = f"{owner}: harmonic part {j}"
+    if not isinstance(part, dict) or "head" not in part:
+        raise ValueError(f"fixture {where} has no head")
+    parity, exp = parse_head(_text(part, "head", where, required=True))
+    weights = []
+    for field in ("k", "l"):
+        vec = part.get(field, [])
+        # type(), not isinstance(): JSON true would pass as the int 1
+        if not isinstance(vec, list) or not all(type(v) is int and v > 0 for v in vec):
+            raise ValueError(f"fixture {where}: {field} must be a list of positive integers")
+        weights.append(tuple(vec))
+    binom = part.get("binom", 1)
+    if type(binom) is not int or binom not in (1, 2):
+        raise ValueError(f"fixture {where}: binom must be 1 or 2")
+    coef = part.get("coef", "1")
+    try:
+        coef = Fraction(coef) if type(coef) in (str, int) else None
+    except (ValueError, ZeroDivisionError):
+        coef = None
+    if coef is None:
+        raise ValueError(f"fixture {where}: coef must be an integer or a fraction string")
+    return HarmonicPart(coef, HarmonicSpec(*weights, parity, exp, binom))
+
+
 def _record_from_dict(data: dict, index: int) -> FixtureRecord:
     if not isinstance(data, dict):
         raise ValueError(f"fixture record {index} is not an object")
     if "id" not in data:
         raise ValueError(f"fixture record {index} has no id")
-    series = parse_spec(data["series"]) if data.get("series") else None
+    owner = _text(data, "id", f"record {index}", required=True)
+    series = _text(data, "series", owner)
+    series = parse_spec(series) if series else None
     harmonic = None
     if data.get("harmonic"):
-        harmonic = []
-        for j, part in enumerate(data["harmonic"]):
-            if not isinstance(part, dict) or "head" not in part:
-                raise ValueError(f"fixture {data['id']}: harmonic part {j} has no head")
-            parity, exp = parse_head(part["head"])
-            harmonic.append(
-                HarmonicPart(
-                    Fraction(part.get("coef", "1")),
-                    HarmonicSpec(
-                        tuple(part.get("k", [])),
-                        tuple(part.get("l", [])),
-                        parity,
-                        exp,
-                        int(part.get("binom", 1)),
-                    ),
-                )
-            )
+        if not isinstance(data["harmonic"], list):
+            raise ValueError(f"fixture {owner}: harmonic must be a list of parts")
+        harmonic = [_harmonic_part(part, owner, j) for j, part in enumerate(data["harmonic"])]
     if series is None and harmonic is None:
-        raise ValueError(f"fixture {data.get('id')} has neither a series nor harmonic parts")
+        raise ValueError(f"fixture {owner} has neither a series nor harmonic parts")
     return FixtureRecord(
-        id=data["id"],
+        id=owner,
         series=series,
         harmonic=harmonic,
-        closed_form=data.get("closed_form"),
-        printed_value=data.get("printed_value"),
+        closed_form=_text(data, "closed_form", owner),
+        printed_value=_text(data, "printed_value", owner),
         anchor=data.get("anchor", ""),
     )
 

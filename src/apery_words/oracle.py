@@ -16,9 +16,11 @@ the chain's start and its bottom-up prefix, so a level common to several
 chains is accumulated once.  Items start at different n (a tail bound, or
 the n = 0 term of a 2n+1 head); each reads a start mask of exact 1s and 0s
 at its bottom level, or at its head if it has no chain, which leaves every
-floor unchanged.  Only the outer term, (a^p * tops >> F) // head^q, is per
-item, and equal items are swept once.  The scaled sums are bit-identical to
-a sweep of each item alone.
+floor unchanged.  Items that differ only in their head form a group, which
+builds the product column (a^p * tops) >> F once per block, one group's
+column at a time; only its division by head^q is per item, and equal items
+are swept once.  The scaled sums are bit-identical to a sweep of each item
+alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
@@ -30,9 +32,14 @@ binomial power and T the largest product of chain tops (a polylogarithm: below
 
 The tail beyond the cutoff decays like N^(1-alpha) * ln(N)^j with the known
 exponent alpha = s_1 + binom_power/2 and j < depth, so the extrapolation
-fits partial sums at N, 2N, ..., 2^L N against the basis
+fits the partial sums at N * 2^(i/2), i = 0..2L, against the basis
 {1} + {N^(1-alpha-k) * ln(N)^j}; the error estimate is the change from the
-previous extrapolation level.
+fit with two basis functions fewer.  Both fits are linear in the samples S:
+the value is w . S and the estimate |w . S - w' . S|, where w and w' depend
+only on the sample points, alpha, the log degree and the number of basis
+functions (generalized Richardson extrapolation; Sidi, Practical
+Extrapolation Methods, 2003).  `direct_sums` solves for them once per such
+key in a dict local to the call, so each item costs two dot products.
 """
 
 from __future__ import annotations
@@ -186,9 +193,11 @@ def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
     reads them shifted by one index when the link between them is strict.
     A root reads 1 from its start on and 0 before, as does the head of a job
     without chains; since 0 // d = 0 and (u * 2^F) >> F = u, the masks leave
-    every floor unchanged.  Only the outer term stays per job.  Every floor
-    and sum is the one the index-by-index recurrence takes, so the scaled
-    sums depend neither on the blocking nor on the rest of the batch.
+    every floor unchanged.  Jobs that differ only in their head form a group
+    and share the product column (a^p * tops) >> F, built once per block;
+    only its division by the head's power is per job.  Every floor and sum
+    is the one the index-by-index recurrence takes, so the scaled sums
+    depend neither on the blocking nor on the rest of the batch.
     """
     one = 1 << F
     n0 = min(job.start for job in jobs)
@@ -211,6 +220,10 @@ def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
             if not x_is_one:
                 a = (a * x2) >> F
         a_at[x] = [x2, a]
+    # (x, binomial power, start, chains) -> [(job position, head)]
+    groups: dict[tuple, list[tuple[int, tuple[int, int, int]]]] = {}
+    for j, job in enumerate(jobs):
+        groups.setdefault((job.x, job.binom_power, job.start, job.chains), []).append((j, job.head))
     totals = [0] * len(jobs)
     sums: list[list[int]] = [[] for _ in jobs]
     for point in points:
@@ -251,20 +264,17 @@ def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
                 col = list(accumulate([u // d for u, d in zip(t, powers[m, c, e])], initial=before))
                 nodes[node] = col[-1]
                 tops[node] = col[1:] if weak else col[:-1]
-            for j, job in enumerate(jobs):
-                w = a_cols[job.x, job.binom_power]
-                head = powers[job.head]
-                if not job.chains:
-                    if job.start > ns[0]:
-                        w = [u if n >= job.start else 0 for u, n in zip(w, ns)]
-                    totals[j] += sum([u // d for u, d in zip(w, head)])
-                    continue
-                for chain in job.chains[:-1]:
-                    w = [(u * v) >> F for u, v in zip(w, tops[job.start, chain])]
+            # one group's product column lives at a time
+            for (x, binom_power, start, chains), members in groups.items():
+                w = a_cols[x, binom_power]
+                if not chains and start > ns[0]:
+                    w = [u if n >= start else 0 for u, n in zip(w, ns)]
                 # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0;
                 # at n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
-                t = tops[job.start, job.chains[-1]]
-                totals[j] += sum([(u * v >> F) // d for u, v, d in zip(w, t, head)])
+                for chain in chains:
+                    w = [(u * v) >> F for u, v in zip(w, tops[start, chain])]
+                for j, head in members:
+                    totals[j] += sum([u // d for u, d in zip(w, powers[head])])
         for job_sums, total in zip(sums, totals):
             job_sums.append(total)
     return sums
@@ -283,17 +293,21 @@ def _partial_sums(
     return [at[pt] for pt in checkpoints], F, points[-1] + 1
 
 
-def _extrapolate(
-    points: list[int],
-    values: list[mpf],
-    alpha: Fraction,
-    log_degree: int,
-    levels: int,
-):
-    """Fit {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0} to the samples.
+# (sample points, alpha, log degree, basis functions) -> (w, w', G); one dict
+# per direct_sums or direct_sum call
+_Weights = dict[tuple[tuple[int, ...], Fraction, int, int], tuple[list[int], list[int], int]]
 
-    `levels`, at least 2, counts the basis functions beside the constant;
-    the estimate is the change from the fit with two fewer.
+
+def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, levels: int):
+    """Weights w, w' of the tail fit: its value is w . S, the previous level's w' . S.
+
+    The fit solves M c = S for the samples S against the basis
+    {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0}, and its value is the
+    constant c_0 = e_0 . M^-1 S, so w solves M^T w = e_0.  `levels`, at
+    least 2, counts the basis functions beside the constant; w' is the same
+    fit with two fewer over the last samples, zero on the first two.  Both
+    are integers scaled by 2^G, G the working precision in bits, which keeps
+    them in a third of the memory of mpf values.
     """
     basis = []
     k = 0
@@ -303,27 +317,50 @@ def _extrapolate(
             if len(basis) == levels:
                 break
         k += 1
+    with mpmath.extradps(25):
+        bits = mpmath.mp.prec
+        logs = [mpmath.log(mpf(big_n)) for big_n in points]
+        columns = [
+            [mpf(big_n) ** mpf(float(expo)) * log**j for big_n, log in zip(points, logs)]
+            for expo, j in basis
+        ]
 
-    def phi(expo, j, big_n):
-        return big_n ** mpf(float(expo)) * mpmath.log(big_n) ** j
-
-    def solve(m: int):
-        # columns scaled to 1 at the first sample to keep the LU well posed
-        offset = len(points) - (m + 1)
-        with mpmath.extradps(25):
-            mat = mpmath.matrix(m + 1, m + 1)
-            rhs = mpmath.matrix(m + 1, 1)
+        def solve(m: int) -> list[int]:
+            # columns of M scaled to 1 at the first sample to keep the LU
+            # well posed; M^T holds them as rows
+            offset = len(points) - (m + 1)
+            mat_t = mpmath.matrix(m + 1, m + 1)
+            unit = mpmath.matrix(m + 1, 1)
+            unit[0] = mpf(1)
             for i in range(m + 1):
-                big_n = mpf(points[offset + i])
-                mat[i, 0] = mpf(1)
-                for b, (expo, j) in enumerate(basis[:m]):
-                    mat[i, b + 1] = phi(expo, j, big_n) / phi(expo, j, mpf(points[offset]))
-                rhs[i] = values[offset + i]
-            return mpmath.lu_solve(mat, rhs)[0]
+                mat_t[0, i] = mpf(1)
+                for b, phi in enumerate(columns[:m]):
+                    mat_t[b + 1, i] = phi[offset + i] / phi[offset]
+            w = mpmath.lu_solve(mat_t, unit)
+            return [0] * offset + [int(mpmath.ldexp(u, bits)) for u in w]
 
-    last = solve(levels)
-    previous = solve(levels - 2)
-    return last, abs(last - previous)
+        return solve(levels), solve(levels - 2), bits
+
+
+def _extrapolate(
+    points: list[int],
+    values: list[mpf],
+    alpha: Fraction,
+    log_degree: int,
+    levels: int,
+    weights: _Weights,
+):
+    """The tail fit's value and estimate, |w . S - w' . S|, for samples S.
+
+    The weights come from `weights`, solved there once per key.
+    """
+    key = (tuple(points), alpha, log_degree, levels)
+    if key not in weights:
+        weights[key] = _fit_weights(points, alpha, log_degree, levels)
+    w, w_prev, bits = weights[key]
+    with mpmath.extradps(25):
+        last = mpmath.ldexp(mpmath.fdot(w, values), -bits)
+        return last, abs(last - mpmath.ldexp(mpmath.fdot(w_prev, values), -bits))
 
 
 def _settle(
@@ -332,6 +369,7 @@ def _settle(
     sums: list[int],
     F: int,
     cfg: OracleConfig,
+    weights: _Weights,
 ) -> OracleResult:
     """Value and error estimate of `item` from its scaled partial sums.
 
@@ -358,7 +396,7 @@ def _settle(
         if alpha is None or cfg.extrapolation_levels == 0:
             value, err = values[-1], abs(values[-1] - values[-2])
         else:
-            value, err = _extrapolate(points, values, alpha, log_degree, len(points) - 1)
+            value, err = _extrapolate(points, values, alpha, log_degree, len(points) - 1, weights)
         if err > mpf(10) ** (-digits / 2):
             raise ConfigTooSmallError(
                 f"tail error estimate {mpmath.nstr(err, 5)} exceeds the "
@@ -386,13 +424,14 @@ def direct_sums(
     }
     unique = list(dict.fromkeys(jobs.values()))
     swept = dict(zip(unique, _sweep(unique, F, points))) if unique else {}
+    weights: _Weights = {}
     results = []
     for index, item in enumerate(items):
         if item not in jobs:
             results.append(OracleResult(mpf(0), mpf(0), 0))
             continue
         try:
-            results.append(_settle(item, points, swept[jobs[item]], F, cfg))
+            results.append(_settle(item, points, swept[jobs[item]], F, cfg, weights))
         except ConfigTooSmallError as exc:
             exc.index = index
             raise
@@ -406,7 +445,7 @@ def direct_sum(spec: SeriesSpec, cfg: OracleConfig | None = None) -> OracleResul
         return OracleResult(mpf(0), mpf(0), 0)
     points = _checkpoints(cfg)
     sums, F, _ = _partial_sums(spec, points, cfg.precision_digits)
-    return _settle(spec, points, sums, F, cfg)
+    return _settle(spec, points, sums, F, cfg, {})
 
 
 def direct_harmonic_sum(h: HarmonicSpec, cfg: OracleConfig | None = None) -> OracleResult:

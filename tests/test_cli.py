@@ -105,15 +105,15 @@ def test_verify_default_flags(tmp_path, capsys):
 
 
 def test_verify_names_failing_record(tmp_path, capsys):
-    # both records fail the oracle budget at cutoff 100; the error names the
-    # first in sorted id order
+    # both records fail the oracle budget at cutoff 100 and 4 levels; the
+    # error names the first in sorted id order
     bundled = {
         r["id"]: r
         for r in json.loads(resources.files("apery_words").joinpath("data/fixtures.json").read_text())
     }
     path = tmp_path / "fx.json"
     path.write_text(json.dumps([bundled["a18-odd-even-odd-111"], bundled["a16-odd-even-even-111"]]))
-    rc = cli_main(["verify", "--fixtures", str(path), "--cutoff", "100",
+    rc = cli_main(["verify", "--fixtures", str(path), "--cutoff", "100", "--levels", "4",
                    "--cache-path", str(tmp_path / "c.jsonl")])
     assert rc == 2
     assert re.match(r"error: a16-odd-even-even-111: tail error estimate \S+ exceeds",
@@ -139,13 +139,49 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
         (["x"], "error: fixture record 0 is not an object"),
         ([{"series": "S[2n^1 > 0]"}], "error: fixture record 0 has no id"),
         ([{"id": "h", "harmonic": [{"k": [1]}]}], "error: fixture h: harmonic part 0 has no head"),
+        ([{"id": 7, "series": "S[2n^1 > 0]"}], "error: fixture record 0: id must be a string"),
+        ([{"id": "x", "series": 5}], "error: fixture x: series must be a string"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "closed_form": ["pi"]}],
+         "error: fixture x: closed_form must be a string"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "printed_value": 3}],
+         "error: fixture x: printed_value must be a string"),
+        ([{"id": "h", "harmonic": [{"k": "ab", "head": "2n^2"}]}],
+         "error: fixture h: harmonic part 0: k must be a list of positive integers"),
+        ([{"id": "h", "harmonic": [{"l": [1, 0], "head": "2n^2"}]}],
+         "error: fixture h: harmonic part 0: l must be a list of positive integers"),
+        ([{"id": "h", "harmonic": [{"k": [True], "head": "2n^2"}]}],
+         "error: fixture h: harmonic part 0: k must be a list of positive integers"),
+        ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "binom": 3}]}],
+         "error: fixture h: harmonic part 0: binom must be 1 or 2"),
+        ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "binom": "2"}]}],
+         "error: fixture h: harmonic part 0: binom must be 1 or 2"),
+        ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "coef": "1/0"}]}],
+         "error: fixture h: harmonic part 0: coef must be an integer or a fraction string"),
     ],
-    ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head"],
+    ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head",
+         "id-not-string", "series-not-string", "closed-form-not-string",
+         "printed-value-not-string", "k-not-list", "l-not-positive", "k-bool",
+         "binom-out-of-range", "binom-string", "coef-divides-by-zero"],
 )
 def test_verify_malformed_fixtures(records, message, tmp_path, capsys):
     path = tmp_path / "fx.json"
     path.write_text(json.dumps(records))
     assert cli_main(["verify", "--fixtures", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "closed_form, message",
+    [
+        ("pi+", "error: closed form 'pi+' does not parse"),
+        ("pi/0", "error: division by zero in closed form 'pi/0'"),
+    ],
+    ids=["does-not-parse", "divides-by-zero"],
+)
+def test_verify_bad_closed_form(closed_form, message, tmp_path, capsys):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([{"id": "x", "series": "S[2n^1 > 0]", "closed_form": closed_form}]))
+    assert cli_main(["verify", "--fixtures", str(path), "--cache-path", str(tmp_path / "c.jsonl")]) == 2
     assert capsys.readouterr().err.startswith(message)
 
 

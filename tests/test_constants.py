@@ -87,3 +87,9 @@ def test_eval_const_rejects_floats_and_calls():
 def test_eval_const_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         eval_const("1/(2-2)", 128)
+
+
+@pytest.mark.parametrize("expr", ["pi+", "1/(2-2)", "(pi-pi)**-1"])
+def test_eval_const_errors_are_typed(expr):
+    with pytest.raises(ConstExprError):
+        eval_const(expr, 128)

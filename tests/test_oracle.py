@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from apery_words import oracle
-from apery_words.fixtures import load_fixtures
+from apery_words.fixtures import VERIFY_ORACLE, load_fixtures
 from apery_words.oracle import (
     ConfigTooSmallError,
     OracleConfig,
@@ -485,3 +485,112 @@ def test_direct_sums_names_the_failing_item():
         direct_sums([empty, empty, parse_spec("S[2n^1 > 0]"), empty], cfg)
     assert info.value.index == 2
     assert [r.terms_used for r in direct_sums([empty], cfg)] == [0]
+
+
+# The tail fit before the shared weights, verbatim but for its name: one pair
+# of LU solves per item.  The shared weights must reproduce its value and
+# estimate.
+
+
+def _extrapolate_per_item(
+    points: list[int],
+    values: list[mpf],
+    alpha: Fraction,
+    log_degree: int,
+    levels: int,
+):
+    """Fit {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0} to the samples.
+
+    `levels`, at least 2, counts the basis functions beside the constant;
+    the estimate is the change from the fit with two fewer.
+    """
+    basis = []
+    k = 0
+    while len(basis) < levels:
+        for j in range(log_degree, -1, -1):
+            basis.append((1 - alpha - k, j))
+            if len(basis) == levels:
+                break
+        k += 1
+
+    def phi(expo, j, big_n):
+        return big_n ** mpf(float(expo)) * mpmath.log(big_n) ** j
+
+    def solve(m: int):
+        # columns scaled to 1 at the first sample to keep the LU well posed
+        offset = len(points) - (m + 1)
+        with mpmath.extradps(25):
+            mat = mpmath.matrix(m + 1, m + 1)
+            rhs = mpmath.matrix(m + 1, 1)
+            for i in range(m + 1):
+                big_n = mpf(points[offset + i])
+                mat[i, 0] = mpf(1)
+                for b, (expo, j) in enumerate(basis[:m]):
+                    mat[i, b + 1] = phi(expo, j, big_n) / phi(expo, j, mpf(points[offset]))
+                rhs[i] = values[offset + i]
+            return mpmath.lu_solve(mat, rhs)[0]
+
+    last = solve(levels)
+    previous = solve(levels - 2)
+    return last, abs(last - previous)
+
+
+_OLD_VERIFY = OracleConfig(10_000, 4, 16)
+
+
+@pytest.fixture(scope="module")
+def verify_batch():
+    """Per schedule: the verify items' results, every tail fit's arguments
+    and outcome, and the keys whose weights were solved."""
+    runs = {}
+
+    def run(cfg: OracleConfig):
+        key = (cfg.cutoff, cfg.extrapolation_levels, cfg.precision_digits)
+        if key not in runs:
+            fits, solved = [], []
+            extrapolate, fit_weights = oracle._extrapolate, oracle._fit_weights
+
+            def recording_extrapolate(points, values, alpha, log_degree, levels, weights):
+                out = extrapolate(points, values, alpha, log_degree, levels, weights)
+                fits.append(((points, values, alpha, log_degree, levels), out))
+                return out
+
+            def recording_fit_weights(points, alpha, log_degree, levels):
+                solved.append((tuple(points), alpha, log_degree, levels))
+                return fit_weights(points, alpha, log_degree, levels)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_extrapolate", recording_extrapolate)
+                mp.setattr(oracle, "_fit_weights", recording_fit_weights)
+                results = direct_sums(_fixture_items(), cfg)
+            runs[key] = results, fits, solved
+        return runs[key]
+
+    return run
+
+
+@pytest.mark.parametrize("cfg", [_OLD_VERIFY, OracleConfig(1_000, 6, 16)], ids=["10000-4", "1000-6"])
+def test_shared_weights_match_per_item_fit(cfg, verify_batch):
+    _, fits, solved = verify_batch(cfg)
+    # every item is fitted, and the weights of each of the 20 (alpha, log
+    # degree) keys are solved once
+    assert len(fits) == 74
+    keys = [(tuple(args[0]), *args[2:]) for args, _ in fits]
+    assert sorted(solved, key=repr) == sorted(set(keys), key=repr)
+    assert len(solved) == 20
+    with mpmath.workdps(cfg.precision_digits + 15):
+        for args, (value, err) in fits:
+            want_value, want_err = _extrapolate_per_item(*args)
+            assert abs(value - want_value) < mpf(10) ** -30, args[2:]
+            assert abs(err - want_err) < mpf(10) ** -30, args[2:]
+
+
+def test_verify_schedule_agrees_with_the_longer_sweep(verify_batch):
+    # 13 samples from 1,000 on against 9 from 10,000 on: the two agree within
+    # 4.4e-14 on the 74 items, and the shorter sweep's estimates stay below
+    # 6.1e-15
+    short, _, _ = verify_batch(VERIFY_ORACLE)
+    long, _, _ = verify_batch(_OLD_VERIFY)
+    for item, res, ref in zip(_fixture_items(), short, long):
+        assert res.error_estimate <= 1e-12, item
+        assert abs(res.value - ref.value) <= 1e-12, item
