@@ -28,6 +28,13 @@ from .trig import compile_spec_to_trig, predicted_weight_report, trig_to_json_di
 from .words import words_to_json_dict
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _bits(digits: int) -> int:
     return max(64, int(math.ceil(digits * math.log2(10))) + 16)
 
@@ -159,14 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, digits=30, cutoff=20_000, levels=4):
-        p.add_argument("--digits", type=int, default=digits)
-        p.add_argument("--cutoff", type=int, default=cutoff,
-                       help="oracle outer-index cutoff: the first of the samples at "
-                       "cutoff*2^(i/2), i = 0..2*levels")
-        p.add_argument("--levels", type=int, default=levels,
-                       help="oracle extrapolation levels: the sweep takes 2*levels+1 "
-                       "samples and ends at cutoff*2^levels; 0 fits nothing")
+    def common(p, digits=30, cutoff=20_000, levels=4, oracle=True):
+        p.add_argument("--digits", type=_positive_int, default=digits)
+        if oracle:
+            p.add_argument("--cutoff", type=int, default=cutoff,
+                           help="oracle outer-index cutoff: the first of the samples at "
+                           "cutoff*2^(i/2), i = 0..2*levels")
+            p.add_argument("--levels", type=int, default=levels,
+                           help="oracle extrapolation levels: the sweep takes 2*levels+1 "
+                           "samples and ends at cutoff*2^levels; 0 fits nothing")
         p.add_argument("--cache-path", default="./cmzv-cache.jsonl",
                        help="word-value cache file (env CMZV_CACHE overrides)")
 
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="print the constant catalog")
-    common(p)
+    common(p, oracle=False)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("harmonic", help="evaluate a harmonic-weighted sum")

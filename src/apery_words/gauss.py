@@ -5,13 +5,15 @@ fractions.Fraction values (real and imaginary part); addition, subtraction and
 multiplication are exact (the compiler never divides one).  Values convert to
 mpmath complex numbers only at evaluation time.
 
-A WordSum is the one sparse linear combination of the compiler: trig words
-with Fraction coefficients (the rewrite's output) and level-4 atom words with
-GaussRat coefficients (the change of variables' output) are both WordSums.
+A WordSum is the one sparse linear combination of the compiler: block-shape
+specs (the rewrite's output), trig words with Fraction coefficients (the
+emitter's output) and level-4 atom words with GaussRat coefficients (the
+change of variables' output) are all WordSums.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -91,25 +93,25 @@ def _coerce(value) -> GaussRat:
 
 @dataclass
 class WordSum:
-    """Exact combination of words, a peeled constant and a 2/pi scale.
+    """An exact sparse combination of words or specs, a constant and a 2/pi scale.
 
-    Value = (2/pi)^pi_scale * (sum coef * I(word) + scalar + scalar_pi * pi).
+    Value = (2/pi)^pi_scale * (sum coef * I(key) + scalar + scalar_pi * pi).
     Coefficients and scalar are GaussRats over atom words (the default) and
-    Fractions over trig words; scalar_pi is always rational.
+    Fractions over trig words and specs; scalar_pi is always rational.
     """
 
-    terms: dict[tuple, Fraction | GaussRat] = field(default_factory=dict)
+    terms: dict[Hashable, Fraction | GaussRat] = field(default_factory=dict)
     scalar: Fraction | GaussRat = GaussRat(0)
     scalar_pi: Fraction = Fraction(0)
     pi_scale: int = 0
 
-    def add_term(self, word: tuple, coef: Fraction | GaussRat) -> None:
-        old = self.terms.get(word)
+    def add_term(self, key: Hashable, coef: Fraction | GaussRat) -> None:
+        old = self.terms.get(key)
         new = coef if old is None else old + coef
         if new:
-            self.terms[word] = new
+            self.terms[key] = new
         else:
-            self.terms.pop(word, None)
+            self.terms.pop(key, None)
 
     def scaled(self, coef: Fraction) -> "WordSum":
         return WordSum(

@@ -8,19 +8,21 @@ the zh chain over n and the odd chain over 2n - 1.  Arithmetic is on Python
 integers scaled by 2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119
 at 16 digits.
 
-`direct_sums` hands the kernel a whole batch at one configuration, and the
-single-item entry points are batches of one.  Per block of indices the batch
-shares the a_n(x) column (one per distinct x, squared only if some item needs
-it) and each distinct index power column.  Chain levels form a trie keyed by
-the chain's start and its bottom-up prefix, so a level common to several
-chains is accumulated once.  Items start at different n (a tail bound, or
-the n = 0 term of a 2n+1 head); each reads a start mask of exact 1s and 0s
-at its bottom level, or at its head if it has no chain, which leaves every
-floor unchanged.  Items that differ only in their head form a group, which
-builds the product column (a^p * tops) >> F once per block, one group's
-column at a time; only its division by head^q is per item, and equal items
-are swept once.  The scaled sums are bit-identical to a sweep of each item
-alone.
+`direct_sums` hands the kernel a whole batch at one configuration, and
+`direct_harmonic_sum` is a batch of one.  `direct_sum` runs its own cutoff
+check and sweeps its one spec through `_partial_sums`, a one-job `_sweep`
+that returns the scaled sums at the requested checkpoints.  Per block of
+indices the batch shares the a_n(x) column (one per distinct x, squared only
+if some item needs it) and each distinct index power column.  Chain levels
+form a trie keyed by the chain's start and its bottom-up prefix, so a level
+common to several chains is accumulated once.  Items start at different n (a
+tail bound, or the n = 0 term of a 2n+1 head); each reads a start mask of
+exact 1s and 0s at its bottom level, or at its head if it has no chain, which
+leaves every floor unchanged.  Items that differ only in their head form a
+group, which builds the product column (a^p * tops) >> F once per block, one
+group's column at a time; only its division by head^q is per item, and equal
+items are swept once.  The scaled sums are bit-identical to a sweep of each
+item alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and

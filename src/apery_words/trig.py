@@ -1,6 +1,7 @@
 """Rewrite a series spec into words of trigonometric 1-forms on (0, pi/2).
 
-The pipeline stages, in order:
+The pipeline stages, in order (the first two return a gauss.WordSum over
+block-shape specs whose scalar is the coefficient of 1):
 
   convert_relations      -- inclusion/exclusion until each relation is weak
                             exactly after a 2n+1 index (the shape the block
@@ -20,8 +21,9 @@ The pipeline stages, in order:
 
 The output is a gauss.WordSum over trig words: everything here is exact, words
 map to Fraction coefficients, the peeled scalar is a rational plus a rational
-multiple of pi, and pi_scale marks the 2/pi factor.  trig_to_json_dict writes
-it as the `compile --ir trig` shape.
+multiple of pi, and pi_scale marks the 2/pi factor; the emitter carries the
+constant 1 as the empty word ().  trig_to_json_dict writes the output as the
+`compile --ir trig` shape.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ TrigWord = tuple[TrigForm, ...]
 
 class CompileError(ValueError):
     """A spec reached the compiler in a shape it does not support."""
-
-
-Combination = list[tuple[Fraction, SeriesSpec | None]]
 
 
 def pf_decompose(a: int, b: int) -> list[tuple[Fraction, str, int]]:
@@ -113,38 +112,44 @@ def _conforming(term: IndexTerm, rel: Relation) -> bool:
     return (rel is Relation.WEAK) == wants_weak
 
 
-def _rebuild(spec: SeriesSpec, terms: list[IndexTerm], relations: list[Relation]) -> SeriesSpec | None:
-    if not terms:
-        return None
+def _rebuild(spec: SeriesSpec, terms: list[IndexTerm], relations: list[Relation]) -> SeriesSpec:
     return SeriesSpec(spec.binom_power, tuple(terms), tuple(relations), spec.tail_bound, spec.argument)
 
 
-def convert_relations(spec: SeriesSpec) -> Combination:
+def _one(spec: SeriesSpec) -> WordSum:
+    return WordSum({spec: Fraction(1)}, Fraction(0))
+
+
+def _rewrite_each(combo: WordSum, rewrite) -> WordSum:
+    """Replace each spec of `combo` by its rewrite; the scalar passes through."""
+    out = WordSum(scalar=combo.scalar)
+    for spec, coef in combo.terms.items():
+        out += rewrite(spec).scaled(coef)
+    return out
+
+
+def convert_relations(spec: SeriesSpec) -> WordSum:
     """Rewrite into sums whose relation after index j is weak iff l_j = 2n+1.
 
-    A ``None`` spec in the output stands for the scalar 1 (a fully collapsed
-    diagonal); its coefficient multiplies a_0^p = 1.
+    The scalar of the output is the coefficient of 1 (a fully collapsed
+    diagonal, whose value is a_0^p = 1).
     """
     if spec.tail_bound != 0:
         raise CompileError("relation conversion requires tail_bound = 0")
-    d = spec.depth
-    for i in range(d):
+    for i in range(spec.depth):
         if _conforming(spec.terms[i], spec.relations[i]):
             continue
         flipped = Relation.WEAK if spec.relations[i] is Relation.STRICT else Relation.STRICT
         sign = 1 if spec.relations[i] is Relation.WEAK else -1  # weak = strict + diag
         rels = list(spec.relations)
         rels[i] = flipped
-        out = _collect(convert_relations(_rebuild(spec, list(spec.terms), rels)))
-        for coef, diag in _diagonal(spec, i):
-            pieces = [(Fraction(1), diag)] if diag is None else convert_relations(diag)
-            for c2, s2 in pieces:
-                out.append((sign * coef * c2, s2))
-        return _collect(out)
-    return [(Fraction(1), spec)]
+        out = convert_relations(_rebuild(spec, list(spec.terms), rels))
+        out += _rewrite_each(_diagonal(spec, i), convert_relations).scaled(sign)
+        return out
+    return _one(spec)
 
 
-def _diagonal(spec: SeriesSpec, i: int) -> Combination:
+def _diagonal(spec: SeriesSpec, i: int) -> WordSum:
     """Specs for the coinciding-index slice n_i = n_{i+1} (or n_d = bound)."""
     terms = list(spec.terms)
     rels = list(spec.relations)
@@ -153,44 +158,42 @@ def _diagonal(spec: SeriesSpec, i: int) -> Combination:
         # n = 0 slice contributes the factor 1 exactly
         assert terms[i].parity is Parity.ODD_HIGH
         return _safe_pieces(spec, terms[:-1], rels[:-1])
-    out: Combination = []
+    out = WordSum(scalar=Fraction(0))
     for coef, merged in _merge_factors(
         terms[i].parity, terms[i].exponent, terms[i + 1].parity, terms[i + 1].exponent
     ):
         new_terms = terms[:i] + [merged] + terms[i + 2 :]
         new_rels = rels[:i] + rels[i + 1 :]
-        for c, piece in _safe_pieces(spec, new_terms, new_rels):
-            out.append((coef * c, piece))
+        out += _safe_pieces(spec, new_terms, new_rels).scaled(coef)
     return out
 
 
-def _safe_pieces(spec: SeriesSpec, terms: list[IndexTerm], rels: list[Relation]) -> Combination:
+def _safe_pieces(spec: SeriesSpec, terms: list[IndexTerm], rels: list[Relation]) -> WordSum:
     """Build pieces, pre-splitting a weak bottom over a 2n-1 index.
 
     Such pieces arise from diagonal merges; the n = 0 slice is defined there
     (denominator (2*0-1)^s = (-1)^s), so split it off instead of rejecting.
     """
     if not terms:
-        return [(Fraction(1), None)]
+        return WordSum(scalar=Fraction(1))
     if rels[-1] is Relation.WEAK and terms[-1].parity is Parity.ODD_LOW:
         s = terms[-1].exponent
         out = _safe_pieces(spec, terms, rels[:-1] + [Relation.STRICT])
         sign = Fraction(-1 if s % 2 else 1)
-        out += [(sign * c, piece) for c, piece in _safe_pieces(spec, terms[:-1], rels[:-1])]
+        out += _safe_pieces(spec, terms[:-1], rels[:-1]).scaled(sign)
         return out
-    return [(Fraction(1), _rebuild(spec, terms, rels))]
+    return _one(_rebuild(spec, terms, rels))
 
 
-def eliminate_inner_oddlow(spec: SeriesSpec) -> Combination:
+def eliminate_inner_oddlow(spec: SeriesSpec) -> WordSum:
     """Shift non-leading 2n-1 indices to 2m+1; output keeps block-shape relations.
 
     Pre: block-shape relations (run convert_relations first).
     """
-    d = spec.depth
-    target = max((j for j in range(1, d) if spec.terms[j].parity is Parity.ODD_LOW), default=None)
-    if target is None:
-        return [(Fraction(1), spec)]
-    j = target
+    # the innermost non-leading 2n-1 index
+    j = max((k for k in range(1, spec.depth) if spec.terms[k].parity is Parity.ODD_LOW), default=None)
+    if j is None:
+        return _one(spec)
     terms = list(spec.terms)
     rels = list(spec.relations)
     if rels[j] is not Relation.STRICT:
@@ -203,9 +206,7 @@ def eliminate_inner_oddlow(spec: SeriesSpec) -> Combination:
     shifted_rels[j] = Relation.WEAK
     upper_was_strict = rels[j - 1] is Relation.STRICT
     shifted_rels[j - 1] = Relation.STRICT
-    out: Combination = []
-    for c, s in rewrite_to_block_shape(_rebuild(spec, shifted_terms, shifted_rels)):
-        out.append((c, s))
+    out = rewrite_to_block_shape(_rebuild(spec, shifted_terms, shifted_rels))
 
     if upper_was_strict:
         # n_{j-1} > m+1 splits off the collision slice n_{j-1} = n_j
@@ -214,34 +215,13 @@ def eliminate_inner_oddlow(spec: SeriesSpec) -> Combination:
         ):
             col_terms = terms[: j - 1] + [merged] + terms[j + 1 :]
             col_rels = rels[: j - 1] + rels[j:]
-            for c, s in rewrite_to_block_shape(_rebuild(spec, col_terms, col_rels)):
-                out.append((-coef * c, s))
-    return _collect(out)
+            out += rewrite_to_block_shape(_rebuild(spec, col_terms, col_rels)).scaled(-coef)
+    return out
 
 
-def rewrite_to_block_shape(spec: SeriesSpec | None) -> Combination:
+def rewrite_to_block_shape(spec: SeriesSpec) -> WordSum:
     """convert_relations + eliminate_inner_oddlow, fully normalized."""
-    if spec is None:
-        return [(Fraction(1), None)]
-    out: Combination = []
-    for c, s in convert_relations(spec):
-        if s is None:
-            out.append((c, None))
-        else:
-            for c2, s2 in eliminate_inner_oddlow(s):
-                out.append((c * c2, s2))
-    return _collect(out)
-
-
-def _collect(items: Combination) -> Combination:
-    acc: dict[SeriesSpec | None, Fraction] = {}
-    order: list[SeriesSpec | None] = []
-    for c, s in items:
-        if s not in acc:
-            acc[s] = Fraction(0)
-            order.append(s)
-        acc[s] += c
-    return [(acc[s], s) for s in order if acc[s]]
+    return _rewrite_each(convert_relations(spec), eliminate_inner_oddlow)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +308,8 @@ def _plain_chain(terms: tuple[IndexTerm, ...]) -> WordItems:
     return [(c, w) for c, w, _ in states]
 
 
-def _peel(items: WordItems) -> tuple[WordItems, Fraction]:
-    """Resolve sin/cos head forms; returns pure-alphabet words + a constant.
+def _peel(items: WordItems) -> WordItems:
+    """Resolve sin/cos head forms into pure-alphabet words and the constant ().
 
     Uses, at the outer endpoint pi/2 only:
       int sin.h  = int (cos * h1).rest        int_0^{pi/2} sin dt = 1
@@ -337,33 +317,28 @@ def _peel(items: WordItems) -> tuple[WordItems, Fraction]:
     Each step shortens the word, so the cascade terminates.
     """
     out: WordItems = []
-    const = Fraction(0)
     stack = list(items)
     while stack:
         c, w = stack.pop()
-        if not w:
-            const += c
-            continue
-        head = w[0]
-        if head not in (TrigForm.SIN, TrigForm.COS):
+        if not w or w[0] not in (TrigForm.SIN, TrigForm.COS):
             out.append((c, w))
             continue
         if len(w) == 1:
-            const += c
+            out.append((c, ()))
             continue
         f, rest = w[1], w[2:]
         if f in (TrigForm.SIN, TrigForm.COS):
             raise CompileError("sin/cos may only occur as a word head")
-        if head is TrigForm.SIN:
+        if w[0] is TrigForm.SIN:
             repl = list(_COS_TIMES[f])
         else:
             repl = [(Fraction(1), f)] + [(-rc, rf) for rc, rf in _SIN_TIMES[f]]
         for rc, rf in repl:
             stack.append((c * rc, (rf,) + rest))
-    return out, const
+    return out
 
 
-def _gamma_items(s: int, chain: WordItems, next_parity: Parity | None, p: int) -> tuple[WordItems, Fraction]:
+def _gamma_items(s: int, chain: WordItems, next_parity: Parity | None, p: int) -> WordItems:
     """Unroll a leading 2n-1 block of weight s over the compiled tail chain.
 
     The recursion is X(s) = -X(s-1) + W(s) with the weight-1 base; W(s) is the
@@ -397,49 +372,29 @@ def _gamma_items(s: int, chain: WordItems, next_parity: Parity | None, p: int) -
     for j in range(2, s + 1):
         sj = 1 if (s - j) % 2 == 0 else -1
         items += [(sj * c, w) for c, w in added(j)]
-    if p == 2:
-        return _peel(items)
-    return items, Fraction(0)
+    return _peel(items) if p == 2 else items
 
 
-def compile_blocks(item: SeriesSpec | None, binom_power: int) -> WordSum:
-    """Emit the trig-word combination for one block-shape item."""
-    pow2 = 1 if binom_power == 2 else 0
-    expr = WordSum(scalar=Fraction(0), pi_scale=pow2)
-
-    if item is None:
-        # scalar 1; inside a squared combination the value 1 is (2/pi)*(pi/2)
-        if binom_power == 2:
-            expr.scalar_pi = Fraction(1, 2)
-        else:
-            expr.scalar = Fraction(1)
-        return expr
-
+def compile_blocks(item: SeriesSpec, binom_power: int) -> WordSum:
+    """Emit the trig-word combination for one block-shape spec."""
     if item.terms[0].parity is Parity.ODD_LOW:
-        head_s, tail = item.terms[0].exponent, _rebuild(item, list(item.terms[1:]), list(item.relations[1:]))
-    else:
-        head_s, tail = None, item
-
-    if head_s is not None:
-        if tail is not None and tail.terms[0].parity is Parity.ODD_LOW:
+        tail = item.terms[1:]
+        if tail and tail[0].parity is Parity.ODD_LOW:
             raise CompileError("unsupported: 2n-1 index directly after a 2n-1 head")
-        chain = _plain_chain(tail.terms) if tail is not None else [(Fraction(1), ())]
-        next_parity = tail.terms[0].parity if tail is not None else None
-        items, const = _gamma_items(head_s, chain, next_parity, binom_power)
-        for c, w in items:
-            if w:
-                expr.add_term(w, c)
-            else:
-                const += c
-        expr.scalar += const
-        return expr
-
-    items = _plain_chain(tail.terms)
-    if binom_power == 2:
-        prefix = TrigForm.DT if tail.terms[0].parity is _ALPHA else TrigForm.CSC
-        items = [(c, (prefix,) + w) for c, w in items]
+        chain = _plain_chain(tail) if tail else [(Fraction(1), ())]
+        next_parity = tail[0].parity if tail else None
+        items = _gamma_items(item.terms[0].exponent, chain, next_parity, binom_power)
+    else:
+        items = _plain_chain(item.terms)
+        if binom_power == 2:
+            prefix = TrigForm.DT if item.terms[0].parity is _ALPHA else TrigForm.CSC
+            items = [(c, (prefix,) + w) for c, w in items]
+    expr = WordSum(scalar=Fraction(0), pi_scale=1 if binom_power == 2 else 0)
     for c, w in items:
-        expr.add_term(w, c)
+        if w:
+            expr.add_term(w, c)
+        else:
+            expr.scalar += c
     return expr
 
 
@@ -450,9 +405,15 @@ def compile_spec_to_trig(spec: SeriesSpec) -> WordSum:
     if spec.argument != 1:
         raise CompileError("compiled path requires x = 1 (use the oracle)")
     p = spec.binom_power
+    rewrite = rewrite_to_block_shape(spec)
     total = WordSum(scalar=Fraction(0), pi_scale=1 if p == 2 else 0)
-    for coef, item in rewrite_to_block_shape(spec):
+    for item, coef in rewrite.terms.items():
         total += compile_blocks(item, p).scaled(coef)
+    # the collapsed diagonal 1; inside a squared combination it is (2/pi)*(pi/2)
+    if p == 2:
+        total.scalar_pi += rewrite.scalar / 2
+    else:
+        total.scalar += rewrite.scalar
     return total
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 from importlib import resources
@@ -7,7 +8,17 @@ import pytest
 
 from apery_words.cli import cli_main
 from apery_words.evaluate import ValueCache
-from apery_words.series import render
+from apery_words.pipeline import compile_spec
+from apery_words.series import (
+    IndexTerm,
+    Parity,
+    Relation,
+    SeriesSpec,
+    SpecValidationError,
+    render,
+)
+from apery_words.trig import compile_spec_to_trig, trig_to_json_dict
+from apery_words.words import words_to_json_dict
 
 from conftest import build_corpus
 
@@ -46,6 +57,39 @@ _COMPILE_DIGESTS = {
     "words": "7ff221901106601b599165286186cebf802456e7986a5893fabd3d4039f45d5e",
 }
 
+# the same digest over _small_specs(), written by the IR writers directly
+_SMALL_SPEC_DIGESTS = {
+    "trig": "3e2ee9191274fdb9da9a37d6938eac9c2bbe1d5b54b06a0ce966510aae05485c",
+    "words": "168458758978a6b90825318592e07b9d6616ef068f8fbe170835b5f5aeaa3385",
+}
+
+_IR_WRITERS = {
+    "trig": lambda spec: trig_to_json_dict(compile_spec_to_trig(spec)),
+    "words": lambda spec: words_to_json_dict(compile_spec(spec)),
+}
+
+
+def _small_specs() -> list[SeriesSpec]:
+    """Every valid spec of depth <= 3, exponents 1-3 and weight <= 4 (911).
+
+    An S2 sum counts 1 extra weight.  Unlike the random corpus, this set
+    holds every parity and relation pattern of its sizes.
+    """
+    out = []
+    for p in (1, 2):
+        for depth in range(1, 4):
+            for exps in itertools.product(range(1, 4), repeat=depth):
+                if sum(exps) + p - 1 > 4:
+                    continue
+                for parities in itertools.product(list(Parity), repeat=depth):
+                    for rels in itertools.product(list(Relation), repeat=depth):
+                        terms = tuple(IndexTerm(a, e) for a, e in zip(parities, exps))
+                        try:
+                            out.append(SeriesSpec(p, terms, rels))
+                        except SpecValidationError:
+                            pass
+    return out
+
 
 @pytest.mark.parametrize("ir", ["trig", "words"])
 def test_compile_output_pinned(ir, capsys):
@@ -55,6 +99,9 @@ def test_compile_output_pinned(ir, capsys):
         assert cli_main(["compile", render(spec), "--ir", ir]) == 0
         blob += capsys.readouterr().out
     assert hashlib.sha256(blob.encode()).hexdigest() == _COMPILE_DIGESTS[ir]
+    blob = "".join(json.dumps(_IR_WRITERS[ir](spec), sort_keys=True) + "\n"
+                   for spec in _small_specs())
+    assert hashlib.sha256(blob.encode()).hexdigest() == _SMALL_SPEC_DIGESTS[ir]
 
 
 def test_verify_subset(tmp_path, capsys):
@@ -189,6 +236,25 @@ def test_constants_output(capsys):
     assert cli_main(["constants", "--digits", "15"]) == 0
     out = capsys.readouterr().out
     assert "zeta2" in out and "3.14159265358979" in out
+
+
+@pytest.mark.parametrize("argv", [["eval", "S[2n^1 > 0]", "--method", "compiled"], ["constants"]],
+                         ids=["eval", "constants"])
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_digits_must_be_positive(argv, digits, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--digits", digits])
+    assert exc.value.code == 2
+    assert "error: argument --digits: must be a positive integer" in capsys.readouterr().err
+
+
+def test_constants_has_no_oracle_options(capsys):
+    # constants never runs the oracle, so it takes no --cutoff or --levels
+    for flag in ("--cutoff", "--levels"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["constants", flag, "5"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments" in capsys.readouterr().err
 
 
 def test_harmonic_command(capsys):

@@ -32,10 +32,8 @@ from conftest import random_spec
 FAST_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
 
 
-def _oracle(spec_or_none, coef):
-    if spec_or_none is None:
-        return float(coef)
-    return float(coef) * float(direct_sum(spec_or_none, FAST_CFG).value)
+def _oracle(spec, coef):
+    return float(coef) * float(direct_sum(spec, FAST_CFG).value)
 
 
 # --- partial fractions -------------------------------------------------------
@@ -67,14 +65,14 @@ def test_pf_rational_evaluation(a, b):
 
 def test_convert_block_shape_is_identity():
     spec = parse_spec("S[2n+1^1 >= 2n^1 > 0]")
-    assert convert_relations(spec) == [(Fraction(1), spec)]
+    assert convert_relations(spec) == WordSum({spec: Fraction(1)}, Fraction(0))
 
 
 def test_convert_strict_odd_pair():
     # the strict variant loses the diagonal slice, which splits by partial
     # fractions into single depth-1 sums
     items = convert_relations(parse_spec("S[2n+1^1 > 2n^1 > 0]"))
-    total = sum(_oracle(s, c) for c, s in items)
+    total = float(items.scalar) + sum(_oracle(s, c) for s, c in items.terms.items())
     want = float(direct_sum(parse_spec("S[2n+1^1 > 2n^1 > 0]"), FAST_CFG).value)
     assert abs(total - want) < 1e-8
     assert abs(want - 0.6207872894) < 1e-9
@@ -85,11 +83,10 @@ def test_convert_oracle_equivalence_random():
     for _ in range(30):
         spec = random_spec(rng, max_depth=2, max_weight=4)
         items = convert_relations(spec)
-        for _, s in items:
-            if s is not None:
-                for term, rel in zip(s.terms, s.relations):
-                    assert (rel is Relation.WEAK) == (term.parity is Parity.ODD_HIGH)
-        total = sum(_oracle(s, c) for c, s in items)
+        for s in items.terms:
+            for term, rel in zip(s.terms, s.relations):
+                assert (rel is Relation.WEAK) == (term.parity is Parity.ODD_HIGH)
+        total = float(items.scalar) + sum(_oracle(s, c) for s, c in items.terms.items())
         want = float(direct_sum(spec, FAST_CFG).value)
         assert abs(total - want) < 1e-8
 
@@ -98,17 +95,16 @@ def test_convert_oracle_equivalence_random():
 
 def test_eliminate_noop():
     spec = parse_spec("S[2n-1^2 > 2n^1 > 0]")
-    assert eliminate_inner_oddlow(spec) == [(Fraction(1), spec)]
+    assert eliminate_inner_oddlow(spec) == WordSum({spec: Fraction(1)}, Fraction(0))
 
 
 def test_eliminate_inner_oddlow_value():
     items = rewrite_to_block_shape(parse_spec("S[2n^1 > 2n-1^1 > 0]"))
-    total = sum(_oracle(s, c) for c, s in items)
+    total = float(items.scalar) + sum(_oracle(s, c) for s, c in items.terms.items())
     want = float(mpmath.pi**2 / 8 + mpmath.log(2) - 1)
     assert abs(total - want) < 1e-8
-    for _, s in items:
-        if s is not None:
-            assert all(t.parity is not Parity.ODD_LOW for t in s.terms[1:])
+    for s in items.terms:
+        assert all(t.parity is not Parity.ODD_LOW for t in s.terms[1:])
 
 
 def test_eliminate_oracle_equivalence_random():
@@ -120,7 +116,7 @@ def test_eliminate_oracle_equivalence_random():
             continue
         done += 1
         items = rewrite_to_block_shape(spec)
-        total = sum(_oracle(s, c) for c, s in items)
+        total = float(items.scalar) + sum(_oracle(s, c) for s, c in items.terms.items())
         want = float(direct_sum(spec, FAST_CFG).value)
         assert abs(total - want) < 1e-8, spec
 
@@ -162,12 +158,18 @@ def _compilable_specs(draw) -> SeriesSpec:
 @given(_compilable_specs())
 def test_block_shape_items_compile_one_by_one(spec):
     # every item of the rewrite is already in block shape, and the compiled
-    # sum is the coefficient-weighted sum of the items' blocks
+    # sum is the coefficient-weighted sum of the items' blocks plus the
+    # rewrite's scalar times 1, which is (2/pi)*(pi/2) in a squared sum
     p = spec.binom_power
+    rewrite = rewrite_to_block_shape(spec)
     total = WordSum(scalar=Fraction(0), pi_scale=1 if p == 2 else 0)
-    for coef, item in rewrite_to_block_shape(spec):
-        assert rewrite_to_block_shape(item) == [(Fraction(1), item)]
+    for item, coef in rewrite.terms.items():
+        assert rewrite_to_block_shape(item) == WordSum({item: Fraction(1)}, Fraction(0))
         total += compile_blocks(item, p).scaled(coef)
+    if p == 2:
+        total.scalar_pi += rewrite.scalar / 2
+    else:
+        total.scalar += rewrite.scalar
     assert compile_spec_to_trig(spec) == total
 
 
@@ -200,9 +202,8 @@ def test_constant_only_from_gamma_heads(corpus):
     for spec in corpus:
         expr = compile_spec_to_trig(spec)
         block_items = rewrite_to_block_shape(spec)
-        gamma_ran = any(
-            item is None or item.terms[0].parity is Parity.ODD_LOW
-            for _, item in block_items
+        gamma_ran = block_items.scalar != 0 or any(
+            item.terms[0].parity is Parity.ODD_LOW for item in block_items.terms
         )
         if not gamma_ran:
             assert expr.scalar == 0 and expr.scalar_pi == 0, spec

@@ -108,9 +108,7 @@ def test_reality_coefficient_audit(corpus_results):
         if spec.binom_power != 1:
             continue
         items = rewrite_to_block_shape(spec)
-        parities = {
-            item.terms[0].parity for _, item in items if item is not None
-        }
+        parities = {item.terms[0].parity for item in items.terms}
         if parities == {Parity.EVEN}:
             assert all(c.im == 0 for c in entry.words.terms.values()), spec
         if parities == {Parity.ODD_HIGH}:
