@@ -85,7 +85,20 @@ def _harmonic_part(part, owner: str, j: int) -> HarmonicPart:
         coef = None
     if coef is None:
         raise ValueError(f"fixture {where}: coef must be an integer or a fraction string")
-    return HarmonicPart(coef, HarmonicSpec(*weights, parity, exp, binom))
+    try:
+        return HarmonicPart(coef, HarmonicSpec(*weights, parity, exp, binom))
+    except ValueError as exc:
+        raise ValueError(f"fixture {where}: {exc}") from exc
+
+
+def _series(text: str, owner: str) -> SeriesSpec:
+    try:
+        spec = parse_spec(text)
+    except ValueError as exc:
+        raise ValueError(f"fixture {owner}: {exc}") from exc
+    if spec.tail_bound or spec.argument != 1:
+        raise ValueError(f"fixture {owner}: a series with @tail > 0 or @x < 1 has no compiled value")
+    return spec
 
 
 def _record_from_dict(data: dict, index: int) -> FixtureRecord:
@@ -95,7 +108,7 @@ def _record_from_dict(data: dict, index: int) -> FixtureRecord:
         raise ValueError(f"fixture record {index} has no id")
     owner = _text(data, "id", f"record {index}", required=True)
     series = _text(data, "series", owner)
-    series = parse_spec(series) if series else None
+    series = _series(series, owner) if series else None
     harmonic = None
     if data.get("harmonic"):
         if not isinstance(data["harmonic"], list):

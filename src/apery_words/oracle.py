@@ -1,6 +1,6 @@
 """Direct high-precision summation of series specs, with tail extrapolation.
 
-One fixed-point kernel, `_sweep`, sums a batch of plain specs and
+One fixed-point kernel, `_partial_sums`, sums a batch of plain specs and
 harmonic-weighted heads.  It runs over the outer index n once and keeps, for
 every nesting level, the cumulative sum over that level's index (cost
 O(N * depth)).  A plain spec is one chain of levels; a harmonic head has two,
@@ -8,21 +8,19 @@ the zh chain over n and the odd chain over 2n - 1.  Arithmetic is on Python
 integers scaled by 2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119
 at 16 digits.
 
-`direct_sums` hands the kernel a whole batch at one configuration, and
-`direct_harmonic_sum` is a batch of one.  `direct_sum` runs its own cutoff
-check and sweeps its one spec through `_partial_sums`, a one-job `_sweep`
-that returns the scaled sums at the requested checkpoints.  Per block of
-indices the batch shares the a_n(x) column (one per distinct x, squared only
-if some item needs it) and each distinct index power column.  Chain levels
-form a trie keyed by the chain's start and its bottom-up prefix, so a level
-common to several chains is accumulated once.  Items start at different n (a
-tail bound, or the n = 0 term of a 2n+1 head); each reads a start mask of
-exact 1s and 0s at its bottom level, or at its head if it has no chain, which
-leaves every floor unchanged.  Items that differ only in their head form a
-group, which builds the product column (a^p * tops) >> F once per block, one
-group's column at a time; only its division by head^q is per item, and equal
-items are swept once.  The scaled sums are bit-identical to a sweep of each
-item alone.
+`direct_sums` turns each item into a job once, hands the kernel a whole batch
+at one configuration and settles every item from its job; `direct_sum` and
+`direct_harmonic_sum` are batches of one.  Per block of indices the batch
+shares the a_n(x) column (one per distinct x, squared only if some item needs
+it) and each distinct index power column.  Chain levels form a trie keyed by
+the chain's start and its bottom-up prefix, so a level common to several
+chains is accumulated once.  Items start at different n (a tail bound, or the
+n = 0 term of a 2n+1 head); each reads a start mask of exact 1s and 0s at its
+bottom level, or at its head if it has no chain, which leaves every floor
+unchanged.  Items that differ only in their head form a group, which builds
+the product column (a^p * tops) >> F once per block, one group's column at a
+time; only its division by head^q is per item, and equal items are swept
+once.  The scaled sums are bit-identical to a sweep of each item alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
@@ -38,10 +36,11 @@ fits the partial sums at N * 2^(i/2), i = 0..2L, against the basis
 {1} + {N^(1-alpha-k) * ln(N)^j}; the error estimate is the change from the
 fit with two basis functions fewer.  Both fits are linear in the samples S:
 the value is w . S and the estimate |w . S - w' . S|, where w and w' depend
-only on the sample points, alpha, the log degree and the number of basis
-functions (generalized Richardson extrapolation; Sidi, Practical
-Extrapolation Methods, 2003).  `direct_sums` solves for them once per such
-key in a dict local to the call, so each item costs two dot products.
+only on the sample points (whose count fixes the number of basis functions),
+alpha and the log degree (generalized Richardson extrapolation; Sidi,
+Practical Extrapolation Methods, 2003).  `direct_sums` solves for them once
+per such key in a dict local to the call, so each item costs two dot
+products.
 """
 
 from __future__ import annotations
@@ -180,12 +179,15 @@ def _job(item: SeriesSpec | HarmonicSpec) -> _Job:
 _BLOCK = 256
 
 
-def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
+def _partial_sums(
+    jobs: Sequence[_Job], points: list[int], digits: int
+) -> tuple[list[list[int]], int, int]:
     """The fixed-point sweep behind every direct sum, for a batch of jobs.
 
-    Returns, per job, its partial sums scaled by 2^F at each of the
-    ascending `points` N.  The batch runs over n once, from its smallest
-    start, in blocks of at most _BLOCK indices.  Per block it builds each
+    Returns (per job, its partial sums scaled by 2^F at each of the
+    ascending `points` N; F = _scale_bits(digits); the indices swept,
+    points[-1] + 1).  The batch runs over n once, from its smallest start,
+    in blocks of at most _BLOCK indices.  Per block it builds each
     a_n(x) column (and its square) once per distinct x, and each index power
     column (m*n + c)^e once.  Chain levels form a trie: a node is a start and
     a bottom-up prefix of levels, shared by every chain that begins with it.
@@ -201,6 +203,7 @@ def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
     is the one the index-by-index recurrence takes, so the scaled sums
     depend neither on the blocking nor on the rest of the batch.
     """
+    F = _scale_bits(digits)
     one = 1 << F
     n0 = min(job.start for job in jobs)
     # node -> its value before the block; a parent enters before its children
@@ -279,38 +282,26 @@ def _sweep(jobs: Sequence[_Job], F: int, points: list[int]) -> list[list[int]]:
                     totals[j] += sum([u // d for u, d in zip(w, powers[head])])
         for job_sums, total in zip(sums, totals):
             job_sums.append(total)
-    return sums
+    return sums, F, points[-1] + 1
 
 
-def _partial_sums(
-    spec: SeriesSpec, checkpoints: list[int], digits: int = 60
-) -> tuple[list[int], int, int]:
-    """Fixed-point partial sums of the outer sweep at the given checkpoints.
-
-    Returns (scaled sums, scale bits F, terms swept).
-    """
-    F = _scale_bits(digits)
-    points = sorted(set(checkpoints))
-    at = dict(zip(points, _sweep([_job(spec)], F, points)[0]))
-    return [at[pt] for pt in checkpoints], F, points[-1] + 1
+# (sample points, alpha, log degree) -> (w, w', G); one dict per direct_sums
+# call
+_Weights = dict[tuple[tuple[int, ...], Fraction, int], tuple[list[int], list[int], int]]
 
 
-# (sample points, alpha, log degree, basis functions) -> (w, w', G); one dict
-# per direct_sums or direct_sum call
-_Weights = dict[tuple[tuple[int, ...], Fraction, int, int], tuple[list[int], list[int], int]]
-
-
-def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, levels: int):
+def _fit_weights(points: list[int], alpha: Fraction, log_degree: int):
     """Weights w, w' of the tail fit: its value is w . S, the previous level's w' . S.
 
     The fit solves M c = S for the samples S against the basis
     {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0}, and its value is the
-    constant c_0 = e_0 . M^-1 S, so w solves M^T w = e_0.  `levels`, at
-    least 2, counts the basis functions beside the constant; w' is the same
-    fit with two fewer over the last samples, zero on the first two.  Both
-    are integers scaled by 2^G, G the working precision in bits, which keeps
-    them in a third of the memory of mpf values.
+    constant c_0 = e_0 . M^-1 S, so w solves M^T w = e_0.  The basis
+    functions beside the constant are one fewer than the samples, at least
+    2; w' is the same fit with two fewer over the last samples, zero on the
+    first two.  Both are integers scaled by 2^G, G the working precision in
+    bits, which keeps them in a third of the memory of mpf values.
     """
+    levels = len(points) - 1
     basis = []
     k = 0
     while len(basis) < levels:
@@ -349,16 +340,15 @@ def _extrapolate(
     values: list[mpf],
     alpha: Fraction,
     log_degree: int,
-    levels: int,
     weights: _Weights,
 ):
     """The tail fit's value and estimate, |w . S - w' . S|, for samples S.
 
     The weights come from `weights`, solved there once per key.
     """
-    key = (tuple(points), alpha, log_degree, levels)
+    key = (tuple(points), alpha, log_degree)
     if key not in weights:
-        weights[key] = _fit_weights(points, alpha, log_degree, levels)
+        weights[key] = _fit_weights(points, alpha, log_degree)
     w, w_prev, bits = weights[key]
     with mpmath.extradps(25):
         last = mpmath.ldexp(mpmath.fdot(w, values), -bits)
@@ -366,14 +356,14 @@ def _extrapolate(
 
 
 def _settle(
-    item: SeriesSpec | HarmonicSpec,
+    job: _Job,
     points: list[int],
     sums: list[int],
     F: int,
     cfg: OracleConfig,
     weights: _Weights,
 ) -> OracleResult:
-    """Value and error estimate of `item` from its scaled partial sums.
+    """Value and error estimate of `job` from its scaled partial sums.
 
     With no extrapolation levels, or with geometric decay in x^(2n), the last
     partial sum is the value and its step from the one before is the error;
@@ -384,21 +374,16 @@ def _settle(
     with workdps(digits + 15):
         one = mpf(1 << F)
         values = [mpf(s) / one for s in sums]
-        # outer terms decay like n^-(s_1 + p/2) times polylog: inner sums only
-        # grow logarithmically, and their deficits shift the exponent by
-        # integers
-        if isinstance(item, HarmonicSpec):
-            alpha = Fraction(item.head_exponent) + Fraction(item.binom_power, 2)
-            log_degree = len(item.k_vec) + len(item.l_vec)
-        elif item.argument == 1:
-            alpha = Fraction(item.terms[0].exponent) + Fraction(item.binom_power, 2)
-            log_degree = item.depth - 1
-        else:
-            alpha = None
-        if alpha is None or cfg.extrapolation_levels == 0:
+        if job.x != 1 or cfg.extrapolation_levels == 0:
             value, err = values[-1], abs(values[-1] - values[-2])
         else:
-            value, err = _extrapolate(points, values, alpha, log_degree, len(points) - 1, weights)
+            # outer terms decay like n^-(q + p/2) times a polylog whose degree
+            # is the number of chain levels: inner sums only grow
+            # logarithmically, and their deficits shift the exponent by
+            # integers
+            alpha = Fraction(job.head[2]) + Fraction(job.binom_power, 2)
+            log_degree = sum(len(chain) for chain in job.chains)
+            value, err = _extrapolate(points, values, alpha, log_degree, weights)
         if err > mpf(10) ** (-digits / 2):
             raise ConfigTooSmallError(
                 f"tail error estimate {mpmath.nstr(err, 5)} exceeds the "
@@ -418,22 +403,23 @@ def direct_sums(
     """
     cfg = cfg or OracleConfig()
     points = _checkpoints(cfg)
-    F = _scale_bits(cfg.precision_digits)
     jobs = {
         item: _job(item)
         for item in items
         if isinstance(item, HarmonicSpec) or item.tail_bound < cfg.cutoff
     }
     unique = list(dict.fromkeys(jobs.values()))
-    swept = dict(zip(unique, _sweep(unique, F, points))) if unique else {}
+    sums, F, _ = _partial_sums(unique, points, cfg.precision_digits) if unique else ([], 0, 0)
+    swept = dict(zip(unique, sums))
     weights: _Weights = {}
     results = []
     for index, item in enumerate(items):
         if item not in jobs:
             results.append(OracleResult(mpf(0), mpf(0), 0))
             continue
+        job = jobs[item]
         try:
-            results.append(_settle(item, points, swept[jobs[item]], F, cfg, weights))
+            results.append(_settle(job, points, swept[job], F, cfg, weights))
         except ConfigTooSmallError as exc:
             exc.index = index
             raise
@@ -442,12 +428,7 @@ def direct_sums(
 
 def direct_sum(spec: SeriesSpec, cfg: OracleConfig | None = None) -> OracleResult:
     """Sum the nested series; the outer tail is removed by extrapolation."""
-    cfg = cfg or OracleConfig()
-    if spec.tail_bound >= cfg.cutoff:
-        return OracleResult(mpf(0), mpf(0), 0)
-    points = _checkpoints(cfg)
-    sums, F, _ = _partial_sums(spec, points, cfg.precision_digits)
-    return _settle(spec, points, sums, F, cfg, {})
+    return direct_sums([spec], cfg)[0]
 
 
 def direct_harmonic_sum(h: HarmonicSpec, cfg: OracleConfig | None = None) -> OracleResult:

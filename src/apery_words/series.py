@@ -149,7 +149,7 @@ def parse_spec(text: str) -> SeriesSpec:
     """Parse the spec mini-language; raises SpecSyntaxError with a position."""
     pos = 0
     tokens: list[tuple[str, int]] = []
-    body, _, suffix_part = text.partition("@")
+    body, at_sign, suffix_part = text.partition("@")
     while pos < len(body):
         m = _TOKEN.match(body, pos)
         if not m:
@@ -212,11 +212,17 @@ def parse_spec(text: str) -> SeriesSpec:
 
     tail_bound = 0
     argument = Fraction(1)
-    if suffix_part:
+    if at_sign:
+        seen = set()
         for part in ("@" + suffix_part).split("@")[1:]:
             key, _, value = part.strip().partition("=")
             key = key.strip()
             value = value.strip()
+            if not key:
+                raise SpecSyntaxError("empty suffix after '@'", text.find("@"))
+            if key in seen:
+                raise SpecSyntaxError(f"suffix @{key} given twice", text.find("@"))
+            seen.add(key)
             if key == "tail":
                 if not value.isdigit():
                     raise SpecSyntaxError("@tail wants a non-negative integer", text.find("@"))

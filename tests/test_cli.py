@@ -204,11 +204,20 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
          "error: fixture h: harmonic part 0: binom must be 1 or 2"),
         ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "coef": "1/0"}]}],
          "error: fixture h: harmonic part 0: coef must be an integer or a fraction string"),
+        ([{"id": "x", "series": "S[2n^1 > 0]@tail=3"}],
+         "error: fixture x: a series with @tail > 0 or @x < 1 has no compiled value"),
+        ([{"id": "x", "series": "S[2n^1 > 0]@x=1/2"}],
+         "error: fixture x: a series with @tail > 0 or @x < 1 has no compiled value"),
+        ([{"id": "x", "series": "S[2n^1 >= 0]"}],
+         "error: fixture x: weak bottom relation needs a 2n+1 innermost index"),
+        ([{"id": "h", "harmonic": [{"head": "2n^1"}]}],
+         "error: fixture h: harmonic part 0: head exponent must be >= 2 for binom_power 1"),
     ],
     ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head",
          "id-not-string", "series-not-string", "closed-form-not-string",
          "printed-value-not-string", "k-not-list", "l-not-positive", "k-bool",
-         "binom-out-of-range", "binom-string", "coef-divides-by-zero"],
+         "binom-out-of-range", "binom-string", "coef-divides-by-zero", "series-tail",
+         "series-x", "series-invalid", "part-invalid"],
 )
 def test_verify_malformed_fixtures(records, message, tmp_path, capsys):
     path = tmp_path / "fx.json"

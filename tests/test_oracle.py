@@ -19,7 +19,6 @@ from apery_words.oracle import (
     _job,
     _partial_sums,
     _scale_bits,
-    _sweep,
     central_ratio,
     direct_harmonic_sum,
     direct_sum,
@@ -109,8 +108,8 @@ def test_partial_sums_match_brute_force():
     n_cap = 40
     for text in BRUTE_FORCE_SPECS:
         spec = parse_spec(text)
-        sums, F, _ = _partial_sums(spec, [n_cap], 20)
-        got = float(sums[0]) / float(1 << F)
+        sums, F, _ = _partial_sums([_job(spec)], [n_cap], 20)
+        got = float(sums[0][0]) / float(1 << F)
         want = _brute_force(spec, n_cap)
         assert abs(got - want) < 1e-12, text
 
@@ -287,14 +286,15 @@ def _reference_harmonic_sums(h: HarmonicSpec, points: list[int], F: int) -> list
 
 
 def _assert_same_sums(spec: SeriesSpec, checkpoints: list[int], digits: int = 40):
-    sums, F, swept = _partial_sums(spec, checkpoints, digits)
-    assert sums == _reference_partial_sums(spec, checkpoints, F), spec
+    points = sorted(set(checkpoints))
+    sums, F, swept = _partial_sums([_job(spec)], points, digits)
+    assert sums[0] == _reference_partial_sums(spec, points, F), spec
     assert swept == max(checkpoints) + 1
 
 
 def test_scale_bits_without_floor():
     assert _scale_bits(16) == 119
-    assert _partial_sums(parse_spec("S[2n^1 > 0]"), [100], 16)[1] == 119
+    assert _partial_sums([_job(parse_spec("S[2n^1 > 0]"))], [100], 16)[1] == 119
 
 
 def test_sweep_matches_reference_on_brute_force_specs():
@@ -329,7 +329,7 @@ def _harmonic_shapes() -> list[HarmonicSpec]:
 def test_harmonic_sweep_matches_reference(points):
     F = _scale_bits(40)
     for h in _harmonic_shapes():
-        assert _sweep([_job(h)], F, points)[0] == _reference_harmonic_sums(h, points, F), h
+        assert _partial_sums([_job(h)], points, 40)[0][0] == _reference_harmonic_sums(h, points, F), h
 
 
 _TERMS = st.tuples(st.sampled_from(list(Parity)), st.integers(1, 3))
@@ -378,7 +378,7 @@ def test_harmonic_zero_levels_settles_on_last_sum():
     h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
     cfg = OracleConfig(cutoff=100, extrapolation_levels=0, precision_digits=30)
     F = _scale_bits(30)
-    s50, s100 = _sweep([_job(h)], F, [50, 100])[0]
+    s50, s100 = _partial_sums([_job(h)], [50, 100], 30)[0][0]
     with mpmath.workdps(45):
         one = mpf(1 << F)
         err = abs(mpf(s100) / one - mpf(s50) / one)
@@ -393,13 +393,9 @@ def test_harmonic_zero_levels_settles_on_last_sum():
 
 
 def _assert_batch_matches_single(items, points: list[int], digits: int = 16):
-    F = _scale_bits(digits)
-    batch = _sweep([_job(item) for item in items], F, points)
+    batch = _partial_sums([_job(item) for item in items], points, digits)[0]
     for item, sums in zip(items, batch):
-        if isinstance(item, HarmonicSpec):
-            single = _sweep([_job(item)], F, points)[0]
-        else:
-            single = _partial_sums(item, points, digits)[0]
+        single = _partial_sums([_job(item)], points, digits)[0][0]
         assert sums == single, item
 
 
@@ -451,25 +447,27 @@ _ITEMS = st.one_of(_small_specs(), _harmonic_specs())
 def test_batch_is_independent_of_its_company(items, others, points, rng):
     points = sorted(set(points))
     _assert_batch_matches_single(items, points)
-    F = _scale_bits(16)
-    alone = _sweep([_job(item) for item in items], F, points)
+    alone = _partial_sums([_job(item) for item in items], points, 16)[0]
     mixed = items + others
     rng.shuffle(mixed)
-    together = dict(zip(mixed, _sweep([_job(item) for item in mixed], F, points)))
+    together = dict(zip(mixed, _partial_sums([_job(item) for item in mixed], points, 16)[0]))
     assert [together[item] for item in items] == alone
 
 
 def test_direct_sums_sweeps_equal_items_once(monkeypatch):
     h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
     spec = parse_spec("S[2n+1^2 >= 0]")
-    want = [direct_harmonic_sum(h, FAST_CFG), direct_sum(spec, FAST_CFG)]
     batches = []
 
-    def recording_sweep(jobs, F, points):
+    def recording_sweep(jobs, points, digits):
         batches.append(len(jobs))
-        return _sweep(jobs, F, points)
+        return _partial_sums(jobs, points, digits)
 
-    monkeypatch.setattr(oracle, "_sweep", recording_sweep)
+    monkeypatch.setattr(oracle, "_partial_sums", recording_sweep)
+    # a single sum is a batch of one: one sweep of one job
+    want = [direct_harmonic_sum(h, FAST_CFG), direct_sum(spec, FAST_CFG)]
+    assert batches == [1, 1]
+    batches.clear()
     got = direct_sums([h, h, spec, h], FAST_CFG)
     assert batches == [2]
     for res, ref in zip(got, [want[0], want[0], want[1], want[0]]):
@@ -541,29 +539,35 @@ _OLD_VERIFY = OracleConfig(10_000, 4, 16)
 @pytest.fixture(scope="module")
 def verify_batch():
     """Per schedule: the verify items' results, every tail fit's arguments
-    and outcome, and the keys whose weights were solved."""
+    and outcome, the keys whose weights were solved, and the number of jobs
+    in each sweep."""
     runs = {}
 
     def run(cfg: OracleConfig):
         key = (cfg.cutoff, cfg.extrapolation_levels, cfg.precision_digits)
         if key not in runs:
-            fits, solved = [], []
+            fits, solved, sweeps = [], [], []
             extrapolate, fit_weights = oracle._extrapolate, oracle._fit_weights
 
-            def recording_extrapolate(points, values, alpha, log_degree, levels, weights):
-                out = extrapolate(points, values, alpha, log_degree, levels, weights)
-                fits.append(((points, values, alpha, log_degree, levels), out))
+            def recording_extrapolate(points, values, alpha, log_degree, weights):
+                out = extrapolate(points, values, alpha, log_degree, weights)
+                fits.append(((points, values, alpha, log_degree), out))
                 return out
 
-            def recording_fit_weights(points, alpha, log_degree, levels):
-                solved.append((tuple(points), alpha, log_degree, levels))
-                return fit_weights(points, alpha, log_degree, levels)
+            def recording_fit_weights(points, alpha, log_degree):
+                solved.append((tuple(points), alpha, log_degree))
+                return fit_weights(points, alpha, log_degree)
+
+            def recording_sweep(jobs, points, digits):
+                sweeps.append(len(jobs))
+                return _partial_sums(jobs, points, digits)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "_extrapolate", recording_extrapolate)
                 mp.setattr(oracle, "_fit_weights", recording_fit_weights)
+                mp.setattr(oracle, "_partial_sums", recording_sweep)
                 results = direct_sums(_fixture_items(), cfg)
-            runs[key] = results, fits, solved
+            runs[key] = results, fits, solved, sweeps
         return runs[key]
 
     return run
@@ -571,16 +575,18 @@ def verify_batch():
 
 @pytest.mark.parametrize("cfg", [_OLD_VERIFY, OracleConfig(1_000, 6, 16)], ids=["10000-4", "1000-6"])
 def test_shared_weights_match_per_item_fit(cfg, verify_batch):
-    _, fits, solved = verify_batch(cfg)
-    # every item is fitted, and the weights of each of the 20 (alpha, log
-    # degree) keys are solved once
+    _, fits, solved, sweeps = verify_batch(cfg)
+    # the 74 items are 72 distinct jobs, swept together once; every item is
+    # fitted, and the weights of each of the 20 (alpha, log degree) keys are
+    # solved once
+    assert sweeps == [72]
     assert len(fits) == 74
     keys = [(tuple(args[0]), *args[2:]) for args, _ in fits]
     assert sorted(solved, key=repr) == sorted(set(keys), key=repr)
     assert len(solved) == 20
     with mpmath.workdps(cfg.precision_digits + 15):
         for args, (value, err) in fits:
-            want_value, want_err = _extrapolate_per_item(*args)
+            want_value, want_err = _extrapolate_per_item(*args, len(args[0]) - 1)
             assert abs(value - want_value) < mpf(10) ** -30, args[2:]
             assert abs(err - want_err) < mpf(10) ** -30, args[2:]
 
@@ -589,8 +595,8 @@ def test_verify_schedule_agrees_with_the_longer_sweep(verify_batch):
     # 13 samples from 1,000 on against 9 from 10,000 on: the two agree within
     # 4.4e-14 on the 74 items, and the shorter sweep's estimates stay below
     # 6.1e-15
-    short, _, _ = verify_batch(VERIFY_ORACLE)
-    long, _, _ = verify_batch(_OLD_VERIFY)
+    short, _, _, _ = verify_batch(VERIFY_ORACLE)
+    long, _, _, _ = verify_batch(_OLD_VERIFY)
     for item, res, ref in zip(_fixture_items(), short, long):
         assert res.error_estimate <= 1e-12, item
         assert abs(res.value - ref.value) <= 1e-12, item

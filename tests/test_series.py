@@ -95,6 +95,11 @@ def test_parse_syntax_errors_carry_position():
         parse_spec("T[2n^1 > 0]")
     with pytest.raises(SpecSyntaxError):
         parse_spec("S[2n^1 >")
+    # a bare trailing '@' and a repeated suffix key
+    for text in ("S[2n^1 > 0]@", "S[2n^1 > 0]@tail=3@", "S[2n^1 > 0]@tail=3@tail=5",
+                 "S[2n^1 > 0]@x=1/2@x=1/3"):
+        with pytest.raises(SpecSyntaxError):
+            parse_spec(text)
 
 
 def test_roundtrip_enumerated():
