@@ -12,15 +12,18 @@ at 16 digits.
 at one configuration and settles every item from its job; `direct_sum` and
 `direct_harmonic_sum` are batches of one.  Per block of indices the batch
 shares the a_n(x) column (one per distinct x, squared only if some item needs
-it) and each distinct index power column.  Chain levels form a trie keyed by
-the chain's start and its bottom-up prefix, so a level common to several
-chains is accumulated once.  Items start at different n (a tail bound, or the
-n = 0 term of a 2n+1 head); each reads a start mask of exact 1s and 0s at its
-bottom level, or at its head if it has no chain, which leaves every floor
-unchanged.  Items that differ only in their head form a group, which builds
-the product column (a^p * tops) >> F once per block, one group's column at a
-time; only its division by head^q is per item, and equal items are swept
-once.  The scaled sums are bit-identical to a sweep of each item alone.
+it) and a base column m*n + c per distinct index, not its powers: dividing by
+(m*n + c)^e takes e floor divisions by the base, exact as floor(floor(u/a)/b)
+= floor(u/(ab)) for b > 0 and the base at n = 0 is 1 or -1 (an index 0 reads
+as 1).  Chain levels form a trie keyed by the chain's start and its bottom-up
+prefix, so a level common to several chains is accumulated once.  Items start
+at different n (a tail bound, or the n = 0 term of a 2n+1 head); each reads a
+start mask of exact 1s and 0s at its bottom level, or at its head if it has
+no chain, which leaves every floor unchanged.  Items that differ only in
+their head form a group, which builds the product column (a^p * tops) >> F
+once per block, one group's column at a time; heads that share an index chain
+their quotients in ascending exponent, and equal items are swept once.  The
+scaled sums are bit-identical to a sweep of each item alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
@@ -39,8 +42,8 @@ the value is w . S and the estimate |w . S - w' . S|, where w and w' depend
 only on the sample points (whose count fixes the number of basis functions),
 alpha and the log degree (generalized Richardson extrapolation; Sidi,
 Practical Extrapolation Methods, 2003).  `direct_sums` solves for them once
-per such key in a dict local to the call, so each item costs two dot
-products.
+per such key in a dict local to the call, by elimination on integers scaled
+by 2^G, so each item costs two dot products.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import floordiv
 from typing import NamedTuple
 
 import mpmath
@@ -187,99 +191,114 @@ def _partial_sums(
     Returns (per job, its partial sums scaled by 2^F at each of the
     ascending `points` N; F = _scale_bits(digits); the indices swept,
     points[-1] + 1).  The batch runs over n once, from its smallest start,
-    in blocks of at most _BLOCK indices.  Per block it builds each
-    a_n(x) column (and its square) once per distinct x, and each index power
-    column (m*n + c)^e once.  Chain levels form a trie: a node is a start and
-    a bottom-up prefix of levels, shared by every chain that begins with it.
-    A node's increments over the block are one list (the column it reads
-    from its parent, divided by its index power), their running sums (seeded
-    with the node's value before the block) are its values, and a child
-    reads them shifted by one index when the link between them is strict.
-    A root reads 1 from its start on and 0 before, as does the head of a job
-    without chains; since 0 // d = 0 and (u * 2^F) >> F = u, the masks leave
-    every floor unchanged.  Jobs that differ only in their head form a group
-    and share the product column (a^p * tops) >> F, built once per block;
-    only its division by the head's power is per job.  Every floor and sum
-    is the one the index-by-index recurrence takes, so the scaled sums
-    depend neither on the blocking nor on the rest of the batch.
+    in blocks of at most _BLOCK indices.  Per block it builds each a_n(x)
+    column (and its square) once per distinct x, and each base column
+    m*n + c once, an index 0 (only at n = 0) read as 1.  A division by
+    (m*n + c)^e is e floor divisions by the base with the same quotient:
+    floor(floor(u/a)/b) = floor(u/(ab)) for b > 0, and at n = 0 the base is
+    1 or -1, by which every floor is exact.
+    Chain levels form a trie: a node is a start and a bottom-up prefix of
+    levels, shared by every chain that begins with it.  A node's increments
+    over the block are one list (the column it reads from its parent,
+    divided by its index power), their running sums (seeded with the node's
+    value before the block) are its values, and a child reads them shifted
+    by one index when the link between them is strict.  A root reads 1 from
+    its start on and 0 before, as does the head of a job without chains;
+    since 0 // d = 0 and (u * 2^F) >> F = u, the masks leave every floor
+    unchanged.  Jobs that differ only in their head form a group and share
+    the product column (a^p * tops) >> F, built once per block; its heads
+    divide it in ascending order, each going on from the quotient column of
+    the head before it with the same (m, c).  Every floor and sum is the one
+    the index-by-index recurrence takes, so the scaled sums depend neither on
+    the blocking nor on the rest of the batch.
     """
     F = _scale_bits(digits)
     one = 1 << F
     n0 = min(job.start for job in jobs)
-    # node -> its value before the block; a parent enters before its children
-    nodes: dict[tuple[int, tuple[_Level, ...]], int] = {}
+    # node -> its position; a parent enters before its children
+    index: dict[tuple[int, tuple[_Level, ...]], int] = {}
     for job in jobs:
         for chain in job.chains:
             for i in range(1, len(chain) + 1):
-                nodes.setdefault((job.start, chain[:i]), 0)
-    exponents = {job.head for job in jobs} | {prefix[-1][:3] for _, prefix in nodes}
-    squared = {job.x for job in jobs if job.binom_power == 2}
-    # x -> [x^2 scaled by 2^F, the last a_n(x) reached]
-    a_at: dict[Fraction, list[int]] = {}
-    for x in {job.x for job in jobs}:
-        x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
-        x_is_one = x == 1
+                index.setdefault((job.start, chain[:i]), len(index))
+    # per node: its parent's position (-1 at a root), its start and level
+    nodes = [(index.get((start, prefix[:-1]), -1), start, prefix[-1]) for start, prefix in index]
+    values = [0] * len(nodes)  # each node's value before the block
+    bases = {job.head[:2] for job in jobs} | {level[:2] for _, _, level in nodes}
+
+    def a_column(a: int, x2: int | None, lo: int, hi: int) -> list[int]:
+        # a_lo(x), ..., a_(hi-1)(x) from a = a_(lo-1)(x), lo >= 1; x2 is None for x = 1
+        col = []
+        if x2 is None:
+            for k in range(2 * lo - 1, 2 * hi - 1, 2):
+                a = a * k // (k + 1)
+                col.append(a)
+        else:
+            for k in range(2 * lo - 1, 2 * hi - 1, 2):
+                a = (a * k // (k + 1) * x2) >> F
+                col.append(a)
+        return col
+
+    # per x: [x^2 scaled by 2^F (None for 1), whether some job squares a_n(x), the last a_n(x)]
+    xs = list(dict.fromkeys(job.x for job in jobs))
+    a_at = []
+    for x in xs:
+        x2 = None if x == 1 else (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
         a = one  # a_0 = 1
-        for n in range(1, n0):
-            a = a * (2 * n - 1) // (2 * n)
-            if not x_is_one:
-                a = (a * x2) >> F
-        a_at[x] = [x2, a]
-    # (x, binomial power, start, chains) -> [(job position, head)]
-    groups: dict[tuple, list[tuple[int, tuple[int, int, int]]]] = {}
-    for j, job in enumerate(jobs):
-        groups.setdefault((job.x, job.binom_power, job.start, job.chains), []).append((j, job.head))
+        for lo in range(1, n0, _BLOCK):
+            a = a_column(a, x2, lo, min(lo + _BLOCK, n0))[-1]
+        a_at.append([x2, any(job.x == x and job.binom_power == 2 for job in jobs), a])
+    # (x's position, binomial power - 1, start, its chain tops' nodes) ->
+    # [(head, job position)] by head, so heads that share (m, c) ascend in q
+    groups: dict[tuple, list[tuple[tuple[int, int, int], int]]] = {}
+    for j, job in sorted(enumerate(jobs), key=lambda item: item[1].head):
+        key = (xs.index(job.x), job.binom_power - 1, job.start,
+               tuple(index[job.start, chain] for chain in job.chains))
+        groups.setdefault(key, []).append((job.head, j))
     totals = [0] * len(jobs)
     sums: list[list[int]] = [[] for _ in jobs]
     for point in points:
         while n0 <= point:
-            ns = range(n0, min(n0 + _BLOCK, point + 1))
-            n0 = ns.stop
-            a_cols = {}
-            for x, state in a_at.items():
-                x2, a = state
-                x_is_one = x == 1
-                col = []
-                for n in ns:
-                    if n:
-                        a = a * (2 * n - 1) // (2 * n)
-                        if not x_is_one:
-                            a = (a * x2) >> F
-                    col.append(a)
-                state[1] = a
-                a_cols[x, 1] = col
-                if x in squared:
-                    a_cols[x, 2] = [(u * u) >> F for u in col]
-            powers = {(m, c, e): [(m * n + c) ** e for n in ns] for m, c, e in exponents}
-            if not ns[0]:
-                # only n = 0 meets an index 2n = 0, and validate() leaves
-                # nothing there to divide
-                for col in powers.values():
-                    col[0] = col[0] or 1
-            tops = {}
-            for node, before in nodes.items():
-                start, prefix = node
-                m, c, e, weak = prefix[-1]
-                if len(prefix) > 1:
-                    t = tops[start, prefix[:-1]]
-                elif start <= ns[0]:
-                    t = [one] * len(ns)
+            lo, n0 = n0, min(n0 + _BLOCK, point + 1)
+            a_cols = []
+            for state in a_at:
+                x2, squared, a = state
+                col = ([one] if lo == 0 else []) + a_column(a, x2, max(lo, 1), n0)
+                state[2] = col[-1]
+                a_cols.append((col, [(u * u) >> F for u in col] if squared else None))
+            # only n = 0 meets an index 0 (2n or n), and validate() leaves
+            # nothing there to divide
+            base = {(m, c): [m * lo + c or 1, *range(m * (lo + 1) + c, m * n0 + c, m)]
+                    for m, c in bases}
+            tops = []
+            for i, (parent, start, (m, c, e, weak)) in enumerate(nodes):
+                if parent >= 0:
+                    t = tops[parent]
+                elif start <= lo:
+                    t = [one] * (n0 - lo)
                 else:
-                    t = [one if n >= start else 0 for n in ns]
-                col = list(accumulate([u // d for u, d in zip(t, powers[m, c, e])], initial=before))
-                nodes[node] = col[-1]
-                tops[node] = col[1:] if weak else col[:-1]
+                    t = [one if n >= start else 0 for n in range(lo, n0)]
+                for _ in range(e):
+                    t = list(map(floordiv, t, base[m, c]))
+                col = list(accumulate(t, initial=values[i]))
+                values[i] = col[-1]
+                tops.append(col[1:] if weak else col[:-1])
             # one group's product column lives at a time
-            for (x, binom_power, start, chains), members in groups.items():
-                w = a_cols[x, binom_power]
-                if not chains and start > ns[0]:
-                    w = [u if n >= start else 0 for u, n in zip(w, ns)]
+            for (xi, p, start, chain_nodes), members in groups.items():
+                w = a_cols[xi][p]
+                if not chain_nodes and start > lo:
+                    w = [u if n >= start else 0 for u, n in zip(w, range(lo, n0))]
                 # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0;
                 # at n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
-                for chain in chains:
-                    w = [(u * v) >> F for u, v in zip(w, tops[start, chain])]
-                for j, head in members:
-                    totals[j] += sum([u // d for u, d in zip(w, powers[head])])
+                for node in chain_nodes:
+                    w = [(u * v) >> F for u, v in zip(w, tops[node])]
+                quots = {}  # (m, c) -> its last head's q and quotient column
+                for (m, c, q), j in members:
+                    q_done, quot = quots.get((m, c), (0, w))
+                    for _ in range(q - q_done):
+                        quot = list(map(floordiv, quot, base[m, c]))
+                    quots[m, c] = q, quot
+                    totals[j] += sum(quot)
         for job_sums, total in zip(sums, totals):
             job_sums.append(total)
     return sums, F, points[-1] + 1
@@ -299,7 +318,11 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int):
     functions beside the constant are one fewer than the samples, at least
     2; w' is the same fit with two fewer over the last samples, zero on the
     first two.  Both are integers scaled by 2^G, G the working precision in
-    bits, which keeps them in a third of the memory of mpf values.
+    bits, which keeps them in a third of the memory of mpf values.  The
+    columns, mpf values at G bits, are truncated to 2^-G; the solve is
+    elimination with partial pivoting on those integers and back-substitution,
+    each multiplier (at most 1 by the pivoting), product and quotient floored
+    to 2^-G.  A singular basis (alpha = 1) meets a zero pivot and raises.
     """
     levels = len(points) - 1
     basis = []
@@ -319,18 +342,24 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int):
         ]
 
         def solve(m: int) -> list[int]:
-            # columns of M scaled to 1 at the first sample to keep the LU
-            # well posed; M^T holds them as rows
+            # columns of M scaled to 1 at the first sample to keep the
+            # elimination well posed; M^T holds them as rows, e_0 beside
             offset = len(points) - (m + 1)
-            mat_t = mpmath.matrix(m + 1, m + 1)
-            unit = mpmath.matrix(m + 1, 1)
-            unit[0] = mpf(1)
-            for i in range(m + 1):
-                mat_t[0, i] = mpf(1)
-                for b, phi in enumerate(columns[:m]):
-                    mat_t[b + 1, i] = phi[offset + i] / phi[offset]
-            w = mpmath.lu_solve(mat_t, unit)
-            return [0] * offset + [int(mpmath.ldexp(u, bits)) for u in w]
+            rows = [[1 << bits] * (m + 2)] + [
+                [int(mpmath.ldexp(u / phi[offset], bits)) for u in phi[offset:]] + [0]
+                for phi in columns[:m]
+            ]
+            for p in range(m + 1):
+                rows[p:] = sorted(rows[p:], key=lambda row: -abs(row[p]))
+                pivot = rows[p]
+                for row in rows[p + 1 :]:
+                    f = (row[p] << bits) // pivot[p]
+                    row[p:] = [u - (f * v >> bits) for u, v in zip(row[p:], pivot[p:])]
+            w = [0] * (m + 1)
+            for i in range(m, -1, -1):
+                rest = sum(u * v for u, v in zip(rows[i][i + 1 :], w[i + 1 :])) >> bits
+                w[i] = ((rows[i][m + 1] - rest) << bits) // rows[i][i]
+            return [0] * offset + w
 
         return solve(levels), solve(levels - 2), bits
 

@@ -214,26 +214,28 @@ def parse_spec(text: str) -> SeriesSpec:
     argument = Fraction(1)
     if at_sign:
         seen = set()
-        for part in ("@" + suffix_part).split("@")[1:]:
+        at = len(body)  # the position of this suffix's '@'
+        for part in suffix_part.split("@"):
             key, _, value = part.strip().partition("=")
             key = key.strip()
             value = value.strip()
             if not key:
-                raise SpecSyntaxError("empty suffix after '@'", text.find("@"))
+                raise SpecSyntaxError("empty suffix after '@'", at)
             if key in seen:
-                raise SpecSyntaxError(f"suffix @{key} given twice", text.find("@"))
+                raise SpecSyntaxError(f"suffix @{key} given twice", at)
             seen.add(key)
             if key == "tail":
                 if not value.isdigit():
-                    raise SpecSyntaxError("@tail wants a non-negative integer", text.find("@"))
+                    raise SpecSyntaxError("@tail wants a non-negative integer", at)
                 tail_bound = int(value)
             elif key == "x":
                 try:
                     argument = Fraction(value)
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise SpecSyntaxError(f"@x wants a decimal, got {value!r}", text.find("@")) from exc
+                    raise SpecSyntaxError(f"@x wants a decimal, got {value!r}", at) from exc
             else:
-                raise SpecSyntaxError(f"unknown suffix {key!r}", text.find("@"))
+                raise SpecSyntaxError(f"unknown suffix {key!r}", at)
+            at += len(part) + 1
 
     return SeriesSpec(binom_power, tuple(terms), tuple(relations), tail_bound, argument)
 

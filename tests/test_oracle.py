@@ -332,7 +332,7 @@ def test_harmonic_sweep_matches_reference(points):
         assert _partial_sums([_job(h)], points, 40)[0][0] == _reference_harmonic_sums(h, points, F), h
 
 
-_TERMS = st.tuples(st.sampled_from(list(Parity)), st.integers(1, 3))
+_TERMS = st.tuples(st.sampled_from(list(Parity)), st.integers(1, 4))
 
 
 @st.composite
@@ -406,6 +406,20 @@ def _fixture_items() -> list[SeriesSpec | HarmonicSpec]:
     return items
 
 
+def test_chained_quotients_match_reference():
+    # heads that share a chain and an index divide one quotient column on:
+    # 2n-1 heads of exponents 1, 2 and 4 (a gap of 2, and the base -1 at
+    # n = 0, where their one term is -1, 1 and 1) and 2n+1 heads of
+    # exponents 1 and 3 without a chain, whose n = 0 term is 1
+    texts = ["S[2n-1^1 >= 2n+1^1 >= 0]", "S[2n-1^2 >= 2n+1^1 >= 0]",
+             "S[2n-1^4 >= 2n+1^1 >= 0]", "S[2n+1^1 >= 0]", "S[2n+1^3 >= 0]"]
+    specs = [parse_spec(text) for text in texts]
+    points = [0, 1, 7, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 5]
+    for spec in specs:
+        _assert_same_sums(spec, points)
+    _assert_batch_matches_single(specs, points)
+
+
 def test_batch_matches_single_on_fixture_jobs():
     items = _fixture_items()
     assert len(items) == 74
@@ -430,7 +444,7 @@ def test_batch_matches_single_on_random_specs_and_harmonic_shapes():
 def _harmonic_specs(draw) -> HarmonicSpec:
     weights = st.lists(st.integers(1, 3), max_size=2).map(tuple)
     p = draw(st.sampled_from((1, 2)))
-    head = draw(st.integers(3 - p, 3))
+    head = draw(st.integers(3 - p, 4))
     return HarmonicSpec(draw(weights), draw(weights), draw(st.sampled_from(list(Parity))), head, p)
 
 
@@ -531,6 +545,38 @@ def _extrapolate_per_item(
     last = solve(levels)
     previous = solve(levels - 2)
     return last, abs(last - previous)
+
+
+@pytest.mark.parametrize("levels", range(1, 7))
+def test_fixed_point_fit_matches_lu_solve(levels):
+    # 3 to 13 samples, as the schedules take, of synthetic tails
+    # c + sum b N^(1-alpha-k) ln(N)^j: the shared weights' value and estimate
+    # against the per-item mpmath LU fit
+    points = _checkpoints(OracleConfig(1_000, levels, 16))
+    assert len(points) == 2 * levels + 1
+    rng = random.Random(levels)
+    with mpmath.workdps(31):
+        for alpha in map(Fraction, ("1", "3/2", "2", "5/2", "7/2", "9/2")):
+            for log_degree in range(3):
+                terms = [(1 - alpha - k, j, mpf(rng.uniform(-1, 1)))
+                         for k in range(3) for j in range(log_degree + 1)]
+                values = [
+                    mpf(1) / 3 + sum(b * mpf(big_n) ** mpf(float(expo)) * mpmath.log(big_n) ** j
+                                     for expo, j, b in terms)
+                    for big_n in points
+                ]
+                if alpha == 1 and len(points) - 1 > log_degree:
+                    # the basis reaches N^0 ln(N)^0, a second constant, so M
+                    # is singular; the reference LU fails on it as well
+                    with pytest.raises(ZeroDivisionError):
+                        oracle._extrapolate(points, values, alpha, log_degree, {})
+                    continue
+                value, err = oracle._extrapolate(points, values, alpha, log_degree, {})
+                want_value, want_err = _extrapolate_per_item(
+                    points, values, alpha, log_degree, len(points) - 1
+                )
+                assert abs(value - want_value) < mpf(10) ** -30, (alpha, log_degree)
+                assert abs(err - want_err) < mpf(10) ** -30, (alpha, log_degree)
 
 
 _OLD_VERIFY = OracleConfig(10_000, 4, 16)

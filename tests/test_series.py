@@ -100,6 +100,13 @@ def test_parse_syntax_errors_carry_position():
                  "S[2n^1 > 0]@x=1/2@x=1/3"):
         with pytest.raises(SpecSyntaxError):
             parse_spec(text)
+    # a suffix error points at the '@' of its own suffix
+    for text, position in (("S[2n^1 > 0]@tail=3@x=abc", 18), ("S[2n^1 > 0]@tail=3@tail=5", 18),
+                           ("S[2n^1 > 0]@tail=3@", 18), ("S[2n^1 > 0]@tail=3@y=1", 18),
+                           ("S[2n^1 > 0]@tail=x", 11)):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_spec(text)
+        assert info.value.position == position, text
 
 
 def test_roundtrip_enumerated():
