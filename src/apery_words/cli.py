@@ -9,7 +9,6 @@ overrides the flag.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -44,14 +43,6 @@ def _cache(args) -> ValueCache:
     return ValueCache(path)
 
 
-def _oracle_cfg(args) -> OracleConfig:
-    return OracleConfig(
-        cutoff=args.cutoff,
-        extrapolation_levels=args.levels,
-        precision_digits=max(15, min(args.digits, 25)),
-    )
-
-
 def _evaluate(args, item, compile_item, out: dict):
     """The compiled / direct / both flow shared by eval and harmonic.
 
@@ -66,7 +57,8 @@ def _evaluate(args, item, compile_item, out: dict):
             value = eval_wordsum(compile_item(item), _bits(digits), cache)
             out["compiled"] = mpmath.nstr(value.real, digits)
         if args.method in ("direct", "both"):
-            res = direct_sums([item], _oracle_cfg(args))[0]
+            cfg = OracleConfig(args.cutoff, args.levels, max(15, min(digits, 25)))
+            res = direct_sums([item], cfg)[0]
             out["direct"] = mpmath.nstr(res.value, digits)
         if args.method == "both":
             dev = abs(mpmath.mpf(out["compiled"]) - mpmath.mpf(out["direct"]))
@@ -107,11 +99,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # --digits sets only the compiled precision: verify's oracle gate cannot
-    # use more digits than its default oracle already gives
-    oracle_cfg = dataclasses.replace(
-        fixtures_mod.VERIFY_ORACLE, cutoff=args.cutoff, extrapolation_levels=args.levels
-    )
+    # --digits sets only the compiled precision
+    oracle_cfg = OracleConfig(args.cutoff, args.levels, fixtures_mod.ORACLE_DIGITS)
     report = fixtures_mod.verify_fixtures(
         args.fixtures, _bits(args.digits), oracle_cfg=oracle_cfg, cache=_cache(args)
     )
@@ -166,15 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, digits=30, cutoff=20_000, levels=4, oracle=True):
+    def common(p, digits=30, oracle=True):
         p.add_argument("--digits", type=_positive_int, default=digits)
         if oracle:
-            p.add_argument("--cutoff", type=int, default=cutoff,
+            p.add_argument("--cutoff", type=int,
                            help="oracle outer-index cutoff: the first of the samples at "
-                           "cutoff*2^(i/2), i = 0..2*levels")
-            p.add_argument("--levels", type=int, default=levels,
+                           "cutoff*2^(i/2), i = 0..2*levels (default 125)")
+            p.add_argument("--levels", type=int,
                            help="oracle extrapolation levels: the sweep takes 2*levels+1 "
-                           "samples and ends at cutoff*2^levels; 0 fits nothing")
+                           "samples and ends at cutoff*2^levels; 0 fits nothing (default "
+                           "from the oracle's digits, --digits within 15..25, 16 for verify)")
         p.add_argument("--cache-path", default="./cmzv-cache.jsonl",
                        help="word-value cache file (env CMZV_CACHE overrides)")
 
@@ -193,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the bundled reference-value suite")
     p.add_argument("--fixtures", default=None, help="fixtures JSON path (default: bundled set)")
     p.add_argument("--json", default=None, help="write the JSON report here")
-    common(p, digits=40, cutoff=fixtures_mod.VERIFY_ORACLE.cutoff,
-           levels=fixtures_mod.VERIFY_ORACLE.extrapolation_levels)
+    common(p, digits=40)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="print the constant catalog")

@@ -27,10 +27,8 @@ from .trig import predicted_weight_report
 from .series import HarmonicSpec, SeriesSpec, parse_head, parse_spec
 
 # the oracle gate is max(decimal tolerance, 1e-8), so 16 digits are all it
-# uses.  The 13 samples at 1000 * 2^(i/2), i = 0..12, end at n = 64,000; on
-# the bundled items the largest tail estimate is 6.1e-15, and every value is
-# within 1.3e-16 of a sweep to n = 1,280,000
-VERIFY_ORACLE = OracleConfig(cutoff=1_000, extrapolation_levels=6, precision_digits=16)
+# uses, whatever the compiled precision
+ORACLE_DIGITS = 16
 
 
 @dataclass
@@ -184,7 +182,7 @@ def verify_fixtures(
 ) -> dict:
     """Check every record; returns the JSON-ready report (sorted by id)."""
     records = sorted(load_fixtures(path), key=lambda r: r.id)
-    cfg = oracle_cfg or VERIFY_ORACLE
+    cfg = oracle_cfg or OracleConfig(precision_digits=ORACLE_DIGITS)
     digits = int(precision_bits * math.log10(2))
     closed_tol = mpf(10) ** (-(digits - 10))
     report_records = []

@@ -8,8 +8,8 @@ the zh chain over n and the odd chain over 2n - 1.  Arithmetic is on Python
 integers scaled by 2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119
 at 16 digits.
 
-`direct_sums` turns each item into a job once, hands the kernel a whole batch
-at one configuration and settles every item from its job; `direct_sum` and
+`direct_sums` turns each item into a job once, sweeps the jobs of one first
+sample point in one batch and settles each item from its job; `direct_sum` and
 `direct_harmonic_sum` are batches of one.  Per block of indices the batch
 shares the a_n(x) column (one per distinct x, squared only if some item needs
 it) and a base column m*n + c per distinct index, not its powers: dividing by
@@ -33,7 +33,7 @@ binomial power and T the largest product of chain tops (a polylogarithm: below
 500 for depth 4 at N = 3.2e5).  A sweep of that length stays within 2^31 ulps,
 10^-(digits + 10), of the exact partial sum.
 
-The tail beyond the cutoff decays like N^(1-alpha) * ln(N)^j with the known
+The tail beyond a sample N decays like N^(1-alpha) * ln(N)^j with the known
 exponent alpha = s_1 + binom_power/2 and j < depth, so the extrapolation
 fits the partial sums at N * 2^(i/2), i = 0..2L, against the basis
 {1} + {N^(1-alpha-k) * ln(N)^j}; the error estimate is the change from the
@@ -73,11 +73,20 @@ class ConfigTooSmallError(ValueError):
 
 @dataclass
 class OracleConfig:
-    cutoff: int = 200_000
-    extrapolation_levels: int = 4
+    """Samples at cutoff * 2^(i/2), i = 0..2L, L the levels; left as None, the
+    cutoff is 125 and L = max(7, (precision_digits + 25) // 6): a level gains
+    about 10^3, and on the bundled items every tail estimate stays 10^3 under
+    its 10^(-digits/2) budget (7 levels to 22 digits, 8 at 25, 10 at 40)."""
+
+    cutoff: int | None = None
+    extrapolation_levels: int | None = None
     precision_digits: int = 40
 
     def __post_init__(self):
+        if self.cutoff is None:
+            self.cutoff = 125
+        if self.extrapolation_levels is None:
+            self.extrapolation_levels = max(7, (self.precision_digits + 25) // 6)
         if self.cutoff < 100:
             raise ValueError("cutoff must be >= 100")
         if self.precision_digits < 15:
@@ -97,18 +106,15 @@ def _scale_bits(digits: int) -> int:
     return int(math.ceil((digits + 15) * math.log2(10))) + 16
 
 
-def _checkpoints(cfg: OracleConfig) -> list[int]:
-    """Sample points N * 2^(i/2), i = 0..2L: one sweep, 2L+1 samples.
+def _checkpoints(first: int, levels: int) -> list[int]:
+    """Sample points N * 2^(i/2), i = 0..2L, N = first: one sweep, 2L+1 samples.
 
     The half-steps cost nothing (the sweep reaches 2^L N anyway) and buy
     enough samples to fit the log-corrected tail basis at full depth.
     """
-    if cfg.extrapolation_levels == 0:
-        return [cfg.cutoff // 2, cfg.cutoff]
-    out = []
-    for i in range(2 * cfg.extrapolation_levels + 1):
-        out.append(int(round(cfg.cutoff * 2 ** (i / 2))))
-    return sorted(set(out))
+    if levels == 0:
+        return [first // 2, first]
+    return sorted({int(round(first * 2 ** (i / 2))) for i in range(2 * levels + 1)})
 
 
 def central_ratio(n: int, x: Fraction | float = Fraction(1), digits: int = 40):
@@ -304,12 +310,12 @@ def _partial_sums(
     return sums, F, points[-1] + 1
 
 
-# (sample points, alpha, log degree) -> (w, w', G); one dict per direct_sums
-# call
-_Weights = dict[tuple[tuple[int, ...], Fraction, int], tuple[list[int], list[int], int]]
+# one dict per direct_sums call: (sample points, alpha, log degree) ->
+# (w, w', G), and (sample points, (exponent, log power)) -> that basis column
+_Weights = dict[tuple, tuple | list]
 
 
-def _fit_weights(points: list[int], alpha: Fraction, log_degree: int):
+def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _Weights):
     """Weights w, w' of the tail fit: its value is w . S, the previous level's w' . S.
 
     The fit solves M c = S for the samples S against the basis
@@ -319,7 +325,8 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int):
     2; w' is the same fit with two fewer over the last samples, zero on the
     first two.  Both are integers scaled by 2^G, G the working precision in
     bits, which keeps them in a third of the memory of mpf values.  The
-    columns, mpf values at G bits, are truncated to 2^-G; the solve is
+    columns, mpf values at G bits built once per call in `weights` (keys of
+    the same points share most of them), are truncated to 2^-G; the solve is
     elimination with partial pivoting on those integers and back-substitution,
     each multiplier (at most 1 by the pivoting), product and quotient floored
     to 2^-G.  A singular basis (alpha = 1) meets a zero pivot and raises.
@@ -336,10 +343,13 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int):
     with mpmath.extradps(25):
         bits = mpmath.mp.prec
         logs = [mpmath.log(mpf(big_n)) for big_n in points]
-        columns = [
-            [mpf(big_n) ** mpf(float(expo)) * log**j for big_n, log in zip(points, logs)]
-            for expo, j in basis
-        ]
+        columns = []
+        for expo, j in basis:
+            key = (tuple(points), (expo, j))
+            if key not in weights:
+                weights[key] = [mpf(big_n) ** mpf(float(expo)) * log**j
+                                for big_n, log in zip(points, logs)]
+            columns.append(weights[key])
 
         def solve(m: int) -> list[int]:
             # columns of M scaled to 1 at the first sample to keep the
@@ -377,7 +387,7 @@ def _extrapolate(
     """
     key = (tuple(points), alpha, log_degree)
     if key not in weights:
-        weights[key] = _fit_weights(points, alpha, log_degree)
+        weights[key] = _fit_weights(points, alpha, log_degree, weights)
     w, w_prev, bits = weights[key]
     with mpmath.extradps(25):
         last = mpmath.ldexp(mpmath.fdot(w, values), -bits)
@@ -424,31 +434,33 @@ def _settle(
 def direct_sums(
     items: Sequence[SeriesSpec | HarmonicSpec], cfg: OracleConfig | None = None
 ) -> list[OracleResult]:
-    """Directly sum every plain or harmonic-weighted series in one sweep.
+    """Directly sum every plain or harmonic-weighted series, one sweep per
+    first sample point.
 
-    Equal items are swept once; a plain spec whose tail bound reaches the
-    cutoff sums to 0 unswept.  A ConfigTooSmallError names the position of
+    Equal items are swept once.  A ConfigTooSmallError names the position of
     the first item that raised it in its `index`.
     """
     cfg = cfg or OracleConfig()
-    points = _checkpoints(cfg)
-    jobs = {
-        item: _job(item)
-        for item in items
-        if isinstance(item, HarmonicSpec) or item.tail_bound < cfg.cutoff
-    }
-    unique = list(dict.fromkeys(jobs.values()))
-    sums, F, _ = _partial_sums(unique, points, cfg.precision_digits) if unique else ([], 0, 0)
-    swept = dict(zip(unique, sums))
+    jobs = {item: _job(item) for item in items}
+    by_first: dict[int, list[_Job]] = {}
+    for job in dict.fromkeys(jobs.values()):
+        # the cutoff, but not before the job's start, and for x < 1 far enough
+        # out that x^(2N) <= 10^-(digits + 3) at the last sample N
+        first = max(cfg.cutoff, job.start)
+        if job.x != 1:
+            reach = (cfg.precision_digits + 3) * math.log(10) / (-2 * math.log(job.x))
+            first = max(first, math.ceil(reach / 2**cfg.extrapolation_levels))
+        by_first.setdefault(first, []).append(job)
+    swept = {}
+    for first, group in by_first.items():
+        points = _checkpoints(first, cfg.extrapolation_levels)
+        sums, F, _ = _partial_sums(group, points, cfg.precision_digits)
+        swept.update((job, (points, job_sums, F)) for job, job_sums in zip(group, sums))
     weights: _Weights = {}
     results = []
     for index, item in enumerate(items):
-        if item not in jobs:
-            results.append(OracleResult(mpf(0), mpf(0), 0))
-            continue
-        job = jobs[item]
         try:
-            results.append(_settle(job, points, swept[job], F, cfg, weights))
+            results.append(_settle(jobs[item], *swept[jobs[item]], cfg, weights))
         except ConfigTooSmallError as exc:
             exc.index = index
             raise

@@ -24,7 +24,7 @@ from apery_words.series import IndexTerm, Parity, Relation, SeriesSpec, SpecVali
 from apery_words.words import WordSum
 
 CORPUS_BITS = 140
-ORACLE_CFG = OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16)
+ORACLE_CFG = OracleConfig(precision_digits=16)
 
 
 def random_spec(rng: random.Random, max_depth: int = 3, max_weight: int = 5) -> SeriesSpec:

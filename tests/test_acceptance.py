@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Compiled values run at 140 bits (> 40 decimal digits); the oracle runs the
-fast summation config (outer cutoff 2e4, 8 extrapolation samples).
+Compiled values run at 140 bits (> 40 decimal digits); the oracle runs its
+default schedule at 16 digits (cutoff 125, 7 levels, 15 samples).
 """
 
 import time
@@ -20,7 +20,7 @@ from apery_words.words import is_convergent
 from conftest import CORPUS_BITS, ORACLE_CFG, gamma_tail_check
 
 BITS = 140
-TAIL_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
+TAIL_CFG = OracleConfig(precision_digits=15)
 
 
 def _compiled(text: str):

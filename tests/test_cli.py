@@ -37,6 +37,13 @@ def test_eval_both(capsys):
     assert float(out["deviation"]) < 1e-15
 
 
+def test_eval_default_flags(capsys):
+    # record a16: the oracle's default schedule at 25 digits settles it
+    assert cli_main(["eval", "S[2n+1^1 >= 2n^1 > 2n^1 > 0]", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert float(out["deviation"]) <= 1e-12
+
+
 def test_eval_compiled_only(capsys):
     assert cli_main(["eval", "S2[2n-1^2 > 2n^1 > 0]", "--method", "compiled", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

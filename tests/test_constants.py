@@ -59,7 +59,7 @@ def test_builtin_vs_word_switch():
 def test_harmonic_closed_form():
     # sum a_n^2 H_n / (2n-1) equals (8 log 2 - 4)/pi
     h = HarmonicSpec((1,), (), Parity.ODD_LOW, 1, 2)
-    cfg = OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16)
+    cfg = OracleConfig(precision_digits=16)
     direct = direct_harmonic_sum(h, cfg).value
     closed = eval_const("(8*log2 - 4)/pi", 160).real
     assert abs(direct - closed) < 1e-8

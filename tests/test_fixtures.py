@@ -4,8 +4,8 @@ import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from apery_words.fixtures import VERIFY_ORACLE, load_fixtures, render_report_table, verify_fixtures
-from apery_words.oracle import direct_harmonic_sum, direct_sum
+from apery_words.fixtures import ORACLE_DIGITS, load_fixtures, render_report_table, verify_fixtures
+from apery_words.oracle import OracleConfig, direct_harmonic_sum, direct_sum
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +57,14 @@ def test_report_oracle_matches_single_sums(report):
     # must print the same oracle value
     records = sorted(load_fixtures(), key=lambda r: r.id)
     assert [r["id"] for r in report["records"]] == [rec.id for rec in records]
+    cfg = OracleConfig(precision_digits=ORACLE_DIGITS)
     with workprec(140 + 16):
         for rec, entry in zip(records, report["records"]):
             if rec.series is not None:
-                value = direct_sum(rec.series, VERIFY_ORACLE).value
+                value = direct_sum(rec.series, cfg).value
             else:
                 value = mpf(0)
                 for part in rec.harmonic:
                     coef = mpf(part.coef.numerator) / part.coef.denominator
-                    value += direct_harmonic_sum(part.spec, VERIFY_ORACLE).value * coef
+                    value += direct_harmonic_sum(part.spec, cfg).value * coef
             assert entry["oracle"] == mpmath.nstr(value, 16), rec.id

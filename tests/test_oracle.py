@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from apery_words import oracle
-from apery_words.fixtures import VERIFY_ORACLE, load_fixtures
+from apery_words.fixtures import load_fixtures
 from apery_words.oracle import (
     ConfigTooSmallError,
     OracleConfig,
@@ -36,8 +36,8 @@ from apery_words.series import (
 
 from conftest import gamma_tail_check, random_spec
 
-FAST_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
-CFG = OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16)
+FAST_CFG = OracleConfig(precision_digits=15)
+CFG = OracleConfig(precision_digits=16)
 
 
 def test_central_ratio_small_values():
@@ -70,10 +70,29 @@ def test_direct_sum_squared_gamma():
     assert abs(res.value - 2 / mpmath.pi * (mpmath.pi / 2 - 1)) < 1e-5
 
 
-def test_direct_sum_empty_tail():
-    spec = parse_spec("S[2n^1 > 0]@tail=30000")
+@pytest.mark.parametrize("tail", [200, 30_000])
+def test_direct_sum_tail_beyond_the_cutoff(tail):
+    # the samples start at the first index, past the cutoff; the reference
+    # is log 2 less the terms up to the tail bound
+    cfg = OracleConfig(cutoff=125, precision_digits=16)
+    res = direct_sum(parse_spec(f"S[2n^1 > 0]@tail={tail}"), cfg)
+    with mpmath.workdps(40):
+        a, head = mpf(1), mpf(0)
+        for n in range(1, tail + 1):
+            a = a * (2 * n - 1) / (2 * n)
+            head += a / (2 * n)
+        want = mpmath.log(2) - head
+    assert abs(res.value - want) < 1e-12
+    assert res.terms_used == (tail + 1) * 2**cfg.extrapolation_levels + 1
+
+
+def test_slow_geometric_decay_settles():
+    # x^(2N) at 125 * 2^7 is still 0.04: the samples move out until it is
+    # below 10^-19, and the value matches a sweep from 20,000 on
+    spec = parse_spec("S[2n^1 > 2n+1^1 >= 0]@x=0.9999")
     res = direct_sum(spec, CFG)
-    assert res.value == 0 and res.error_estimate == 0 and res.terms_used == 0
+    ref = direct_sum(spec, OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16))
+    assert abs(res.value - ref.value) < 1e-12
 
 
 def test_config_too_small():
@@ -307,7 +326,7 @@ def test_sweep_matches_reference_on_random_specs():
     # cutoff 300 sweeps past several block boundaries; the variants add a
     # tail bound and a geometric argument
     rng = random.Random(20240817)
-    points = _checkpoints(OracleConfig(cutoff=300, extrapolation_levels=4, precision_digits=16))
+    points = _checkpoints(300, 4)
     assert points[-1] > 4 * _BLOCK
     for _ in range(40):
         spec = random_spec(rng)
@@ -423,7 +442,7 @@ def test_chained_quotients_match_reference():
 def test_batch_matches_single_on_fixture_jobs():
     items = _fixture_items()
     assert len(items) == 74
-    _assert_batch_matches_single(items, _checkpoints(OracleConfig(300, 4, 16)))
+    _assert_batch_matches_single(items, _checkpoints(300, 4))
 
 
 def test_batch_matches_single_on_random_specs_and_harmonic_shapes():
@@ -437,7 +456,7 @@ def test_batch_matches_single_on_random_specs_and_harmonic_shapes():
         items += [spec, replace(spec, tail_bound=tail), replace(spec, argument=Fraction(1, 2))]
     items += _harmonic_shapes()
     rng.shuffle(items)
-    _assert_batch_matches_single(items, _checkpoints(OracleConfig(300, 4, 16)))
+    _assert_batch_matches_single(items, _checkpoints(300, 4))
 
 
 @st.composite
@@ -491,12 +510,16 @@ def test_direct_sums_sweeps_equal_items_once(monkeypatch):
 
 
 def test_direct_sums_names_the_failing_item():
+    # without levels only a geometric tail settles: at x = 1/2 the sum is
+    # log(2 / (1 + sqrt(1 - x^2)))
     cfg = OracleConfig(cutoff=100, extrapolation_levels=0, precision_digits=30)
-    empty = parse_spec("S[2n^1 > 0]@tail=100")
+    settles = parse_spec("S[2n^1 > 0]@x=1/2")
     with pytest.raises(ConfigTooSmallError) as info:
-        direct_sums([empty, empty, parse_spec("S[2n^1 > 0]"), empty], cfg)
+        direct_sums([settles, settles, parse_spec("S[2n^1 > 0]"), settles], cfg)
     assert info.value.index == 2
-    assert [r.terms_used for r in direct_sums([empty], cfg)] == [0]
+    (res,) = direct_sums([settles], cfg)
+    assert abs(res.value - mpmath.log(2 / (1 + mpmath.sqrt(3) / 2))) < mpf(10) ** -25
+    assert res.terms_used == 101
 
 
 # The tail fit before the shared weights, verbatim but for its name: one pair
@@ -552,7 +575,7 @@ def test_fixed_point_fit_matches_lu_solve(levels):
     # 3 to 13 samples, as the schedules take, of synthetic tails
     # c + sum b N^(1-alpha-k) ln(N)^j: the shared weights' value and estimate
     # against the per-item mpmath LU fit
-    points = _checkpoints(OracleConfig(1_000, levels, 16))
+    points = _checkpoints(1_000, levels)
     assert len(points) == 2 * levels + 1
     rng = random.Random(levels)
     with mpmath.workdps(31):
@@ -600,9 +623,9 @@ def verify_batch():
                 fits.append(((points, values, alpha, log_degree), out))
                 return out
 
-            def recording_fit_weights(points, alpha, log_degree):
+            def recording_fit_weights(points, alpha, log_degree, weights):
                 solved.append((tuple(points), alpha, log_degree))
-                return fit_weights(points, alpha, log_degree)
+                return fit_weights(points, alpha, log_degree, weights)
 
             def recording_sweep(jobs, points, digits):
                 sweeps.append(len(jobs))
@@ -638,11 +661,16 @@ def test_shared_weights_match_per_item_fit(cfg, verify_batch):
 
 
 def test_verify_schedule_agrees_with_the_longer_sweep(verify_batch):
-    # 13 samples from 1,000 on against 9 from 10,000 on: the two agree within
-    # 4.4e-14 on the 74 items, and the shorter sweep's estimates stay below
-    # 6.1e-15
-    short, _, _, _ = verify_batch(VERIFY_ORACLE)
+    # the derived schedule, 15 (17) samples from 125 on at 16 (25) digits,
+    # against 9 samples from 10,000 on and 13 from 1,000 on: on the 74 items
+    # every estimate stays 10^3 under the 10^(-digits/2) budget, and at 16
+    # digits every value is within 1e-15 of the 13-sample sweep
     long, _, _, _ = verify_batch(_OLD_VERIFY)
-    for item, res, ref in zip(_fixture_items(), short, long):
-        assert res.error_estimate <= 1e-12, item
-        assert abs(res.value - ref.value) <= 1e-12, item
+    longer, _, _, _ = verify_batch(OracleConfig(1_000, 6, 16))
+    for digits in (16, 25):
+        short, _, _, _ = verify_batch(OracleConfig(precision_digits=digits))
+        for item, res, ref, ref6 in zip(_fixture_items(), short, long, longer):
+            assert res.error_estimate <= 1e-12, item
+            assert res.error_estimate <= mpf(10) ** (-3 - digits / 2), item
+            assert abs(res.value - ref.value) <= 1e-12, item
+            assert digits != 16 or abs(res.value - ref6.value) <= 1e-15, item

@@ -11,7 +11,7 @@ from apery_words.series import HarmonicSpec, Parity, expand_harmonic, parse_spec
 from apery_words.trig import predicted_weight_report
 from apery_words.words import words_to_json_dict
 
-CFG = OracleConfig(cutoff=20_000, extrapolation_levels=4, precision_digits=16)
+CFG = OracleConfig(precision_digits=16)
 
 
 def test_pipeline_equivalence_on_corpus(corpus_results):

@@ -21,7 +21,7 @@ from apery_words.series import (
     render,
 )
 
-FAST_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
+FAST_CFG = OracleConfig(precision_digits=15)
 
 
 def enumerate_specs(limit: int) -> list[SeriesSpec]:

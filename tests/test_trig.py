@@ -29,7 +29,7 @@ from apery_words.trig import (
 
 from conftest import random_spec
 
-FAST_CFG = OracleConfig(cutoff=5_000, extrapolation_levels=4, precision_digits=15)
+FAST_CFG = OracleConfig(precision_digits=15)
 
 
 def _oracle(spec, coef):
