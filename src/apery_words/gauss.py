@@ -55,6 +55,9 @@ class GaussRat:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a real value hashes as the equal int or Fraction does
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:

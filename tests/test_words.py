@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery_words.evaluate import eval_wordsum
+from apery_words.evaluate import _flip, eval_wordsum
+from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
+from apery_words.series import expand_harmonic
 from apery_words.trig import CompileError, TrigForm, compile_spec_to_trig
 from apery_words.words import (
     W0,
@@ -23,9 +27,11 @@ from apery_words.words import (
     cov,
     deconcatenations,
     is_convergent,
+    word_key,
 )
 
-from conftest import random_spec
+from conftest import build_corpus, random_spec
+from test_cli import _small_specs
 
 
 def _expr(words, constant=Fraction(0), pow2=0):
@@ -44,12 +50,13 @@ def test_cov_dt():
 
 
 def test_cov_even_weight_one():
+    # x1 cancels and leaves; the other words keep their first-seen order
     ws = cov(_expr({(TrigForm.CSC,): 1, (TrigForm.COT,): -1}))
-    assert ws.terms == {
-        (XM1,): GaussRat(-2),
-        (XMI,): GaussRat(1),
-        (XI,): GaussRat(1),
-    }
+    assert list(ws.terms.items()) == [
+        ((XM1,), GaussRat(-2)),
+        ((XMI,), GaussRat(1)),
+        ((XI,), GaussRat(1)),
+    ]
     assert abs(eval_wordsum(ws, 140).to_mpc() - mpmath.log(2)) < 1e-40
 
 
@@ -148,3 +155,81 @@ def test_nonconvergent_word_error():
     # a lone tan form would put dt/t at the 0-end after the substitution
     with pytest.raises(NonconvergentWordError):
         cov(_expr({(TrigForm.TAN,): 1}))
+
+
+# the change of variables as a product of GaussRat coefficients, step by step:
+# the plain reading of the substitution table, kept to check cov against
+_REFERENCE_COV = {
+    TrigForm.DT: ((GaussRat(0, 1), XMI), (GaussRat(0, -1), XI)),
+    TrigForm.COT: ((GaussRat(1), XMI), (GaussRat(1), XI), (GaussRat(-1), XM1), (GaussRat(-1), X1)),
+    TrigForm.CSC: ((GaussRat(1), XM1), (GaussRat(-1), X1)),
+    TrigForm.TAN: ((GaussRat(-1), W0), (GaussRat(-1), XMI), (GaussRat(-1), XI)),
+    TrigForm.SEC: ((GaussRat(-1), W0),),
+    TrigForm.SECCSC: ((GaussRat(-1), W0), (GaussRat(-1), XM1), (GaussRat(-1), X1)),
+}
+
+
+def _reference_cov(expr):
+    ws = WordSum(scalar=GaussRat(expr.scalar), scalar_pi=expr.scalar_pi, pi_scale=expr.pi_scale)
+    for tword, coef in expr.terms.items():
+        sign = -1 if len(tword) % 2 else 1
+        stack = [(GaussRat(coef * sign), ())]
+        for f in tword:
+            stack = [(c * fc, w + (atom,)) for c, w in stack for fc, atom in _REFERENCE_COV[f]]
+        for c, w in stack:
+            ws.add_term(tuple(reversed(w)), c)
+    return ws
+
+
+def _verify_specs():
+    specs = []
+    for rec in load_fixtures():
+        if rec.series is not None:
+            specs.append(rec.series)
+        for part in rec.harmonic or ():
+            specs += [s for _, s in expand_harmonic(part.spec)]
+    return specs
+
+
+def test_cov_matches_reference_expansion():
+    # same words, same coefficients and the same term order: eval_wordsum
+    # sums in term order, so the order reaches the last guard bits
+    exprs = [compile_spec_to_trig(s) for s in build_corpus(100) + _small_specs() + _verify_specs()]
+    # w0.x-1 and w0.x1 cancel after two trig words and come back, last, with
+    # the third; no compiled spec above moves a surviving word that way
+    exprs.append(_expr({(TrigForm.COT, TrigForm.TAN): 1, (TrigForm.COT, TrigForm.SEC): -1,
+                        (TrigForm.CSC, TrigForm.TAN): 2}))
+    for expr in exprs:
+        got, want = cov(expr), _reference_cov(expr)
+        assert list(got.terms.items()) == list(want.terms.items()), expr
+        assert (got.scalar, got.scalar_pi, got.pi_scale) == (
+            want.scalar, want.scalar_pi, want.pi_scale), expr
+
+
+def test_atom_pole_is_coerced():
+    # an Atom equal to a canonical one hashes and names the same
+    for atom in (Atom(1), Atom(Fraction(1))):
+        assert atom == X1 and hash(atom) == hash(X1)
+        assert atom_name(atom) == "x1"
+        assert isinstance(atom.pole, GaussRat)
+    assert Atom(0, -1) == W0 and atom_name(Atom(0, -1)) == "w0"
+    assert word_key((Atom(1), Atom(-1))) == word_key((X1, XM1)) == "x1.x-1"
+
+
+def test_gaussrat_hash_matches_equal_numbers():
+    for value in (0, 1, -3, Fraction(5, 7), Fraction(-1, 2)):
+        assert GaussRat(value) == value and hash(GaussRat(value)) == hash(value)
+    assert hash(GaussRat(1, 1)) == hash(GaussRat(Fraction(2, 2), 1))
+    assert {GaussRat(2): "a"}[2] == "a"
+
+
+def test_atom_hash_is_cached_and_survives_copies():
+    fresh = Atom(GaussRat(1), 1)
+    assert fresh is not X1
+    assert hash(fresh) == hash(X1) and atom_name(fresh) == atom_name(X1) == "x1"
+    for atom in (W0, X1, XM1, XI, XMI):
+        back = _flip(_flip(atom))
+        assert back == atom and hash(back) == hash(atom)
+        for twin in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+            assert twin == atom and hash(twin) == hash(atom)
+            assert atom_name(twin) == atom_name(atom)
