@@ -5,8 +5,11 @@ from itertools import product
 
 import mpmath
 import pytest
-from mpmath import mpf, workprec
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mpc, mpf, workprec
 
+from apery_words import evaluate
 from apery_words.evaluate import (
     BigComplex,
     DivergentWordError,
@@ -18,8 +21,11 @@ from apery_words.evaluate import (
     eval_wordsum,
     split_consistency,
 )
+from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
+from apery_words.pipeline import compile_harmonic, compile_spec
 from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, word_key
+from conftest import build_corpus
 
 POLE2 = Atom(GaussRat(2))
 # the atoms of the lower pieces of a word split at c, and their t -> 1-t images
@@ -258,3 +264,175 @@ def test_bigcomplex_invariants():
         BigComplex(mpf(1), mpf(0), 32)
     with pytest.raises(ValueError):
         BigComplex(mpf("inf"), mpf(0), 128)
+
+
+def _reference_eval_segment(sw, precision_bits, n_terms=None):
+    """Reference: one piece integrated from scratch, atom by atom, as the
+    segment kernel did before pieces shared the steps of their suffixes."""
+    radius = sw.segment_radius
+    for i, atom in enumerate(sw.atoms):
+        if atom.pole == GaussRat(0):
+            if i == len(sw.atoms) - 1:
+                raise DivergentWordError("dt/t-type atom at the position nearest 0")
+        elif atom.pole.norm2() < 1:
+            raise PoleTooCloseError(f"pole {atom.pole} inside the unit disk")
+    if n_terms is None:
+        n_terms = int(
+            math.ceil((precision_bits + 48) * math.log(2) / -math.log(float(radius)))
+        )
+    frac_bits = precision_bits + 24
+    sign = 1
+    re = [1 << frac_bits] + [0] * n_terms
+    im = [0] * (n_terms + 1)
+    for atom in reversed(sw.atoms):
+        if atom.pole == GaussRat(0):
+            sign = -sign * atom.sign
+            re = [0] + [c // m for m, c in enumerate(re[1:], 1)]
+            im = [0] + [c // m for m, c in enumerate(im[1:], 1)]
+            continue
+        sign *= atom.sign
+        u, v, e = evaluate._inverse(atom.pole)
+        new_re, new_im = [0], [0]
+        q_re = q_im = 0
+        for m in range(1, n_terms + 1):
+            p_re, p_im = re[m - 1] + q_re, im[m - 1] + q_im
+            q_re = (p_re * u - p_im * v) // e
+            q_im = (p_re * v + p_im * u) // e
+            new_re.append(q_re // m)
+            new_im.append(q_im // m)
+        re, im = new_re, new_im
+    num, den = radius.numerator, radius.denominator
+    total_re = total_im = 0
+    for c_re, c_im in zip(reversed(re), reversed(im)):
+        total_re = total_re * num // den + c_re
+        total_im = total_im * num // den + c_im
+    with workprec(frac_bits):
+        value = mpc(mpf((sign * total_re, -frac_bits)), mpf((sign * total_im, -frac_bits)))
+    return BigComplex.from_mpc(value, precision_bits)
+
+
+def _walk_pieces(pieces, radius, bits, n_terms=None):
+    root = evaluate._Node()
+    for atoms in pieces:
+        evaluate._add_piece(root, atoms)
+    return evaluate._walk(root, radius, bits, n_terms)
+
+
+def _assert_walk_matches_reference(pieces, radius, bits, n_terms=None):
+    values = _walk_pieces(pieces, radius, bits, n_terms)
+    assert set(values) == set(pieces)
+    for atoms, value in values.items():
+        ref = _reference_eval_segment(SegmentWord(atoms, radius), bits, n_terms)
+        assert (value.real, value.imag) == (ref.real, ref.imag), word_key(atoms)
+
+
+def _split_pieces(word_sums):
+    """Every nonempty piece of Chen's rule at 1/2 over the words of the sums."""
+    pieces = {}
+    for ws in word_sums:
+        for word in ws.terms:
+            for i in range(len(word) + 1):
+                upper = tuple(evaluate._flip(a) for a in reversed(word[:i]))
+                for atoms in (upper, word[i:]):
+                    if atoms:
+                        pieces[atoms] = None
+    return list(pieces)
+
+
+def test_walk_bit_identical_on_corpus_and_verify_pieces():
+    sums = [compile_spec(spec) for spec in build_corpus(5)]
+    for rec in load_fixtures():
+        if rec.series is not None:
+            sums.append(compile_spec(rec.series))
+        else:
+            sums += [compile_harmonic(part.spec) for part in rec.harmonic]
+    pieces = _split_pieces(sums)
+    assert len(pieces) > 1000
+    _assert_walk_matches_reference(pieces, Fraction(1, 2), 140)
+
+
+_LOWER_POLES = tuple(a.pole for a in LOWER)
+_UPPER_POLES = tuple(a.pole for a in UPPER)
+
+
+@st.composite
+def _piece_sets(draw):
+    poles = draw(st.sampled_from((_LOWER_POLES, _UPPER_POLES, _LOWER_POLES + _UPPER_POLES)))
+    atom = st.builds(Atom, st.sampled_from(poles), st.sampled_from((1, -1)))
+    piece = st.lists(atom, min_size=1, max_size=5).map(tuple).filter(lambda p: p[-1].pole != 0)
+    return draw(st.lists(piece, min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pieces=_piece_sets(),
+    radius=st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))),
+    bits=st.sampled_from((64, 140, 330)),
+    n_terms=st.one_of(st.none(), st.integers(1, 120)),
+)
+def test_walk_bit_identical_on_random_piece_sets(pieces, radius, bits, n_terms):
+    _assert_walk_matches_reference(pieces, radius, bits, n_terms)
+
+
+def test_eval_segment_is_the_walk_over_one_piece():
+    assert eval_segment(SegmentWord(()), 128).to_mpc() == 1
+    for atoms in ((XM1,), (W0, XMI), (XM1, XI, POLE2), (UPPER[0], UPPER[3], UPPER[2])):
+        for n_terms in (None, 17):
+            got = eval_segment(SegmentWord(atoms, Fraction(2, 3)), 140, n_terms)
+            ref = _reference_eval_segment(SegmentWord(atoms, Fraction(2, 3)), 140, n_terms)
+            assert (got.real, got.imag) == (ref.real, ref.imag)
+
+
+@pytest.mark.parametrize(
+    "word, error, message",
+    [
+        ((XM1, Atom(GaussRat(Fraction(1, 2)))), PoleTooCloseError, "pole 1/2 inside the unit disk"),
+        # only an upper piece, the flip of the first atom, is too close
+        ((Atom(GaussRat(Fraction(3, 2))), XI, XM1), PoleTooCloseError, "pole -1/2 inside the unit disk"),
+        # of two faults in one piece, the one nearer its first atom
+        ((XM1, Atom(GaussRat(Fraction(1, 2))), Atom(GaussRat(0), 1)), PoleTooCloseError,
+         "pole 1/2 inside the unit disk"),
+        ((XM1, Atom(GaussRat(0), 1)), DivergentWordError, "dt/t-type atom at the position nearest 0"),
+        ((XI, W0), DivergentWordError, "xi.w0"),
+    ],
+)
+def test_eval_wordsum_errors_leave_the_memo_unchanged(monkeypatch, word, error, message):
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    eval_word((XI, XM1), 140)
+    before = dict(evaluate._segment_memo)
+    # a good word that misses the memo comes first
+    ws = WordSum(terms={(XMI, XM1, XI): GaussRat(1), word: GaussRat(1)})
+    with pytest.raises(error) as info:
+        eval_wordsum(ws, 140)
+    assert str(info.value) == message
+    assert evaluate._segment_memo == before
+
+
+def test_warm_eval_wordsum_never_walks(monkeypatch, tmp_path):
+    ws = compile_spec(build_corpus(3)[2])
+    cache = ValueCache(tmp_path / "cache.jsonl")
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    cold = eval_wordsum(ws, 140, cache)
+
+    def no_walk(*args):
+        raise AssertionError("a warm cache reached the walk")
+
+    monkeypatch.setattr(evaluate, "_walk", no_walk)
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    warm = eval_wordsum(ws, 140, cache)
+    assert (warm.real, warm.imag) == (cold.real, cold.imag)
+    assert not evaluate._segment_memo
+
+
+def test_cold_eval_wordsum_writes_the_lines_of_eval_word(monkeypatch, tmp_path):
+    ws = compile_spec(build_corpus(3)[2])
+    assert len(ws.terms) > 5
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    eval_wordsum(ws, 140, ValueCache(tmp_path / "sum.jsonl"))
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    by_word = ValueCache(tmp_path / "words.jsonl")
+    for word in ws.terms:
+        eval_word(word, 140, by_word)
+    lines = (tmp_path / "sum.jsonl").read_bytes()
+    assert lines.count(b"\n") == sum(1 for w in ws.terms if w)
+    assert lines == (tmp_path / "words.jsonl").read_bytes()
