@@ -1,7 +1,7 @@
 """Apery-type central-binomial series, compiled to level-4 iterated-integral
 words and evaluated to arbitrary precision, with a direct-summation oracle."""
 
-from .oracle import OracleConfig, OracleResult, central_ratio, direct_sum
+from .oracle import OracleConfig, OracleResult, direct_sum
 from .pipeline import compile_spec
 from .series import HarmonicSpec, SeriesSpec, expand_harmonic, parse_spec, render
 
@@ -10,7 +10,6 @@ __all__ = [
     "OracleConfig",
     "OracleResult",
     "SeriesSpec",
-    "central_ratio",
     "compile_spec",
     "direct_sum",
     "expand_harmonic",

@@ -163,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "cutoff*2^(i/2), i = 0..2*levels (default 125)")
             p.add_argument("--levels", type=int,
                            help="oracle extrapolation levels: the sweep takes 2*levels+1 "
-                           "samples and ends at cutoff*2^levels; 0 fits nothing (default "
-                           "from the oracle's digits, --digits within 15..25, 16 for verify)")
+                           "samples and ends at cutoff*2^levels; 0 fits nothing (default: "
+                           "a cap from the oracle's digits, --digits within 15..25, 16 for "
+                           "verify, and each sum stops at the first level whose fit is "
+                           "within one unit in its last digit)")
         p.add_argument("--cache-path", default="./cmzv-cache.jsonl",
                        help="word-value cache file (env CMZV_CACHE overrides)")
 

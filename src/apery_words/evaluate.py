@@ -39,7 +39,8 @@ import functools
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,6 +229,7 @@ class ValueCache:
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._mem: dict[tuple[str, int], BigComplex] = {}
+        self._fh = None  # the append handle of an `appending` block
         if self.path is not None and os.path.exists(self.path):
             self._load()
 
@@ -263,8 +265,28 @@ class ValueCache:
             "re": mpmath.nstr(value.real, digits),
             "im": mpmath.nstr(value.imag, digits),
         }
+        line = json.dumps(rec, sort_keys=True) + "\n"
+        if self._fh is not None:
+            self._fh.write(line)
+            return
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(line)
+
+    @contextmanager
+    def appending(self) -> Iterator[None]:
+        """Let the puts inside the block share one append handle.
+
+        The handle is line-buffered, so each line still reaches the file in
+        one write, and it is closed however the block is left.
+        """
+        if self.path is None:
+            yield
+            return
+        with open(self.path, "a", encoding="utf-8", buffering=1) as self._fh:
+            try:
+                yield
+            finally:
+                self._fh = None
 
 
 # in-process memo for segment pieces; prefixes repeat heavily across words
@@ -283,7 +305,8 @@ def _eval_words(
     Each word's cache entry is looked up once.  The pieces of the words that
     miss and that the memo lacks go into one suffix trie per radius, and one
     walk of each trie fills the memo; then each missing word is summed over
-    its splittings and written to the cache, in the order of `words`.
+    its splittings, and the missing words are written to the cache in the
+    order of `words`, through one append handle.
     """
     values: dict[Word, BigComplex] = {}
     missing = []
@@ -313,7 +336,7 @@ def _eval_words(
     for radius, root in tries.items():
         for atoms, value in _walk(root, radius, precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
-    for word, key, splits in missing:
+    for word, _, splits in missing:
         with workprec(precision_bits + _GUARD_BITS):
             total = mpc(0)
             for upper, lower in splits:
@@ -321,8 +344,10 @@ def _eval_words(
                     lower, c, precision_bits
                 )
             values[word] = BigComplex.from_mpc(+total, precision_bits)
-        if cache is not None:
-            cache.put(key, precision_bits, values[word])
+    if cache is not None and missing:
+        with cache.appending():
+            for word, key, _ in missing:
+                cache.put(key, precision_bits, values[word])
     return values
 
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from apery_words.evaluate import BigComplex
-from apery_words.oracle import OracleConfig, direct_sum, direct_sums
+from apery_words.oracle import OracleConfig, _scale_bits, direct_sum, direct_sums
 
 # reference constants in the tests are compared at up to ~1e-45; keep the
 # ambient mpmath precision comfortably above that
@@ -60,6 +61,23 @@ def build_corpus(count: int, seed: int = 20240817) -> list[SeriesSpec]:
             seen.add(key)
             out.append(spec)
     return out
+
+
+def central_ratio(n: int, x: Fraction | float = Fraction(1), digits: int = 40):
+    """a_n(x) = binom(2n, n) x^(2n) / 4^n by the ratio recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x = Fraction(x)
+    F = _scale_bits(digits)
+    one = 1 << F
+    x2 = (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
+    a = one
+    for k in range(1, n + 1):
+        a = a * (2 * k - 1) // (2 * k)
+        if x2 != one:
+            a = (a * x2) >> F
+    with mpmath.workdps(digits + 15):
+        return mpmath.mpf(a) / mpmath.mpf(one)
 
 
 def gamma_tail_check(n: int, d: int, cfg: OracleConfig | None = None):

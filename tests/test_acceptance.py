@@ -12,12 +12,12 @@ from mpmath import mpf, workprec
 
 from apery_words.constants import eval_const
 from apery_words.evaluate import eval_wordsum
-from apery_words.oracle import OracleConfig, direct_harmonic_sum, direct_sum, central_ratio
+from apery_words.oracle import OracleConfig, direct_harmonic_sum, direct_sum
 from apery_words.pipeline import compile_harmonic, compile_spec
 from apery_words.series import HarmonicSpec, Parity, parse_spec
 from apery_words.words import is_convergent
 
-from conftest import CORPUS_BITS, ORACLE_CFG, gamma_tail_check
+from conftest import CORPUS_BITS, ORACLE_CFG, central_ratio, gamma_tail_check
 
 BITS = 140
 TAIL_CFG = OracleConfig(precision_digits=15)

@@ -436,3 +436,38 @@ def test_cold_eval_wordsum_writes_the_lines_of_eval_word(monkeypatch, tmp_path):
     lines = (tmp_path / "sum.jsonl").read_bytes()
     assert lines.count(b"\n") == sum(1 for w in ws.terms if w)
     assert lines == (tmp_path / "words.jsonl").read_bytes()
+
+
+def test_cold_eval_wordsum_opens_the_cache_once(monkeypatch, tmp_path):
+    # every missing word is put, and the lines go through one handle that is
+    # closed afterwards, also when a put fails; a warm call opens nothing
+    ws = compile_spec(build_corpus(3)[2])
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(evaluate, "open", recording_open, raising=False)
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    cache = ValueCache(tmp_path / "cache.jsonl")
+    puts = []
+    put = cache.put
+    cache.put = lambda *args: puts.append(args[0]) or put(*args)
+    eval_wordsum(ws, 140, cache)
+    assert len(opened) == 1 and opened[0].closed
+    assert puts == [word_key(w) for w in ws.terms if w]
+    opened.clear()
+    eval_wordsum(ws, 140, cache)
+    assert not opened
+
+    def failing_put(*args):
+        raise OSError("disk full")
+
+    failing = ValueCache(tmp_path / "failing.jsonl")
+    failing.put = failing_put
+    with pytest.raises(OSError):
+        eval_wordsum(ws, 140, failing)
+    assert len(opened) == 1 and opened[0].closed
+    assert failing._fh is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -19,7 +20,6 @@ from apery_words.oracle import (
     _job,
     _partial_sums,
     _scale_bits,
-    central_ratio,
     direct_harmonic_sum,
     direct_sum,
     direct_sums,
@@ -34,7 +34,7 @@ from apery_words.series import (
     parse_spec,
 )
 
-from conftest import gamma_tail_check, random_spec
+from conftest import central_ratio, gamma_tail_check, random_spec
 
 FAST_CFG = OracleConfig(precision_digits=15)
 CFG = OracleConfig(precision_digits=16)
@@ -74,7 +74,7 @@ def test_direct_sum_squared_gamma():
 def test_direct_sum_tail_beyond_the_cutoff(tail):
     # the samples start at the first index, past the cutoff; the reference
     # is log 2 less the terms up to the tail bound
-    cfg = OracleConfig(cutoff=125, precision_digits=16)
+    cfg = OracleConfig(cutoff=125, extrapolation_levels=7, precision_digits=16)
     res = direct_sum(parse_spec(f"S[2n^1 > 0]@tail={tail}"), cfg)
     with mpmath.workdps(40):
         a, head = mpf(1), mpf(0)
@@ -492,9 +492,9 @@ def test_direct_sums_sweeps_equal_items_once(monkeypatch):
     spec = parse_spec("S[2n+1^2 >= 0]")
     batches = []
 
-    def recording_sweep(jobs, points, digits):
+    def recording_sweep(jobs, points, digits, *args):
         batches.append(len(jobs))
-        return _partial_sums(jobs, points, digits)
+        return _partial_sums(jobs, points, digits, *args)
 
     monkeypatch.setattr(oracle, "_partial_sums", recording_sweep)
     # a single sum is a batch of one: one sweep of one job
@@ -627,9 +627,9 @@ def verify_batch():
                 solved.append((tuple(points), alpha, log_degree))
                 return fit_weights(points, alpha, log_degree, weights)
 
-            def recording_sweep(jobs, points, digits):
+            def recording_sweep(jobs, points, digits, *args):
                 sweeps.append(len(jobs))
-                return _partial_sums(jobs, points, digits)
+                return _partial_sums(jobs, points, digits, *args)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "_extrapolate", recording_extrapolate)
@@ -674,3 +674,99 @@ def test_verify_schedule_agrees_with_the_longer_sweep(verify_batch):
             assert res.error_estimate <= mpf(10) ** (-3 - digits / 2), item
             assert abs(res.value - ref.value) <= 1e-12, item
             assert digits != 16 or abs(res.value - ref6.value) <= 1e-15, item
+
+
+# Settling: with the levels left to the config, an item leaves the sweep at
+# the first 2L+1 samples whose fit meets one unit in the last digit.
+
+
+def _levels_of(res, cfg: OracleConfig) -> int:
+    # terms_used is the last sample + 1, cutoff * 2^L + 1 for these items
+    levels = (res.terms_used - 1).bit_length() - cfg.cutoff.bit_length()
+    assert res.terms_used == cfg.cutoff * 2**levels + 1
+    return levels
+
+
+def test_settled_items_match_the_sweep_to_their_level(verify_batch):
+    # an item that settles at L has the value, estimate and terms_used of an
+    # explicit L-level sweep; one that does not has those of the full cap
+    cfg = OracleConfig(precision_digits=16)
+    results, _, _, _ = verify_batch(cfg)
+    levels = [_levels_of(res, cfg) for res in results]
+    for level in sorted(set(levels)):
+        pairs = [(item, res) for item, res, at in zip(_fixture_items(), results, levels) if at == level]
+        explicit = direct_sums([item for item, _ in pairs], OracleConfig(cfg.cutoff, level, 16))
+        for (item, res), ref in zip(pairs, explicit):
+            assert (res.value, res.error_estimate, res.terms_used) == (
+                ref.value, ref.error_estimate, ref.terms_used
+            ), item
+            assert level == cfg.extrapolation_levels or res.error_estimate <= 1e-15, item
+
+
+def test_a_settled_item_is_the_same_alone_as_in_the_batch(verify_batch):
+    cfg = OracleConfig(precision_digits=16)
+    results, _, _, _ = verify_batch(cfg)
+    for item, res in zip(_fixture_items(), results):
+        (alone,) = direct_sums([item], cfg)
+        assert (alone.value, alone.error_estimate, alone.terms_used) == (
+            res.value, res.error_estimate, res.terms_used
+        ), item
+
+
+def test_verify_items_settle_below_the_cap(verify_batch):
+    # at 16 digits most items meet 1e-15 well before the 7th level, and the
+    # sweep indices fall with them
+    cfg = OracleConfig(precision_digits=16)
+    results, _, _, sweeps = verify_batch(cfg)
+    cap = cfg.cutoff * 2**cfg.extrapolation_levels + 1
+    early = [res for res in results if res.terms_used < cap]
+    assert early and all(res.error_estimate <= mpf(10) ** -15 for res in early)
+    assert len(early) > len(results) // 2
+    assert sweeps == [72]
+
+
+def test_retired_jobs_keep_a_prefix_of_the_full_sweep():
+    # jobs leave at assorted sample counts: each one's sums are the prefix of
+    # its full sweep, the others' stay whole, and the sweep stops at the
+    # last point a job still needed
+    items = _fixture_items() + _harmonic_shapes()
+    jobs = [_job(item) for item in items]
+    points = _checkpoints(300, 4)
+    full = _partial_sums(jobs, points, 16)[0]
+    for leave_at in (lambda j: 1 + j % len(points), lambda j: 1 + j % 3, lambda j: 2):
+        calls = []
+
+        def settled(running, sums):
+            calls.extend((j, len(sums[j])) for j in running)
+            return {j for j in running if len(sums[j]) >= leave_at(j)}
+
+        sums, _, swept = _partial_sums(jobs, points, 16, settled)
+        last = max(len(job_sums) for job_sums in sums)
+        assert swept == points[last - 1] + 1
+        for j, (job_sums, whole) in enumerate(zip(sums, full)):
+            assert len(job_sums) == min(leave_at(j), len(points)), items[j]
+            assert job_sums == whole[: len(job_sums)], items[j]
+        # every running job is passed once per point, and none after it left
+        assert sorted(calls) == sorted(
+            (j, count) for j in range(len(jobs)) for count in range(1, len(sums[j]) + 1)
+        )
+
+
+def _results_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        for v in (res.value, res.error_estimate):
+            sign, man, exp, _ = v._mpf_
+            h.update(f"{sign} {int(man)} {exp};".encode())
+        h.update(f"{res.terms_used}|".encode())
+    return h.hexdigest()
+
+
+def test_explicit_levels_never_settle(verify_batch):
+    # an explicit schedule sweeps every item to its last sample, and its
+    # values and estimates are bit for bit those before settling existed
+    results, _, _, _ = verify_batch(OracleConfig(1_000, 6, 16))
+    assert {res.terms_used for res in results} == {64_001}
+    assert _results_digest(results) == (
+        "daf527faeba2d7b373bba672a195d4f85d4078e468b03e02d4a1def10f8d388f"
+    )
