@@ -10,20 +10,14 @@ at 16 digits.
 
 `direct_sums` turns each item into a job once, sweeps the jobs of one first
 sample point in one batch and fits each item from its job; `direct_sum` and
-`direct_harmonic_sum` are batches of one.  Per block of indices the batch
-shares the a_n(x) column (one per distinct x, squared only if some item needs
-it) and a base column m*n + c per distinct index, not its powers: dividing by
-(m*n + c)^e takes e floor divisions by the base, exact as floor(floor(u/a)/b)
-= floor(u/(ab)) for b > 0 and the base at n = 0 is 1 or -1 (an index 0 reads
-as 1).  Chain levels form a trie keyed by the chain's start and its bottom-up
-prefix, so a level common to several chains is accumulated once.  Items start
-at different n (a tail bound, or the n = 0 term of a 2n+1 head); each reads a
-start mask of exact 1s and 0s at its bottom level, or at its head if it has
-no chain, which leaves every floor unchanged.  Items that differ only in
-their head form a group, which builds the product column (a^p * tops) >> F
-once per block, one group's column at a time; heads that share an index chain
-their quotients in ascending exponent, and equal items are swept once.  The
-scaled sums are bit-identical to a sweep of each item alone.
+`direct_harmonic_sum` are batches of one.  The sweep runs loops over
+k = 2n - 1 per segment of indices, generated by `sweep.compile_plan`, whose
+locals hold each distinct x's a_n(x), the running sum of each level of a
+trie of chain levels (a level common to several chains is accumulated once),
+and the product (a^p * tops) >> F of each group of items that differ only in
+their head with its heads' quotients; each loop covers the groups of at most
+about `_PLAN_JOBS` items.  Equal items are swept once, and the scaled sums
+are bit-identical to a sweep of each item alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
@@ -45,7 +39,8 @@ Practical Extrapolation Methods, 2003).  `direct_sums` solves for them once
 per such key in a dict local to the call, by elimination on integers scaled
 by 2^G, so each item costs two dot products.  The basis functions enter the
 elimination as integer rows built once per function and sample, which the
-fits over every prefix of one sample grid share.
+fits over every prefix of one sample grid share, as every key of the call
+shares the logarithms and basis values behind them.
 
 The sweep is resumable: after each sample it asks which running items have
 settled, and those leave it, with whatever only they read.  When the config
@@ -56,8 +51,7 @@ one unit in the last digit.  Its result is the one an explicit L-level
 schedule gives, and its terms_used is its own last sample + 1; an item that
 has not settled by the cap is swept and fitted in full.  Given levels are
 always swept in full.  The fits of one sample count share their weights and
-drop them before the sweep goes on; the basis rows stay for the next count,
-beside half-size blocks.
+drop them before the sweep goes on; the basis rows stay for the next count.
 """
 
 from __future__ import annotations
@@ -66,14 +60,14 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
-from operator import floordiv
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf, workdps
+from mpmath.libmp import from_int
 
 from .series import HarmonicSpec, Parity, Relation, SeriesSpec
+from .sweep import compile_plan
 
 
 class ConfigTooSmallError(ValueError):
@@ -189,14 +183,11 @@ def _job(item: SeriesSpec | HarmonicSpec) -> _Job:
     return _Job(head, (chain,) if chain else (), start, item.binom_power, item.argument)
 
 
-# indices per block: long enough to spread each level's per-block set-up,
-# short enough that the block's columns stay small (about 0.1 MiB at 16
-# digits and depth 3; 1024 took 0.4 MiB and was no faster).  A settling
-# sweep takes half blocks: its fits' basis rows stay alive beside each
-# block's columns, which at 256 took the verify batch's traced peak past
-# that of the full sweep; the full sweep itself at 128 was about 1% slower
-# on the benchmark's corpus workload, with 0.1 MiB more peak RSS
-_BLOCK = 256
+# jobs per compiled plan: compiling takes about 4 KiB per generated line
+# while it runs, which on a batch of 72 verify jobs in one plan raised the
+# process's peak memory; plans apart repeat only their a_n(x) steps and the
+# trie nodes they share, which cost no measurable time on that batch
+_PLAN_JOBS = 16
 
 
 def _partial_sums(
@@ -210,37 +201,29 @@ def _partial_sums(
     Returns (per job, its partial sums scaled by 2^F at each of the
     ascending `points` N that it reached; F = _scale_bits(digits); the
     indices swept, the last point reached + 1).  The batch runs over n once,
-    from its smallest start, in blocks of at most _BLOCK indices (half as
-    many when it settles jobs).  Per block it builds each a_n(x) column (and
-    its square) once per distinct x, and each base column m*n + c once, an
-    index 0 (only at n = 0) read as 1.  A
-    division by (m*n + c)^e is e floor divisions by the base with the same
-    quotient: floor(floor(u/a)/b) = floor(u/(ab)) for b > 0, and at n = 0
-    the base is 1 or -1, by which every floor is exact.
-    Chain levels form a trie: a node is a start and a bottom-up prefix of
-    levels, shared by every chain that begins with it.  A node's increments
-    over the block are one list (the column it reads from its parent,
-    divided by its index power), their running sums (seeded with the node's
-    value before the block) are its values, and a child reads them shifted
-    by one index when the link between them is strict.  A root reads 1 from
-    its start on and 0 before, as does the head of a job without chains;
-    since 0 // d = 0 and (u * 2^F) >> F = u, the masks leave every floor
-    unchanged.  Jobs that differ only in their head form a group and share
-    the product column (a^p * tops) >> F, built once per block; its heads
-    divide it in ascending order, each going on from the quotient column of
-    the head before it with the same (m, c).  Every floor and sum is the one
-    the index-by-index recurrence takes, so the scaled sums depend neither on
-    the blocking nor on the rest of the batch.
+    from 0 if a job starts there and from 1 otherwise, in segments that end
+    at each point, at each job start and after n = 0.  Each segment runs the
+    loops that `sweep.compile_plan` compiles for the jobs that have started
+    and still run, one per run of groups with at least _PLAN_JOBS jobs (the
+    last with fewer), compiled anew only when that set changes; the plans of
+    one set alone are alive.  The state between segments is the last a_n(x)
+    of every x a running job reads (stepped from the first index on, also
+    before that job starts, by the first plan), each trie node's value and
+    each job's total.  Plans that share an x or a node each advance their
+    copy alike.  A trie node is a start and a bottom-up prefix of chain
+    levels, shared by every chain that begins with it.  Dividing by
+    (m*n + c)^e takes e floor divisions by the base, exact as
+    floor(floor(u/a)/b) = floor(u/(ab)) for b > 0 and the base at n = 0 is
+    1 or -1.  Every floor and sum is the one the index-by-index
+    recurrence takes, so the scaled sums depend neither on the segments nor
+    on the rest of the batch.
     With `settled`, the sweep calls settled(running, sums) after each point,
     with the positions of the jobs still running and every job's sums so
     far, and the jobs at the positions it returns leave: their sums end at
-    that point, and a trie node, a_n column, base or product column that no
-    running job reads is no longer built.  The sweep ends early once no job
-    runs.
+    that point, and the next plans read nothing that only they read.  The
+    sweep ends early once no job runs.
     """
     F = _scale_bits(digits)
-    one = 1 << F
-    n0 = min(job.start for job in jobs)
     # node -> its position; a parent enters before its children
     index: dict[tuple[int, tuple[_Level, ...]], int] = {}
     for job in jobs:
@@ -249,128 +232,73 @@ def _partial_sums(
                 index.setdefault((job.start, chain[:i]), len(index))
     # per node: its parent's position (-1 at a root), its start and level
     nodes = [(index.get((start, prefix[:-1]), -1), start, prefix[-1]) for start, prefix in index]
-    values = [0] * len(nodes)  # each node's value before the block
-
-    def a_column(a: int, x2: int | None, lo: int, hi: int) -> list[int]:
-        # a_lo(x), ..., a_(hi-1)(x) from a = a_(lo-1)(x), lo >= 1; x2 is None for x = 1
-        col = []
-        if x2 is None:
-            for k in range(2 * lo - 1, 2 * hi - 1, 2):
-                a = a * k // (k + 1)
-                col.append(a)
-        else:
-            for k in range(2 * lo - 1, 2 * hi - 1, 2):
-                a = (a * k // (k + 1) * x2) >> F
-                col.append(a)
-        return col
-
-    # per x: [x^2 scaled by 2^F (None for 1), the last a_n(x)]
     xs = list(dict.fromkeys(job.x for job in jobs))
-    a_at = []
-    for x in xs:
-        x2 = None if x == 1 else (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
-        a = one  # a_0 = 1
-        for lo in range(1, n0, _BLOCK):
-            a = a_column(a, x2, lo, min(lo + _BLOCK, n0))[-1]
-        a_at.append([x2, a])
+    x2 = [None if x == 1 else (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
+          for x in xs]
+    x_at = [xs.index(job.x) for job in jobs]
     # (x's position, binomial power - 1, start, its chain tops' nodes) ->
     # [(head, job position)] by head, so heads that share (m, c) ascend in q
     groups: dict[tuple, list[tuple[tuple[int, int, int], int]]] = {}
     for j, job in sorted(enumerate(jobs), key=lambda item: item[1].head):
-        key = (xs.index(job.x), job.binom_power - 1, job.start,
+        key = (x_at[j], job.binom_power - 1, job.start,
                tuple(index[job.start, chain] for chain in job.chains))
         groups.setdefault(key, []).append((job.head, j))
-
-    def reads() -> tuple[list[int], dict[int, bool], set[tuple[int, int]]]:
-        # what the groups read: their trie nodes and those nodes' ancestors
-        # in trie order, each x (whether squared) and the bases
-        used: set[int] = set()
-        for _, _, _, chain_nodes in groups:
-            for node in chain_nodes:
-                while node >= 0 and node not in used:
-                    used.add(node)
-                    node = nodes[node][0]
-        squared: dict[int, bool] = {}
-        for xi, p, _, _ in groups:
-            squared[xi] = squared.get(xi, False) or p == 1
-        live = sorted(used)
-        bases = {head[:2] for members in groups.values() for head, _ in members}
-        return live, squared, bases | {nodes[i][2][:2] for i in live}
-
-    live, squared, bases = reads()
-    totals = [0] * len(jobs)
-
-    def block(lo: int, hi: int) -> None:
-        # add indices lo..hi-1 to the running totals; the columns die on return
-        a_cols = {}
-        for xi, square in squared.items():
-            state = a_at[xi]
-            col = ([one] if lo == 0 else []) + a_column(state[1], state[0], max(lo, 1), hi)
-            state[1] = col[-1]
-            a_cols[xi] = (col, [(u * u) >> F for u in col] if square else None)
-        # only n = 0 meets an index 0 (2n or n), and validate() leaves
-        # nothing there to divide
-        base = {(m, c): [m * lo + c or 1, *range(m * (lo + 1) + c, m * hi + c, m)]
-                for m, c in bases}
-        tops: list[list[int]] = [[]] * len(nodes)
-        for i in live:
-            parent, start, (m, c, e, weak) = nodes[i]
-            if parent >= 0:
-                t = tops[parent]
-            elif start <= lo:
-                t = [one] * (hi - lo)
-            else:
-                t = [one if n >= start else 0 for n in range(lo, hi)]
-            for _ in range(e):
-                t = list(map(floordiv, t, base[m, c]))
-            col = list(accumulate(t, initial=values[i]))
-            values[i] = col[-1]
-            tops[i] = col[1:] if weak else col[:-1]
-        # one group's product column lives at a time
-        for (xi, p, start, chain_nodes), members in groups.items():
-            w = a_cols[xi][p]
-            if not chain_nodes and start > lo:
-                w = [u if n >= start else 0 for u, n in zip(w, range(lo, hi))]
-            # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0;
-            # at n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
-            for node in chain_nodes:
-                w = [(u * v) >> F for u, v in zip(w, tops[node])]
-            quots = {}  # (m, c) -> its last head's q and quotient column
-            for (m, c, q), j in members:
-                q_done, quot = quots.get((m, c), (0, w))
-                for _ in range(q - q_done):
-                    quot = list(map(floordiv, quot, base[m, c]))
-                quots[m, c] = q, quot
-                totals[j] += sum(quot)
-
+    # the state between segments by its names in the plans, a_0 = 1
+    state = dict.fromkeys([f"a{i}" for i in range(len(xs))], 1 << F)
+    state.update(dict.fromkeys([f"v{i}" for i in range(len(nodes))], 0))
+    state.update(dict.fromkeys([f"t{j}" for j in range(len(jobs))], 0))
     sums: list[list[int]] = [[] for _ in jobs]
     running = list(range(len(jobs)))
+    # besides the points, a segment ends at each start and after n = 0; the
+    # sweep begins at 0 only if a job starts there
+    cuts = sorted({job.start for job in jobs} | {1})
+    n = cuts[0]
+    plans, plan_key = [], None
     reached = 0
-    size = _BLOCK if settled is None else _BLOCK // 2
     for point in points:
-        while n0 <= point:
-            lo, n0 = n0, min(n0 + size, point + 1)
-            block(lo, n0)
+        while n <= point:
+            hi = min([point + 1] + [cut for cut in cuts if cut > n])
+            live = {j for j in running if jobs[j].start <= n}
+            key = (n == 0, tuple(running), tuple(sorted(live)))
+            if key != plan_key:
+                plans = []  # gone before the next ones are compiled
+                # groups in trie order, so that a plan shares most of its nodes
+                chunks: list[list] = [[]]
+                for (xi, p, _, chain_nodes), members in sorted(groups.items(), key=lambda g: g[0][3]):
+                    members = [member for member in members if member[1] in live]
+                    if members and sum(len(group[3]) for group in chunks[-1]) >= _PLAN_JOBS:
+                        chunks.append([])
+                    if members:
+                        chunks[-1].append((xi, p, chain_nodes, members))
+                # the first plan also steps the x that only jobs yet to start read
+                x_read = [{xi for xi, *_ in chunk} for chunk in chunks]
+                x_read[0] |= {x_at[j] for j in running}
+                for chunk, xis in zip(chunks, x_read):
+                    x = {xi: x2[xi] for xi in sorted(xis)}
+                    plans.append(compile_plan(F, x, nodes, chunk, n == 0))
+                plan_key = key
+            # every plan reads the state before any writes it back: the a_n(x)
+            # and trie nodes that two plans share advance alike in both
+            outs = [plan(n, hi, *map(state.__getitem__, names)) for plan, names in plans]
+            for (_, names), out in zip(plans, outs):
+                state.update((name, out[name]) for name in names)
+            n = hi
         reached = point + 1
         for j in running:
-            sums[j].append(totals[j])
+            sums[j].append(state[f"t{j}"])
         if settled is not None:
             done = settled(running, sums)
-            if done:
-                running = [j for j in running if j not in done]
-                for key in list(groups):
-                    groups[key] = [member for member in groups[key] if member[1] not in done]
-                    if not groups[key]:
-                        del groups[key]
-                live, squared, bases = reads()
+            running = [j for j in running if j not in done]
         if not running:
             break
     return sums, F, reached
 
 
 # one dict per direct_sums call: (sample points, alpha, log degree) ->
-# (w, w', G), and (exponent, log power, N_o) -> {N: that basis function at N
-# over its value at N_o, an integer scaled by 2^G}
+# (w, w', G), w and w' as exact mpf; (exponent, log power, N_o) -> {N: that
+# basis function at N over its value at N_o, an integer scaled by 2^G};
+# ("log",) -> {N: ln(N)} and ("phi",) -> {(exponent, log power, N): the
+# basis function at N}, both mpf at the fits' working precision
 _Weights = dict[tuple, tuple | dict]
 
 
@@ -383,13 +311,14 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _
     functions beside the constant are one fewer than the samples, at least
     2; w' is the same fit with two fewer over the last samples, zero on the
     first two.  Both are integers scaled by 2^G, G the working precision in
-    bits, which keeps them in a third of the memory of mpf values.  The rows
-    of M^T are the basis functions over the samples a solve uses, scaled to
-    1 at the first of them (the first sample for w, the third for w'): each
-    entry phi(N) / phi(N_o), an mpf quotient at G bits truncated to 2^-G, is
-    worked out once per call and kept in `weights` as an integer per
-    (function, N_o, N).  So the fits over every prefix of one sample grid,
-    and every key whose basis holds the function, share it.  The solve is
+    bits, returned as exact mpf so that each dot product reads them as they
+    are.  The rows of M^T are the basis functions over the samples a solve
+    uses, scaled to 1 at the first of them (the first sample for w, the
+    third for w'): each entry phi(N) / phi(N_o), an mpf quotient at G bits
+    truncated to 2^-G, is worked out once per call and kept in `weights` as
+    an integer per (function, N_o, N), beside the ln(N) and phi(N) it is
+    made from.  So the fits over every prefix of one sample grid, and every
+    key whose basis holds the function, share them.  The solve is
     elimination with partial pivoting on those integers and
     back-substitution, each multiplier (at most 1 by the pivoting), product
     and quotient floored to 2^-G.  A singular basis (alpha = 1) meets a zero
@@ -406,8 +335,8 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _
         k += 1
     with mpmath.extradps(25):
         bits = mpmath.mp.prec
-        logs: dict[int, mpf] = {}
-        phis: dict[tuple[Fraction, int, int], mpf] = {}
+        logs: dict[int, mpf] = weights.setdefault(("log",), {})
+        phis: dict[tuple[Fraction, int, int], mpf] = weights.setdefault(("phi",), {})
 
         def phi(expo: Fraction, j: int, big_n: int) -> mpf:
             if (expo, j, big_n) not in phis:
@@ -443,7 +372,15 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _
                 w[i] = ((rows[i][m + 1] - rest) << bits) // rows[i][i]
             return [0] * offset + w
 
-        return solve(levels), solve(levels - 2), bits
+        def exact(w: list[int]) -> list[mpf]:
+            return [mpmath.mp.make_mpf(from_int(u)) for u in w]
+
+        fit, fit_prev = exact(solve(levels)), exact(solve(levels - 2))
+        # a later entry reads phi again only at the first sample of its row,
+        # the first or third of these points
+        for key in [key for key in phis if key[2] not in points[:3:2]]:
+            del phis[key]
+        return fit, fit_prev, bits
 
 
 def _extrapolate(

@@ -1,8 +1,13 @@
 import hashlib
+import io
+import keyword
 import random
 import re
+import tokenize
+import weakref
 from dataclasses import replace
 from fractions import Fraction
+from types import CodeType
 
 import mpmath
 import pytest
@@ -10,12 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from apery_words import oracle
+from apery_words import oracle, sweep
 from apery_words.fixtures import load_fixtures
 from apery_words.oracle import (
     ConfigTooSmallError,
     OracleConfig,
-    _BLOCK,
     _checkpoints,
     _job,
     _partial_sums,
@@ -35,6 +39,9 @@ from apery_words.series import (
 )
 
 from conftest import central_ratio, gamma_tail_check, random_spec
+
+# the block length of an earlier kernel, kept as the spacing of some points
+_BLOCK = 256
 
 FAST_CFG = OracleConfig(precision_digits=15)
 CFG = OracleConfig(precision_digits=16)
@@ -770,3 +777,63 @@ def test_explicit_levels_never_settle(verify_batch):
     assert _results_digest(results) == (
         "daf527faeba2d7b373bba672a195d4f85d4078e468b03e02d4a1def10f8d388f"
     )
+
+
+def test_batch_steps_every_x_from_its_first_index():
+    # an x = 1 job from n = 1, an x = 1/2 job from n = 6, whose a_n(1/2) must
+    # step from the batch's first index on and not from its own start, and a
+    # 2n+1 head without weights from n = 0; the points fall on both sides of
+    # every start
+    plain = parse_spec("S[2n^1 > 0]")
+    geometric = replace(parse_spec("S[2n-1^1 > 2n^1 > 0]@x=1/2"), tail_bound=5)
+    head = HarmonicSpec((), (), Parity.ODD_HIGH, 2, 1)
+    items = [plain, geometric, head]
+    assert [_job(item).start for item in items] == [1, 6, 0]
+    points = [0, 1, 3, 5, 6, 7, 40, 300]
+    F = _scale_bits(16)
+    batch = _partial_sums([_job(item) for item in items], points, 16)[0]
+    assert batch[0] == _reference_partial_sums(plain, points, F)
+    assert batch[1] == _reference_partial_sums(geometric, points, F)
+    assert batch[2] == _reference_harmonic_sums(head, points, F)
+    _assert_batch_matches_single(items, points)
+
+
+_PLAN_NAME = re.compile(r"[abcuvt]\d+|[wqk]|lo|hi|plan|range|locals")
+
+
+def test_plans_are_compiled_per_live_set(monkeypatch):
+    sources, plans, alive = [], [], []
+
+    def recording_compile(source, filename, mode):
+        # how many plans compiled before this one are still alive
+        alive.append(sum(plan() is not None for plan in plans))
+        code = compile(source, filename, mode)
+        sources.append(source)
+        plans.extend(weakref.ref(const) for const in code.co_consts if isinstance(const, CodeType))
+        return code
+
+    monkeypatch.setattr(sweep, "compile", recording_compile, raising=False)
+    # the settling verify batch has seven live sets (n = 0, every job from
+    # n = 1 on, and after each of the five sample counts at which items
+    # leave), each compiled in plans of about _PLAN_JOBS jobs; only the
+    # plans of the set being compiled are alive beside the new one
+    items = _fixture_items()
+    direct_sums(items, CFG)
+    assert len(sources) == 20
+    assert max(alive) < -(-len(set(map(_job, items))) // oracle._PLAN_JOBS)
+    # a one-job explicit sweep compiles one plan, and one more for n = 0,
+    # one at a time
+    alive.clear()
+    direct_sum(parse_spec("S[2n-1^2 > 2n+1^1 > 0]"), OracleConfig(1_000, 2, 16))
+    assert len(sources) == 21
+    direct_sum(parse_spec("S[2n+1^2 >= 0]"), OracleConfig(1_000, 2, 16))
+    assert len(sources) == 23
+    assert alive == [0, 0, 0]
+    assert all(plan() is None for plan in plans)
+    for source in sources:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert token.type != tokenize.STRING, source
+            if token.type == tokenize.NAME:
+                assert keyword.iskeyword(token.string) or _PLAN_NAME.fullmatch(token.string), token
+            if token.type == tokenize.NUMBER:
+                assert token.string.isdigit(), token
