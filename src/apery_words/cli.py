@@ -43,11 +43,26 @@ def _cache(args) -> ValueCache:
     return ValueCache(path)
 
 
+def _direct_digits(res, digits: int) -> int:
+    """The significant digits of a direct sum that its estimate supports.
+
+    At most `digits`, and at most as many as leave the error estimate within
+    one unit in the last digit printed, the rule by which the oracle settles.
+    """
+    if not (res.value and res.error_estimate):
+        return digits
+    lead = int(mpmath.floor(mpmath.log10(abs(res.value))))
+    last = int(mpmath.ceil(mpmath.log10(res.error_estimate)))
+    return max(1, min(digits, lead - last + 1))
+
+
 def _evaluate(args, item, compile_item, out: dict):
     """The compiled / direct / both flow shared by eval and harmonic.
 
     Adds "compiled", "direct" and "deviation" to `out` as --method asks and
     returns the compiled value and the oracle result (None where skipped).
+    "direct" carries only the digits the oracle supports; "deviation" is
+    taken between the unrounded values.
     """
     digits = args.digits
     cache = _cache(args)
@@ -59,10 +74,10 @@ def _evaluate(args, item, compile_item, out: dict):
         if args.method in ("direct", "both"):
             cfg = OracleConfig(args.cutoff, args.levels, max(15, min(digits, 25)))
             res = direct_sums([item], cfg)[0]
-            out["direct"] = mpmath.nstr(res.value, digits)
+            shown = _direct_digits(res, min(digits, cfg.precision_digits))
+            out["direct"] = mpmath.nstr(res.value, shown)
         if args.method == "both":
-            dev = abs(mpmath.mpf(out["compiled"]) - mpmath.mpf(out["direct"]))
-            out["deviation"] = mpmath.nstr(dev, 3)
+            out["deviation"] = mpmath.nstr(abs(value.real - res.value), 3)
     return value, res
 
 

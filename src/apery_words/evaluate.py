@@ -27,10 +27,24 @@ All poles keep distance >= 1 from the origin (or sit at 0 with the dt/t
 form), so the series converge geometrically at rate c/|b| <= c.
 
 Every pole met is a Gaussian rational (the level-4 poles 0, +-1, +-i and
-their t -> 1-t images 1, 2, 1-+i), so the series kernel runs in fixed
-point on Gaussian integers: coefficients are pairs of Python ints scaled by
-2^(bits + guard), 1/b enters as an exact integer triple, and only the
-segment's value is converted to mpmath.
+their t -> 1-t images 1, 2, 1-+i), so the whole chain runs on Gaussian
+integers, with F = precision_bits + _GUARD_BITS:
+
+- the walk's coefficients are pairs of Python ints scaled by 2^F, 1/b
+  enters as an exact integer triple, and the memo keeps each piece's value
+  as the pair (re, im) at 2^-F that the walk leaves;
+- a word's value is its split sum of upper times lower piece, summed
+  exactly at 2^-2F and rounded once: each part to F significant bits, to
+  nearest with ties to even, which is the value an mpf of F bits holds.
+  It is kept as (re, im, exp), (re + im*i) * 2^exp, and the cache stores
+  and parses exactly that value;
+- a word sum puts its Gaussian-rational coefficients over one common
+  denominator, sums coefficient times value exactly over the smallest
+  exponent, and divides by the denominator once, rounding to F bits.  The
+  same loop counts the bits lost to cancellation.
+
+Values reach mpmath only at the end of `eval_wordsum`, `eval_word`,
+`split_consistency` and `eval_segment`, which return them as BigComplex.
 """
 
 from __future__ import annotations
@@ -46,12 +60,17 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, from_str, fzero, round_nearest, to_str
 
 from .gauss import GaussRat
 from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
 
 _MIN_BITS = 64
 _GUARD_BITS = 24
+
+# a word value (re, im, exp): (re + im*i) * 2^exp, each part rounded to
+# F = precision_bits + _GUARD_BITS significant bits
+Value = tuple[int, int, int]
 
 
 class DivergentWordError(ValueError):
@@ -64,11 +83,16 @@ class PoleTooCloseError(ValueError):
 
 @dataclass
 class BigComplex:
-    """Arbitrary-precision complex value tagged with its working precision."""
+    """Arbitrary-precision complex value tagged with its working precision.
+
+    `bits_lost` is what `eval_wordsum` counted as lost to cancellation in
+    its sum of coefficient times word value (0 for any other value).
+    """
 
     real: mpf
     imag: mpf
     precision_bits: int
+    bits_lost: float = 0.0
 
     def __post_init__(self):
         if self.precision_bits < _MIN_BITS:
@@ -84,6 +108,72 @@ class BigComplex:
     @classmethod
     def from_mpc(cls, value: mpc, precision_bits: int) -> "BigComplex":
         return cls(value.real, value.imag, precision_bits)
+
+
+def _round(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
+    """(man, e) with man * 2^e = (num / den) * 2^exp, den > 0, rounded to
+    `bits` significant bits, to nearest with ties to even, as mpmath rounds."""
+    mag = abs(num)
+    if not num or den == 1 and mag.bit_length() <= bits:
+        return num, exp
+    # a quotient of bits + 1 or bits + 2 bits, and whether a remainder is left
+    shift = bits + 1 - mag.bit_length() + den.bit_length()
+    if shift >= 0:
+        quot, rem = divmod(mag << shift, den)
+    else:
+        quot, rem = divmod(mag, den << -shift)
+    drop = quot.bit_length() - bits
+    low = quot & ((1 << drop) - 1)
+    quot >>= drop
+    half = 1 << (drop - 1)
+    if low > half or (low == half and (rem or quot & 1)):
+        quot += 1
+    return (quot if num > 0 else -quot), exp - shift + drop
+
+
+def _join(re: tuple[int, int], im: tuple[int, int]) -> Value:
+    """One value from its two parts (man, e), over the smaller exponent of
+    the nonzero parts."""
+    (a, e_a), (b, e_b) = re, im
+    if not b:
+        return a, 0, e_a
+    if not a:
+        return 0, b, e_b
+    e = min(e_a, e_b)
+    return a << (e_a - e), b << (e_b - e), e
+
+
+def _parse(text: str, bits: int) -> tuple[int, int]:
+    """A decimal literal rounded to `bits` bits to nearest, as (man, e).
+
+    This is the value of mpmath's from_str(text, bits, round_nearest), which
+    the cache read before; the literals that `put` writes skip its string
+    handling.  Anything else goes through from_str itself, and a
+    non-finite value raises ValueError.
+    """
+    if not isinstance(text, str):
+        raise TypeError("a cached value is a decimal string")
+    try:
+        float(text)  # the syntax check of from_str
+        head, _, tail = text.partition("e")
+        whole, _, frac = head.partition(".")
+        man = int(whole + frac)
+        exp10 = (int(tail) if tail else 0) - len(frac)
+    except ValueError:
+        sign, man, exp, _ = raw = from_str(text, bits, round_nearest)
+        if not man and raw != fzero:
+            raise ValueError(f"{text!r} is not finite") from None
+        return -man if sign else man, exp
+    if exp10 >= 0:
+        return _round(man * 10**exp10, 1, 0, bits)
+    return _round(man, 10**-exp10, 0, bits)
+
+
+def _to_big(value: Value, precision_bits: int) -> BigComplex:
+    re, im, exp = value
+    return BigComplex(
+        mp.make_mpf(from_man_exp(re, exp)), mp.make_mpf(from_man_exp(im, exp)), precision_bits
+    )
 
 
 @dataclass(frozen=True)
@@ -150,7 +240,7 @@ def _add_piece(root: _Node, atoms: tuple[Atom, ...]) -> None:
 
 def _walk(
     root: _Node, radius: Fraction, precision_bits: int, n_terms: int | None = None
-) -> dict[tuple[Atom, ...], mpc]:
+) -> dict[tuple[Atom, ...], tuple[int, int]]:
     """Integrate every piece of a suffix trie over radius > t_1 > ... > t_k > 0.
 
     A depth-first walk: each node takes one atom step on its parent's
@@ -165,8 +255,8 @@ def _walk(
     division by m + 1 shrinks it), and the Horner step at radius r weights
     coefficient errors by r^m.  For k atoms the result is within
     sqrt(2) * (2k + 1) / (1 - r) ulps of the truncated series: under 2^6
-    ulps for k <= 6 at r <= 2/3, far inside the guard.  Values are mpc at
-    F bits.
+    ulps for k <= 6 at r <= 2/3, far inside the guard.  A piece's value is
+    the pair of Horner sums (re, im), to be read at 2^-F, unrounded.
     """
     if n_terms is None:
         n_terms = int(
@@ -182,10 +272,7 @@ def _walk(
             for c_re, c_im in zip(reversed(re), reversed(im)):
                 total_re = total_re * num // den + c_re
                 total_im = total_im * num // den + c_im
-            with workprec(frac_bits):
-                values[node.piece] = mpc(
-                    mpf((sign * total_re, -frac_bits)), mpf((sign * total_im, -frac_bits))
-                )
+            values[node.piece] = (sign * total_re, sign * total_im)
         # the word is linear in each atom's sign, so the signs multiply out and
         # every step integrates dt/(b - t) or, for b = 0, dt/t = -dt/(0 - t)
         for atom, child in node.children.items():
@@ -212,23 +299,29 @@ def _walk(
 
 def eval_segment(sw: SegmentWord, precision_bits: int, n_terms: int | None = None) -> BigComplex:
     """Integrate the word over c > t_1 > ... > t_k > 0 by power series: the
-    walk (see _walk) of the trie that holds this one piece."""
+    walk (see _walk) of the trie that holds this one piece, rounded to F bits."""
     root = _Node()
     _add_piece(root, sw.atoms)
-    value = _walk(root, sw.segment_radius, precision_bits, n_terms)[sw.atoms]
-    return BigComplex.from_mpc(value, precision_bits)
+    frac_bits = precision_bits + _GUARD_BITS
+    re, im = _walk(root, sw.segment_radius, precision_bits, n_terms)[sw.atoms]
+    value = _join(_round(re, 1, -frac_bits, frac_bits), _round(im, 1, -frac_bits, frac_bits))
+    return _to_big(value, precision_bits)
 
 
 class ValueCache:
     """Persistent (word, precision) -> value store, JSON lines on disk.
 
-    Inserts append; corrupt lines are skipped on load; concurrent writers can
-    only race on identical idempotent values.
+    Each line holds one value's parts as decimal strings of
+    int(bits / 3.32) + 8 digits, or of ceil(F log10 2) + 1 digits where
+    fewer would not read back as the same F-bit parts; a line is read by
+    rounding its decimals to F bits, to nearest, so every value written
+    reads back exactly.  Inserts append; corrupt lines are skipped on load;
+    concurrent writers can only race on identical idempotent values.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
-        self._mem: dict[tuple[str, int], BigComplex] = {}
+        self._mem: dict[tuple[str, int], Value] = {}
         self._fh = None  # the append handle of an `appending` block
         if self.path is not None and os.path.exists(self.path):
             self._load()
@@ -242,30 +335,25 @@ class ValueCache:
                 try:
                     rec = json.loads(line)
                     key, bits = rec["k"], int(rec["p"])
-                    with workprec(bits + _GUARD_BITS):
-                        value = BigComplex(mpf(rec["re"]), mpf(rec["im"]), bits)
+                    if not isinstance(key, str) or bits < _MIN_BITS:
+                        continue
+                    frac_bits = bits + _GUARD_BITS
+                    value = _join(_parse(rec["re"], frac_bits), _parse(rec["im"], frac_bits))
                 except (ValueError, KeyError, TypeError):
                     continue
-                if isinstance(key, str):
-                    self._mem[(key, bits)] = value
+                self._mem[(key, bits)] = value
 
-    def get(self, key: str, precision_bits: int) -> BigComplex | None:
+    def get(self, key: str, precision_bits: int) -> Value | None:
         return self._mem.get((key, precision_bits))
 
-    def put(self, key: str, precision_bits: int, value: BigComplex) -> None:
+    def put(self, key: str, precision_bits: int, value: Value) -> None:
         if (key, precision_bits) in self._mem:
             return
         self._mem[(key, precision_bits)] = value
         if self.path is None:
             return
-        digits = int(precision_bits / 3.32) + 8
-        rec = {
-            "k": key,
-            "p": precision_bits,
-            "re": mpmath.nstr(value.real, digits),
-            "im": mpmath.nstr(value.imag, digits),
-        }
-        line = json.dumps(rec, sort_keys=True) + "\n"
+        re, im = _decimals(value, precision_bits)
+        line = json.dumps({"k": key, "p": precision_bits, "re": re, "im": im}, sort_keys=True) + "\n"
         if self._fh is not None:
             self._fh.write(line)
             return
@@ -289,34 +377,44 @@ class ValueCache:
                 self._fh = None
 
 
+def _decimals(value: Value, precision_bits: int) -> list[str]:
+    """The decimal strings of a value's parts that read back as the value."""
+    frac_bits = precision_bits + _GUARD_BITS
+    re, im, exp = value
+    parts = [from_man_exp(re, exp), from_man_exp(im, exp)]  # normalized: equal values are equal
+    for digits in (int(precision_bits / 3.32) + 8, math.ceil(frac_bits * math.log10(2)) + 1):
+        texts = [to_str(part, digits) for part in parts]
+        if [from_man_exp(*_parse(text, frac_bits)) for text in texts] == parts:
+            break
+    return texts
+
+
 # in-process memo for segment pieces; prefixes repeat heavily across words
-_segment_memo: dict[tuple[tuple[Atom, ...], Fraction, int], mpc] = {}
-
-
-def _segment_value(atoms: tuple[Atom, ...], radius: Fraction, bits: int) -> mpc:
-    return _segment_memo[(atoms, radius, bits)] if atoms else mpc(1)
+_segment_memo: dict[tuple[tuple[Atom, ...], Fraction, int], tuple[int, int]] = {}
 
 
 def _eval_words(
     words: Iterable[Word], c: Fraction, precision_bits: int, cache: ValueCache | None
-) -> dict[Word, BigComplex]:
+) -> dict[Word, Value]:
     """Values of convergent words over [0, 1], each split at c.
 
     Each word's cache entry is looked up once.  The pieces of the words that
     miss and that the memo lacks go into one suffix trie per radius, and one
-    walk of each trie fills the memo; then each missing word is summed over
-    its splittings, and the missing words are written to the cache in the
-    order of `words`, through one append handle.
+    walk of each trie fills the memo; then each missing word's upper times
+    lower pieces are summed over its splittings exactly, on the memo's
+    integer pairs at 2^-F (so the sum is at 2^-2F), and rounded once to F
+    bits.  The missing words are written to the cache in the order of
+    `words`, through one append handle.
     """
-    values: dict[Word, BigComplex] = {}
+    frac_bits = precision_bits + _GUARD_BITS
+    values: dict[Word, Value] = {}
     missing = []
     tries: dict[Fraction, _Node] = {}
     for word in words:
         if not is_convergent(word):
             raise DivergentWordError(word_key(word))
         if not word:
-            with workprec(precision_bits):
-                values[word] = BigComplex(mpf(1), mpf(0), precision_bits)
+            values[word] = (1, 0, 0)
             continue
         key = word_key(word)
         hit = cache.get(key, precision_bits) if cache is not None else None
@@ -336,14 +434,18 @@ def _eval_words(
     for radius, root in tries.items():
         for atoms, value in _walk(root, radius, precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
+    one = (1 << frac_bits, 0)
     for word, _, splits in missing:
-        with workprec(precision_bits + _GUARD_BITS):
-            total = mpc(0)
-            for upper, lower in splits:
-                total += _segment_value(upper, 1 - c, precision_bits) * _segment_value(
-                    lower, c, precision_bits
-                )
-            values[word] = BigComplex.from_mpc(+total, precision_bits)
+        total_re = total_im = 0
+        for upper, lower in splits:
+            u_re, u_im = _segment_memo[(upper, 1 - c, precision_bits)] if upper else one
+            l_re, l_im = _segment_memo[(lower, c, precision_bits)] if lower else one
+            total_re += u_re * l_re - u_im * l_im
+            total_im += u_re * l_im + u_im * l_re
+        values[word] = _join(
+            _round(total_re, 1, -2 * frac_bits, frac_bits),
+            _round(total_im, 1, -2 * frac_bits, frac_bits),
+        )
     if cache is not None and missing:
         with cache.appending():
             for word, key, _ in missing:
@@ -357,14 +459,14 @@ def eval_word(
     cache: ValueCache | None = None,
 ) -> BigComplex:
     """Value of a convergent word over [0, 1], split at 1/2."""
-    return _eval_words((word,), Fraction(1, 2), precision_bits, cache)[word]
+    return _to_big(_eval_words((word,), Fraction(1, 2), precision_bits, cache)[word], precision_bits)
 
 
 def split_consistency(word: Word, c: Fraction, precision_bits: int) -> BigComplex:
     """Evaluate via a split at c (1/3, 1/2 or 2/3); test harness only."""
     if c not in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
         raise ValueError("split point must be 1/3, 1/2 or 2/3")
-    return _eval_words((word,), c, precision_bits, None)[word]
+    return _to_big(_eval_words((word,), c, precision_bits, None)[word], precision_bits)
 
 
 def eval_wordsum(
@@ -372,15 +474,49 @@ def eval_wordsum(
     precision_bits: int,
     cache: ValueCache | None = None,
 ) -> BigComplex:
-    """sum coef * I(word) + scalar (+ pi part), scaled by (2/pi)^pi_scale."""
+    """sum coef * I(word) + scalar (+ pi part), scaled by (2/pi)^pi_scale.
+
+    The coefficients go over one common denominator d, so the sum of
+    numerator times word value is exact on integers over the smallest
+    exponent of the values; it is divided by d once and rounded to F bits,
+    the one rounding of the word part.  The scalar, pi and 2/pi parts are
+    added in mpmath at F bits.
+
+    The same loop sums the L1 bound |coef|_1 * |value|_1, where |x + yi|_1 =
+    |x| + |y|, and the result's `bits_lost` is log2 of that bound over
+    |sum coef * value|_1: the bits of F that cancellation in the word part
+    cost (infinite if the word part is exactly 0, 0 if it has no terms).  It
+    overstates the loss in complex modulus by at most one bit.
+    """
     values = _eval_words(ws.terms, Fraction(1, 2), precision_bits, cache)
-    with workprec(precision_bits + _GUARD_BITS):
-        total = mpc(0)
-        for word, coef in ws.terms.items():
-            total += coef.to_mpc() * values[word].to_mpc()
+    frac_bits = precision_bits + _GUARD_BITS
+    den = math.lcm(*[q for c in ws.terms.values() for q in (c.re.denominator, c.im.denominator)])
+    low = min((values[word][2] for word in ws.terms), default=0)
+    sum_re = sum_im = bound = 0
+    for word, coef in ws.terms.items():
+        re, im, exp = values[word]
+        a = coef.re.numerator * (den // coef.re.denominator)
+        b = coef.im.numerator * (den // coef.im.denominator)
+        shift = exp - low
+        sum_re += (a * re - b * im) << shift
+        sum_im += (a * im + b * re) << shift
+        bound += (abs(a) + abs(b)) * (abs(re) + abs(im)) << shift
+    if not bound:
+        bits_lost = 0.0
+    elif sum_re or sum_im:
+        bits_lost = math.log2(bound) - math.log2(abs(sum_re) + abs(sum_im))
+    else:
+        bits_lost = math.inf
+    words = _to_big(
+        _join(_round(sum_re, den, low, frac_bits), _round(sum_im, den, low, frac_bits)),
+        precision_bits,
+    )
+    with workprec(frac_bits):
+        total = mpc(words.real, words.imag)
         total += ws.scalar.to_mpc()
         if ws.scalar_pi:
             total += mpf(ws.scalar_pi.numerator) / ws.scalar_pi.denominator * mpmath.pi
         if ws.pi_scale:
             total *= (2 / mpmath.pi) ** ws.pi_scale
-        return BigComplex.from_mpc(+total, precision_bits)
+        total = +total
+    return BigComplex(total.real, total.imag, precision_bits, bits_lost)

@@ -4,6 +4,7 @@ import json
 import re
 from importlib import resources
 
+import mpmath
 import pytest
 
 from apery_words.cli import cli_main
@@ -42,6 +43,29 @@ def test_eval_default_flags(capsys):
     assert cli_main(["eval", "S[2n+1^1 >= 2n^1 > 2n^1 > 0]", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert float(out["deviation"]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "digits, direct, deviation",
+    [
+        # the estimates are 4.95e-15 and 7.39e-18; the oracle runs at 20 and
+        # at 25 digits
+        (20, "0.66270441484789", "1.77e-16"),
+        (40, "0.66270441484789063", "6.73e-20"),
+    ],
+)
+def test_eval_prints_direct_to_the_digits_its_estimate_supports(digits, direct, deviation, capsys):
+    assert cli_main(["eval", "S[2n+1^1 >= 2n^1 > 2n^1 > 0]", "--digits", str(digits), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"compiled", "compiled_imag", "deviation", "direct", "direct_error_estimate",
+                        "key", "max_word_weight", "method", "spec", "terms_used", "weight_report"}
+    assert out["direct"] == direct
+    # the error estimate is within one unit in the last digit printed
+    last_unit = 10.0 ** -len(direct.split(".")[1])
+    assert float(out["direct_error_estimate"]) <= last_unit
+    # from the unrounded values: the printed strings differ by more
+    assert out["deviation"] == deviation
+    assert abs(mpmath.mpf(out["compiled"]) - mpmath.mpf(direct)) > 2 * mpmath.mpf(deviation)
 
 
 def test_eval_compiled_only(capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+import json
 from itertools import product
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, from_str, round_nearest
 
 from apery_words import evaluate
 from apery_words.evaluate import (
@@ -24,7 +26,7 @@ from apery_words.evaluate import (
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
 from apery_words.pipeline import compile_harmonic, compile_spec
-from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, word_key
+from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, deconcatenations, word_key
 from conftest import build_corpus
 
 POLE2 = Atom(GaussRat(2))
@@ -235,11 +237,12 @@ def test_cache_roundtrip(tmp_path):
     fresh = eval_word(word, 140, cache)
     hit = eval_word(word, 140, cache)
     assert abs(hit.to_mpc() - fresh.to_mpc()) == 0
-    # reload from disk: agreement within 2^(-bits+8)
+    # reload from disk: the value written, bit for bit
     reloaded = ValueCache(path)
     stored = reloaded.get(word_key(word), 140)
     assert stored is not None
-    assert abs(stored.to_mpc() - fresh.to_mpc()) < mpf(2) ** (-140 + 8)
+    again = eval_word(word, 140, reloaded)
+    assert (again.real, again.imag) == (fresh.real, fresh.imag)
 
 
 def test_cache_ignores_corruption(tmp_path):
@@ -266,9 +269,10 @@ def test_bigcomplex_invariants():
         BigComplex(mpf("inf"), mpf(0), 128)
 
 
-def _reference_eval_segment(sw, precision_bits, n_terms=None):
+def _reference_segment_ints(sw, precision_bits, n_terms=None):
     """Reference: one piece integrated from scratch, atom by atom, as the
-    segment kernel did before pieces shared the steps of their suffixes."""
+    segment kernel did before pieces shared the steps of their suffixes; the
+    pair of ints (re, im) at 2^-F."""
     radius = sw.segment_radius
     for i, atom in enumerate(sw.atoms):
         if atom.pole == GaussRat(0):
@@ -306,8 +310,15 @@ def _reference_eval_segment(sw, precision_bits, n_terms=None):
     for c_re, c_im in zip(reversed(re), reversed(im)):
         total_re = total_re * num // den + c_re
         total_im = total_im * num // den + c_im
+    return sign * total_re, sign * total_im
+
+
+def _reference_eval_segment(sw, precision_bits, n_terms=None):
+    """The reference pair as the segment kernel converted it, mpc at F bits."""
+    total_re, total_im = _reference_segment_ints(sw, precision_bits, n_terms)
+    frac_bits = precision_bits + 24
     with workprec(frac_bits):
-        value = mpc(mpf((sign * total_re, -frac_bits)), mpf((sign * total_im, -frac_bits)))
+        value = mpc(mpf((total_re, -frac_bits)), mpf((total_im, -frac_bits)))
     return BigComplex.from_mpc(value, precision_bits)
 
 
@@ -322,8 +333,8 @@ def _assert_walk_matches_reference(pieces, radius, bits, n_terms=None):
     values = _walk_pieces(pieces, radius, bits, n_terms)
     assert set(values) == set(pieces)
     for atoms, value in values.items():
-        ref = _reference_eval_segment(SegmentWord(atoms, radius), bits, n_terms)
-        assert (value.real, value.imag) == (ref.real, ref.imag), word_key(atoms)
+        ref = _reference_segment_ints(SegmentWord(atoms, radius), bits, n_terms)
+        assert value == ref, word_key(atoms)
 
 
 def _split_pieces(word_sums):
@@ -339,13 +350,19 @@ def _split_pieces(word_sums):
     return list(pieces)
 
 
-def test_walk_bit_identical_on_corpus_and_verify_pieces():
-    sums = [compile_spec(spec) for spec in build_corpus(5)]
+def _verify_word_sums():
+    """The word sums of the bundled records: one per part, 74 in all."""
+    sums = []
     for rec in load_fixtures():
         if rec.series is not None:
             sums.append(compile_spec(rec.series))
         else:
             sums += [compile_harmonic(part.spec) for part in rec.harmonic]
+    return sums
+
+
+def test_walk_bit_identical_on_corpus_and_verify_pieces():
+    sums = [compile_spec(spec) for spec in build_corpus(5)] + _verify_word_sums()
     pieces = _split_pieces(sums)
     assert len(pieces) > 1000
     _assert_walk_matches_reference(pieces, Fraction(1, 2), 140)
@@ -471,3 +488,178 @@ def test_cold_eval_wordsum_opens_the_cache_once(monkeypatch, tmp_path):
         eval_wordsum(ws, 140, failing)
     assert len(opened) == 1 and opened[0].closed
     assert failing._fh is None
+
+
+def _mpc_piece(atoms, radius, bits):
+    """A memoized piece as the walk once converted it: mpc at F bits."""
+    if not atoms:
+        return mpc(1)
+    re, im = evaluate._segment_memo[(atoms, radius, bits)]
+    frac_bits = bits + evaluate._GUARD_BITS
+    with workprec(frac_bits):
+        return mpc(mpf((re, -frac_bits)), mpf((im, -frac_bits)))
+
+
+def _reference_mpc_wordsum(ws, precision_bits):
+    """Reference: the split sums and the word-sum assembly in mpc, as the
+    evaluator ran them before word values stayed on integers; each product
+    and sum rounds to F bits."""
+    c = Fraction(1, 2)
+    evaluate._eval_words(ws.terms, c, precision_bits, None)  # fills the memo
+    values = {}
+    for word in ws.terms:
+        if not word:
+            with workprec(precision_bits):
+                values[word] = BigComplex(mpf(1), mpf(0), precision_bits)
+            continue
+        splits = [
+            (tuple([evaluate._flip(a) for a in reversed(prefix)]), suffix)
+            for prefix, suffix in deconcatenations(word)
+        ]
+        with workprec(precision_bits + evaluate._GUARD_BITS):
+            total = mpc(0)
+            for upper, lower in splits:
+                total += _mpc_piece(upper, 1 - c, precision_bits) * _mpc_piece(
+                    lower, c, precision_bits
+                )
+            values[word] = BigComplex.from_mpc(+total, precision_bits)
+    with workprec(precision_bits + evaluate._GUARD_BITS):
+        total = mpc(0)
+        for word, coef in ws.terms.items():
+            total += coef.to_mpc() * values[word].to_mpc()
+        total += ws.scalar.to_mpc()
+        if ws.scalar_pi:
+            total += mpf(ws.scalar_pi.numerator) / ws.scalar_pi.denominator * mpmath.pi
+        if ws.pi_scale:
+            total *= (2 / mpmath.pi) ** ws.pi_scale
+        return BigComplex.from_mpc(+total, precision_bits)
+
+
+def _assert_agrees_with_mpc_reference(ws, bits):
+    got, ref = eval_wordsum(ws, bits), _reference_mpc_wordsum(ws, bits)
+    with workprec(bits + 64):
+        ref = ref.to_mpc()
+        assert abs(got.to_mpc() - ref) <= mpf(2) ** -bits * max(1, abs(ref))
+
+
+def test_integer_word_sums_match_mpc_reference_on_verify_sums():
+    sums = _verify_word_sums()
+    assert len(sums) == 74
+    for ws in sums:
+        _assert_agrees_with_mpc_reference(ws, 140)
+    for bits in (64, 330):
+        for ws in sums[::15]:
+            _assert_agrees_with_mpc_reference(ws, bits)
+
+
+def test_bits_lost_stay_inside_the_guard(corpus_results):
+    lost = [eval_wordsum(ws, 140).bits_lost for ws in _verify_word_sums()]
+    lost += [entry.compiled.bits_lost for entry in corpus_results]
+    assert len(lost) == 174
+    assert max(lost) < evaluate._GUARD_BITS
+
+
+def test_bits_lost_is_the_l1_bound_over_the_sum():
+    for ws in _verify_word_sums()[::10]:
+        got = eval_wordsum(ws, 140).bits_lost
+        with workprec(400):
+            bound = total = 0
+            for word, coef in ws.terms.items():
+                c, v = coef.to_mpc(), eval_word(word, 140).to_mpc()
+                bound += (abs(c.real) + abs(c.imag)) * (abs(v.real) + abs(v.imag))
+                total += c * v
+            expected = mpmath.log(bound / (abs(total.real) + abs(total.imag)), 2)
+        assert abs(got - expected) < 1e-9
+    assert eval_wordsum(WordSum(scalar_pi=Fraction(1, 2)), 140).bits_lost == 0
+
+
+_CACHE_BITS = (64, 140, 330, 660)
+
+
+@st.composite
+def _cache_values(draw):
+    """A precision and a value at its F bits: each part zero, or signed with
+    |part| tiny, in [2^-12, 1) or in [1, 8)."""
+    bits = draw(st.sampled_from(_CACHE_BITS))
+    frac_bits = bits + evaluate._GUARD_BITS
+
+    def part():
+        kind = draw(st.sampled_from(("zero", "tiny", "unit", "large")))
+        if kind == "zero":
+            return 0, 0
+        man = draw(st.integers(1 << (frac_bits - 1), (1 << frac_bits) - 1))
+        # from_str rounds exactly while the decimal exponent stays within 400
+        # (mpmath 1.3), so tiny parts stay above 2^-200
+        lead = draw({"tiny": st.integers(-200, -60), "unit": st.integers(-12, -1),
+                     "large": st.integers(0, 2)}[kind])
+        return draw(st.sampled_from((1, -1))) * man, lead + 1 - frac_bits
+
+    return bits, evaluate._join(part(), part())
+
+
+def _parts(value):
+    re, im, exp = value
+    return from_man_exp(re, exp), from_man_exp(im, exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_cache_values())
+def test_cache_lines_read_back_exactly(tmp_path_factory, drawn):
+    bits, value = drawn
+    frac_bits = bits + evaluate._GUARD_BITS
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    ValueCache(path).put("w0.x1", bits, value)
+    rec = json.loads(path.read_text())
+    for text, part in zip((rec["re"], rec["im"]), _parts(value)):
+        parsed = from_man_exp(*evaluate._parse(text, frac_bits))
+        assert parsed == from_str(text, frac_bits, round_nearest)
+        assert parsed == part
+        # the digits of the parent's lines, one more where they do not read back
+        digits = len(text.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
+        assert digits <= max(int(bits / 3.32) + 8, math.ceil(frac_bits * math.log10(2)) + 1)
+    assert _parts(ValueCache(path).get("w0.x1", bits)) == _parts(value)
+
+
+# lines that the evaluator wrote before word values stayed on integers
+_PARENT_LINES = [
+    ((W0, XMI), '{"im": "0.91596559417721901505460351493238411077414937428162", "k": "w0.x-i", "p": 140, '
+     '"re": "-0.20561675835602830455905189583075314865236873765086"}'),
+    ((XMI, XM1, XI), '{"im": "-0.033577147847015273028336577963425591055083255853866", "k": "x-i.x-1.xi", '
+     '"p": 140, "re": "-0.080132960889429167583965221111821448919344805956399"}'),
+    ((XM1, X1), '{"im": "0.0", "k": "x-1.x1", "p": 64, "re": "-0.582240526465012505902656319"}'),
+    ((W0, W0, XM1), '{"im": "0.0", "k": "w0.w0.x-1", "p": 330, "re": "-0.9015426773696957140498036211'
+     '3358749307373971925537416134420366650637865433973481763984190520700144360964937"}'),
+    ((XI,), '{"im": "-0.7853981633974483096156608458198757210492923498437764552437361480769541015715522496'
+     '5700870633552926699553702162832057666177346115238764555793133985203212027936257102567548463027638991115'
+     '573723873259549110721", "k": "xi", "p": 660, "re": "-0.34657359027997265470861606072908828403775006718'
+     '012762706034000474669681098484735780293166349820934377100074051028534286684276011787906527851633537581'
+     '753798096536378541418571759515351931194583673556167505769"}'),
+    ((W0, X1), '{"im": "0.0", "k": "w0.x1", "p": 140, "re": "1.6449340668482264364724151666460251892189499012066"}'),
+]
+
+
+def test_parent_cache_lines_load_and_serve(monkeypatch, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(line + "\n" for _, line in _PARENT_LINES))
+    cache = ValueCache(path)
+    assert len(cache._mem) == len(_PARENT_LINES)
+    fresh = {}
+    for word, line in _PARENT_LINES:
+        bits = json.loads(line)["p"]
+        fresh[word] = eval_word(word, bits)
+    monkeypatch.setattr(evaluate, "_walk", None)  # a served line never walks
+    for word, line in _PARENT_LINES:
+        bits = json.loads(line)["p"]
+        served = eval_word(word, bits, cache)
+        with workprec(bits + 64):
+            ref = fresh[word].to_mpc()
+            assert abs(served.to_mpc() - ref) <= mpf(2) ** -bits * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("bits", [64, 140, 330])
+def test_eval_wordsum_from_a_reloaded_cache_is_bit_identical(bits, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    for ws in [compile_spec(build_corpus(3)[2])] + _verify_word_sums()[::20]:
+        cold = eval_wordsum(ws, bits, ValueCache(path))
+        warm = eval_wordsum(ws, bits, ValueCache(path))
+        assert (warm.real, warm.imag, warm.bits_lost) == (cold.real, cold.imag, cold.bits_lost)
