@@ -53,6 +53,7 @@ import functools
 import json
 import math
 import os
+import re
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, from_str, fzero, round_nearest, to_str
+from mpmath.libmp import from_man_exp, to_str
 
 from .gauss import GaussRat
 from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
@@ -71,6 +72,9 @@ _GUARD_BITS = 24
 # a word value (re, im, exp): (re + im*i) * 2^exp, each part rounded to
 # F = precision_bits + _GUARD_BITS significant bits
 Value = tuple[int, int, int]
+
+# a decimal part of a cache line, as `put` writes it: whole, fraction, exponent
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?(?:e([+-]?[0-9]+))?")
 
 
 class DivergentWordError(ValueError):
@@ -146,24 +150,21 @@ def _join(re: tuple[int, int], im: tuple[int, int]) -> Value:
 def _parse(text: str, bits: int) -> tuple[int, int]:
     """A decimal literal rounded to `bits` bits to nearest, as (man, e).
 
-    This is the value of mpmath's from_str(text, bits, round_nearest), which
-    the cache read before; the literals that `put` writes skip its string
-    handling.  Anything else goes through from_str itself, and a
-    non-finite value raises ValueError.
+    Literals are what `put` writes: [-]digits[.digits][e[+-]digits].  The
+    rounding is exact; it equals mpmath's from_str(text, bits, round_nearest),
+    which the cache read before, wherever from_str rounds exactly (decimal
+    exponents up to 400 in size).  A literal of another form, or one whose
+    decimal exponent is beyond 2 * bits in size, far outside what `put`
+    writes, raises ValueError, so its line counts as corrupt.
     """
-    if not isinstance(text, str):
-        raise TypeError("a cached value is a decimal string")
-    try:
-        float(text)  # the syntax check of from_str
-        head, _, tail = text.partition("e")
-        whole, _, frac = head.partition(".")
-        man = int(whole + frac)
-        exp10 = (int(tail) if tail else 0) - len(frac)
-    except ValueError:
-        sign, man, exp, _ = raw = from_str(text, bits, round_nearest)
-        if not man and raw != fzero:
-            raise ValueError(f"{text!r} is not finite") from None
-        return -man if sign else man, exp
+    match = _DECIMAL.fullmatch(text)  # TypeError unless a string
+    if match is None:
+        raise ValueError(f"{text!r} is not a cached decimal")
+    whole, frac, tail = match.groups(default="")
+    man = int(whole + frac)
+    exp10 = (int(tail) if tail else 0) - len(frac)
+    if abs(exp10) > 2 * bits:
+        raise ValueError(f"{text!r} has a decimal exponent out of range")
     if exp10 >= 0:
         return _round(man * 10**exp10, 1, 0, bits)
     return _round(man, 10**-exp10, 0, bits)
@@ -312,10 +313,10 @@ class ValueCache:
     """Persistent (word, precision) -> value store, JSON lines on disk.
 
     Each line holds one value's parts as decimal strings of
-    int(bits / 3.32) + 8 digits, or of ceil(F log10 2) + 1 digits where
-    fewer would not read back as the same F-bit parts; a line is read by
-    rounding its decimals to F bits, to nearest, so every value written
-    reads back exactly.  Inserts append; corrupt lines are skipped on load;
+    ceil(F log10 2) + 1 digits; a line is read by rounding its decimals to
+    F bits, to nearest, so every value written reads back exactly.  Lines
+    of fewer digits, as older versions wrote, read the same way.  Inserts
+    append; corrupt lines are skipped on load;
     concurrent writers can only race on identical idempotent values.
     """
 
@@ -378,15 +379,11 @@ class ValueCache:
 
 
 def _decimals(value: Value, precision_bits: int) -> list[str]:
-    """The decimal strings of a value's parts that read back as the value."""
-    frac_bits = precision_bits + _GUARD_BITS
+    """The decimal strings of a value's parts, ceil(F log10 2) + 1 digits
+    each: enough for every F-bit part to read back as itself (Matula)."""
+    digits = math.ceil((precision_bits + _GUARD_BITS) * math.log10(2)) + 1
     re, im, exp = value
-    parts = [from_man_exp(re, exp), from_man_exp(im, exp)]  # normalized: equal values are equal
-    for digits in (int(precision_bits / 3.32) + 8, math.ceil(frac_bits * math.log10(2)) + 1):
-        texts = [to_str(part, digits) for part in parts]
-        if [from_man_exp(*_parse(text, frac_bits)) for text in texts] == parts:
-            break
-    return texts
+    return [to_str(from_man_exp(part, exp), digits) for part in (re, im)]
 
 
 # in-process memo for segment pieces; prefixes repeat heavily across words

@@ -51,14 +51,6 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        # the stored hashes settle most unequal pairs without comparing poles
-        if self is other:
-            return True
-        if other.__class__ is not Atom:
-            return NotImplemented
-        return self._hash == other._hash and self.pole == other.pole and self.sign == other.sign
-
 
 W0 = Atom(GaussRat(0), -1)
 X1 = Atom(GaussRat(1), 1)

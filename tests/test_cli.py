@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 from importlib import resources
 
@@ -66,6 +67,17 @@ def test_eval_prints_direct_to_the_digits_its_estimate_supports(digits, direct, 
     # from the unrounded values: the printed strings differ by more
     assert out["deviation"] == deviation
     assert abs(mpmath.mpf(out["compiled"]) - mpmath.mpf(direct)) > 2 * mpmath.mpf(deviation)
+
+
+def test_eval_direct_explicit_levels_as_ci_checks(capsys):
+    # the step in .github/workflows/tier1.yml: S[2n+1^1 > 0] = pi/2 - 1
+    args = ["eval", "S[2n+1^1 > 0]", "--method", "direct", "--cutoff", "20000", "--levels", "4",
+            "--digits", "16", "--json"]
+    assert cli_main(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["direct"] == "0.5707963267948966"
+    assert out["direct_error_estimate"] == "9.78e-32"
+    assert abs(float(out["direct"]) - (math.pi / 2 - 1)) <= 1e-12
 
 
 def test_eval_compiled_only(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 import json
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, from_str, round_nearest
+from mpmath.libmp import from_man_exp, from_str, round_nearest, to_str
 
 from apery_words import evaluate
 from apery_words.evaluate import (
@@ -614,10 +615,37 @@ def test_cache_lines_read_back_exactly(tmp_path_factory, drawn):
         parsed = from_man_exp(*evaluate._parse(text, frac_bits))
         assert parsed == from_str(text, frac_bits, round_nearest)
         assert parsed == part
-        # the digits of the parent's lines, one more where they do not read back
-        digits = len(text.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
-        assert digits <= max(int(bits / 3.32) + 8, math.ceil(frac_bits * math.log10(2)) + 1)
+        # every part takes ceil(F log10 2) + 1 digits
+        assert text == to_str(part, math.ceil(frac_bits * math.log10(2)) + 1)
     assert _parts(ValueCache(path).get("w0.x1", bits)) == _parts(value)
+
+
+def test_cache_skips_lines_it_does_not_write(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = '{"im": "0.0", "k": "w0.x1", "p": 140, "re": "1.6449340668482264364724151666460251892189499012066"}'
+    bad = [
+        # decimal exponents far beyond 2F: exact rounding would build a
+        # denominator or a numerator of about 10^9 digits
+        '{"im": "0", "k": "w0.x-1", "p": 140, "re": "1e-999999999"}',
+        '{"im": "1e999999999", "k": "w0.x-1", "p": 140, "re": "0"}',
+        '{"im": "0", "k": "w0.x-1", "p": 64, "re": "-1.5e+178"}',
+        # literals of other forms than put writes
+        '{"im": "0", "k": "x-1.x1", "p": 140, "re": "inf"}',
+        '{"im": "nan", "k": "x-1.x1", "p": 140, "re": "0"}',
+        '{"im": "0", "k": "x-1.x1", "p": 140, "re": "1E5"}',
+        '{"im": "0", "k": "x-1.x1", "p": 140, "re": "1_0"}',
+        '{"im": "0", "k": "x-1.x1", "p": 140, "re": " 1.0"}',
+        '{"im": "0", "k": "x-1.x1", "p": 140, "re": ".5"}',
+        '{"im": "0", "k": "x-1.x1", "p": 140, "re": 0.5}',
+    ]
+    path.write_text("".join(line + "\n" for line in bad + [good]))
+    start = time.perf_counter()
+    cache = ValueCache(path)
+    assert time.perf_counter() - start < 1.0
+    assert list(cache._mem) == [("w0.x1", 140)]
+    # the exponent bound lies far outside what put writes at the lowest precision
+    frac_bits = 64 + evaluate._GUARD_BITS
+    assert evaluate._parse("-1.5e+177", frac_bits) == evaluate._round(-15 * 10**176, 1, 0, frac_bits)
 
 
 # lines that the evaluator wrote before word values stayed on integers
