@@ -18,6 +18,7 @@ import mpmath
 from mpmath import workprec
 
 from . import fixtures as fixtures_mod
+from .fixtures import supported_digits
 from .constants import CONSTANT_WORDS, constant_value
 from .evaluate import ValueCache, eval_wordsum
 from .oracle import OracleConfig, direct_sums
@@ -43,26 +44,13 @@ def _cache(args) -> ValueCache:
     return ValueCache(path)
 
 
-def _direct_digits(res, digits: int) -> int:
-    """The significant digits of a direct sum that its estimate supports.
-
-    At most `digits`, and at most as many as leave the error estimate within
-    one unit in the last digit printed, the rule by which the oracle settles.
-    """
-    if not (res.value and res.error_estimate):
-        return digits
-    lead = int(mpmath.floor(mpmath.log10(abs(res.value))))
-    last = int(mpmath.ceil(mpmath.log10(res.error_estimate)))
-    return max(1, min(digits, lead - last + 1))
-
-
 def _evaluate(args, item, compile_item, out: dict):
     """The compiled / direct / both flow shared by eval and harmonic.
 
-    Adds "compiled", "direct" and "deviation" to `out` as --method asks and
-    returns the compiled value and the oracle result (None where skipped).
-    "direct" carries only the digits the oracle supports; "deviation" is
-    taken between the unrounded values.
+    Adds "compiled", "direct" with "direct_error_estimate" and "terms_used",
+    and "deviation" to `out` as --method asks and returns the compiled value
+    (None where skipped).  "direct" carries only the digits the oracle
+    supports; "deviation" is taken between the unrounded values.
     """
     digits = args.digits
     cache = _cache(args)
@@ -74,24 +62,24 @@ def _evaluate(args, item, compile_item, out: dict):
         if args.method in ("direct", "both"):
             cfg = OracleConfig(args.cutoff, args.levels, max(15, min(digits, 25)))
             res = direct_sums([item], cfg)[0]
-            shown = _direct_digits(res, min(digits, cfg.precision_digits))
+            most = min(digits, cfg.precision_digits)
+            shown = supported_digits(res.value, res.error_estimate, most)
             out["direct"] = mpmath.nstr(res.value, shown)
+            out["direct_error_estimate"] = mpmath.nstr(res.error_estimate, 3)
+            out["terms_used"] = res.terms_used
         if args.method == "both":
             out["deviation"] = mpmath.nstr(abs(value.real - res.value), 3)
-    return value, res
+    return value
 
 
 def cmd_eval(args) -> int:
     spec = parse_spec(args.spec)
     out: dict = {"spec": render(spec), "key": canonical_key(spec), "method": args.method}
-    value, res = _evaluate(args, spec, compile_spec, out)
+    value = _evaluate(args, spec, compile_spec, out)
     if value is not None:
         out["compiled_imag"] = mpmath.nstr(value.imag, 5)
         out["max_word_weight"] = compile_spec(spec).max_weight()
         out["weight_report"] = predicted_weight_report(spec)
-    if res is not None:
-        out["direct_error_estimate"] = mpmath.nstr(res.error_estimate, 3)
-        out["terms_used"] = res.terms_used
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:

@@ -147,8 +147,25 @@ def _compiled_value(rec: FixtureRecord, precision_bits: int, cache: ValueCache |
     return total
 
 
-def _oracle_values(records: list[FixtureRecord], cfg: OracleConfig) -> list[mpf]:
-    """Every record's oracle value, from one batched direct summation.
+def supported_digits(value: mpf, error_estimate: mpf, digits: int) -> int:
+    """The significant digits of an oracle value that its estimate supports.
+
+    At most `digits`, and at most as many as leave the error estimate within
+    one unit in the last digit printed, the rule by which the oracle settles.
+    The logarithms are taken at 53 bits, which can move the count by one
+    only for a value or estimate within 2^-50 of a power of ten.
+    """
+    if not (value and error_estimate):
+        return digits
+    with workprec(53):
+        lead = int(mpmath.floor(mpmath.log10(abs(value))))
+        last = int(mpmath.ceil(mpmath.log10(error_estimate)))
+    return max(1, min(digits, lead - last + 1))
+
+
+def _oracle_values(records: list[FixtureRecord], cfg: OracleConfig) -> list[tuple[mpf, mpf]]:
+    """Every record's oracle value and error estimate, from one batched
+    direct summation; a harmonic record's estimate is sum |coef| * estimate.
 
     A ConfigTooSmallError is raised again with the id of the first record
     whose sum raised it.
@@ -165,12 +182,15 @@ def _oracle_values(records: list[FixtureRecord], cfg: OracleConfig) -> list[mpf]
     values = []
     for rec in records:
         if rec.series is not None:
-            values.append(next(results).value)
+            res = next(results)
+            values.append((res.value, res.error_estimate))
             continue
-        total = mpf(0)
+        total = error = mpf(0)
         for part in rec.harmonic:
-            total += next(results).value * mpf(part.coef.numerator) / part.coef.denominator
-        values.append(total)
+            res, coef = next(results), mpf(part.coef.numerator) / part.coef.denominator
+            total += res.value * coef
+            error += res.error_estimate * abs(coef)
+        values.append((total, error))
     return values
 
 
@@ -188,13 +208,14 @@ def verify_fixtures(
     report_records = []
     failures = 0
     with workprec(precision_bits + 16):
-        for rec, oracle in zip(records, _oracle_values(records, cfg)):
+        for rec, (oracle, error) in zip(records, _oracle_values(records, cfg)):
             compiled = _compiled_value(rec, precision_bits, cache)
             entry: dict = {
                 "id": rec.id,
                 "anchor": rec.anchor,
                 "compiled": mpmath.nstr(compiled.real, digits),
-                "oracle": mpmath.nstr(oracle, 16),
+                "oracle": mpmath.nstr(oracle, supported_digits(oracle, error, 16)),
+                "oracle_error_estimate": mpmath.nstr(error, 3),
             }
             if rec.series is not None:
                 entry["weight_report"] = predicted_weight_report(rec.series)

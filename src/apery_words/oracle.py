@@ -33,30 +33,28 @@ fits the partial sums at N * 2^(i/2), i = 0..2L, against the basis
 {1} + {N^(1-alpha-k) * ln(N)^j}; the error estimate is the change from the
 fit with two basis functions fewer.  Both fits are linear in the samples S:
 the value is w . S and the estimate |w . S - w' . S|, where w and w' depend
-only on the sample points (whose count fixes the number of basis functions),
-alpha and the log degree (generalized Richardson extrapolation; Sidi,
-Practical Extrapolation Methods, 2003).  `direct_sums` solves for them once
-per such key in a dict local to the call, by elimination on integers scaled
-by 2^G, so each item costs two dot products.  The basis functions enter the
-elimination as integer rows built once per function and sample, which the
-fits over every prefix of one sample grid share, as every key of the call
-shares the logarithms and basis values behind them.
+only on the sample points, alpha and the log degree (generalized Richardson
+extrapolation; Sidi, Practical Extrapolation Methods, 2003).  `direct_sums`
+solves for them once per such key in a dict local to the call, by
+elimination on integers scaled by 2^G, from basis rows built in libmp out of
+powers and log powers each computed once per call.
 
 The sweep is resumable: after each sample it asks which running items have
 settled, and those leave it, with whatever only they read.  When the config
 worked out its own levels, they are a cap: after every odd sample count
-2L+1 >= 3 below the cap, each item with x = 1 is fitted on its samples so
-far, and it settles at the first L whose estimate is at most 10^(1 - digits),
-one unit in the last digit.  Its result is the one an explicit L-level
-schedule gives, and its terms_used is its own last sample + 1; an item that
-has not settled by the cap is swept and fitted in full.  Given levels are
-always swept in full.  The fits of one sample count share their weights and
-drop them before the sweep goes on; the basis rows stay for the next count.
+2L+1 >= 3 below the cap, each item with x = 1 settles at the first L whose
+fit's estimate is at most 10^(1 - digits), with the result an explicit
+L-level schedule gives and terms_used its own last sample + 1; an integer
+screen, `_cannot_settle`, first rules out on the exact estimate the items
+that cannot settle.  Other items are swept to the cap and fitted in full, as
+under given levels.  The fits of one count share their weights and drop
+them before the sweep goes on; the basis rows stay.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -64,7 +62,9 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf, workdps
-from mpmath.libmp import from_int
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_abs, mpf_div, mpf_log, mpf_mul,
+                          mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_ceiling,
+                          round_nearest, to_int)
 
 from .series import HarmonicSpec, Parity, Relation, SeriesSpec
 from .sweep import compile_plan
@@ -294,11 +294,10 @@ def _partial_sums(
     return sums, F, reached
 
 
-# one dict per direct_sums call: (sample points, alpha, log degree) ->
-# (w, w', G), w and w' as exact mpf; (exponent, log power, N_o) -> {N: that
-# basis function at N over its value at N_o, an integer scaled by 2^G};
-# ("log",) -> {N: ln(N)} and ("phi",) -> {(exponent, log power, N): the
-# basis function at N}, both mpf at the fits' working precision
+# one dict per direct_sums call: (sample points, 2 alpha, log degree) -> the
+# _fit_weights tuple; (2e, log power j, N_o) -> {N: the basis function at N
+# over its value at N_o, an integer scaled by 2^G}; ("sqrt",) -> {N: sqrt(N)},
+# ("pow",) -> {(2e, N): N^e} and ("log",) -> {(j, N): ln(N)^j}, raw mpf
 _Weights = dict[tuple, tuple | dict]
 
 
@@ -306,133 +305,139 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _
     """Weights w, w' of the tail fit: its value is w . S, the previous level's w' . S.
 
     The fit solves M c = S for the samples S against the basis
-    {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0}, and its value is the
-    constant c_0 = e_0 . M^-1 S, so w solves M^T w = e_0.  The basis
-    functions beside the constant are one fewer than the samples, at least
-    2; w' is the same fit with two fewer over the last samples, zero on the
-    first two.  Both are integers scaled by 2^G, G the working precision in
-    bits, returned as exact mpf so that each dot product reads them as they
-    are.  The rows of M^T are the basis functions over the samples a solve
-    uses, scaled to 1 at the first of them (the first sample for w, the
-    third for w'): each entry phi(N) / phi(N_o), an mpf quotient at G bits
-    truncated to 2^-G, is worked out once per call and kept in `weights` as
-    an integer per (function, N_o, N), beside the ln(N) and phi(N) it is
-    made from.  So the fits over every prefix of one sample grid, and every
-    key whose basis holds the function, share them.  The solve is
-    elimination with partial pivoting on those integers and
+    {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0}, alpha a multiple of
+    1/2, and its value is the constant c_0 = e_0 . M^-1 S, so w solves
+    M^T w = e_0.  The basis functions beside the constant are one fewer than
+    the samples, at least 2; w' is the same fit with two fewer over the last
+    samples, zero on the first two.  Both are integers W, W' scaled by 2^G
+    (G bits the working precision); returns (w, w', G, W - W', sum |W| +
+    |W'|), w and w' the raw mpf of W and W'.  The rows of M^T are the basis
+    functions over the samples a solve uses, scaled to 1 at the first of them
+    (the first sample for w, the third for w'): each entry phi(N) / phi(N_o),
+    divided at G bits in libmp and truncated to 2^-G, is kept in `weights`.
+    phi(N) is the product at G bits of N^e and ln(N)^j, each kept per call:
+    mpf_pow_int of N, or for half-integer e of sqrt(N) at G + 10 bits, and
+    of ln(N), all to nearest, as mpf(N) ** mpf(e) * log(N) ** j rounds.  The
+    solve is elimination with partial pivoting on those integers and
     back-substitution, each multiplier (at most 1 by the pivoting), product
     and quotient floored to 2^-G.  A singular basis (alpha = 1) meets a zero
     pivot and raises.
     """
     levels = len(points) - 1
-    basis = []
-    k = 0
-    while len(basis) < levels:
-        for j in range(log_degree, -1, -1):
-            basis.append((1 - alpha - k, j))
-            if len(basis) == levels:
-                break
-        k += 1
-    with mpmath.extradps(25):
-        bits = mpmath.mp.prec
-        logs: dict[int, mpf] = weights.setdefault(("log",), {})
-        phis: dict[tuple[Fraction, int, int], mpf] = weights.setdefault(("phi",), {})
+    twice_alpha = int(2 * alpha)
+    basis = [(2 - twice_alpha - 2 * k, j)
+             for k in range(levels) for j in range(log_degree, -1, -1)][:levels]
+    bits = dps_to_prec(mpmath.mp.dps + 25)
+    roots, powers, logs = (weights.setdefault((name,), {}) for name in ("sqrt", "pow", "log"))
 
-        def phi(expo: Fraction, j: int, big_n: int) -> mpf:
-            if (expo, j, big_n) not in phis:
-                if big_n not in logs:
-                    logs[big_n] = mpmath.log(mpf(big_n))
-                phis[expo, j, big_n] = mpf(big_n) ** mpf(float(expo)) * logs[big_n] ** j
-            return phis[expo, j, big_n]
+    def phi(twice_e: int, j: int, big_n: int) -> tuple:
+        if (twice_e, big_n) not in powers:
+            if twice_e % 2 and big_n not in roots:
+                roots[big_n] = mpf_sqrt(from_int(big_n), bits + 10, round_nearest)
+            base, e = (roots[big_n], twice_e) if twice_e % 2 else (from_int(big_n), twice_e // 2)
+            powers[twice_e, big_n] = mpf_pow_int(base, e, bits, round_nearest)
+        if (j, big_n) not in logs:
+            if (1, big_n) not in logs:
+                logs[1, big_n] = mpf_log(from_int(big_n), bits, round_nearest)
+            logs[j, big_n] = mpf_pow_int(logs[1, big_n], j, bits, round_nearest)
+        return mpf_mul(powers[twice_e, big_n], logs[j, big_n], bits, round_nearest)
 
-        def basis_row(expo: Fraction, j: int, offset: int) -> list[int]:
-            first = points[offset]
-            scaled = weights.setdefault((expo, j, first), {})
-            for big_n in points[offset:]:
-                if big_n not in scaled:
-                    scaled[big_n] = int(mpmath.ldexp(phi(expo, j, big_n) / phi(expo, j, first), bits))
-            return [scaled[big_n] for big_n in points[offset:]]
+    def basis_row(twice_e: int, j: int, offset: int) -> list[int]:
+        scaled = weights.setdefault((twice_e, j, points[offset]), {})
+        missing = [big_n for big_n in points[offset:] if big_n not in scaled]
+        if missing:
+            top = phi(twice_e, j, points[offset])
+            for big_n in missing:
+                ratio = mpf_div(phi(twice_e, j, big_n), top, bits, round_nearest)
+                scaled[big_n] = to_int(mpf_shift(ratio, bits))
+        return [scaled[big_n] for big_n in points[offset:]]
 
-        def solve(m: int) -> list[int]:
-            # columns of M scaled to 1 at the first sample they use, to keep
-            # the elimination well posed; M^T holds them as rows, e_0 beside
-            offset = len(points) - (m + 1)
-            rows = [[1 << bits] * (m + 2)] + [
-                basis_row(expo, j, offset) + [0] for expo, j in basis[:m]
-            ]
-            for p in range(m + 1):
-                rows[p:] = sorted(rows[p:], key=lambda row: -abs(row[p]))
-                pivot = rows[p]
-                for row in rows[p + 1 :]:
-                    f = (row[p] << bits) // pivot[p]
-                    row[p:] = [u - (f * v >> bits) for u, v in zip(row[p:], pivot[p:])]
-            w = [0] * (m + 1)
-            for i in range(m, -1, -1):
-                rest = sum(u * v for u, v in zip(rows[i][i + 1 :], w[i + 1 :])) >> bits
-                w[i] = ((rows[i][m + 1] - rest) << bits) // rows[i][i]
-            return [0] * offset + w
+    def solve(m: int) -> list[int]:
+        # columns of M scaled to 1 at the first sample they use, to keep
+        # the elimination well posed; M^T holds them as rows, e_0 beside
+        offset = len(points) - (m + 1)
+        rows = [[1 << bits] * (m + 2)] + [
+            basis_row(twice_e, j, offset) + [0] for twice_e, j in basis[:m]
+        ]
+        for p in range(m + 1):
+            rows[p:] = sorted(rows[p:], key=lambda row: abs(row[p]), reverse=True)
+            pivot, q = rows[p], p + 1
+            # below the pivot, column p is read no more
+            for row in rows[q:]:
+                f = (row[p] << bits) // pivot[p]
+                row[q:] = [u - (f * v >> bits) for u, v in zip(row[q:], pivot[q:])]
+        w = [0] * (m + 1)
+        for i in range(m, -1, -1):
+            rest = sum(map(operator.mul, rows[i][i + 1 :], w[i + 1 :])) >> bits
+            w[i] = ((rows[i][m + 1] - rest) << bits) // rows[i][i]
+        return [0] * offset + w
 
-        def exact(w: list[int]) -> list[mpf]:
-            return [mpmath.mp.make_mpf(from_int(u)) for u in w]
-
-        fit, fit_prev = exact(solve(levels)), exact(solve(levels - 2))
-        # a later entry reads phi again only at the first sample of its row,
-        # the first or third of these points
-        for key in [key for key in phis if key[2] not in points[:3:2]]:
-            del phis[key]
-        return fit, fit_prev, bits
+    fit, prev = solve(levels), solve(levels - 2)
+    return (*([from_int(u) for u in w] for w in (fit, prev)), bits,
+            [u - v for u, v in zip(fit, prev)], sum(map(abs, fit)) + sum(map(abs, prev)))
 
 
-def _extrapolate(
-    points: list[int],
-    values: list[mpf],
-    alpha: Fraction,
-    log_degree: int,
-    weights: _Weights,
-):
-    """The tail fit's value and estimate, |w . S - w' . S|, for samples S.
-
-    The weights come from `weights`, solved there once per key.
-    """
-    key = (tuple(points), alpha, log_degree)
+def _solved(points: list[int], alpha: Fraction, log_degree: int, weights: _Weights) -> tuple:
+    # the key's weights, solved on first use; Fraction hashes are not cached
+    key = (tuple(points), alpha.numerator * 2 // alpha.denominator, log_degree)
     if key not in weights:
         weights[key] = _fit_weights(points, alpha, log_degree, weights)
-    w, w_prev, bits = weights[key]
-    with mpmath.extradps(25):
-        last = mpmath.ldexp(mpmath.fdot(w, values), -bits)
-        return last, abs(last - mpmath.ldexp(mpmath.fdot(w_prev, values), -bits))
+    return weights[key]
 
 
-def _fit(
-    job: _Job,
-    points: list[int],
-    sums: list[int],
-    F: int,
-    digits: int,
-    weights: _Weights,
-) -> OracleResult:
-    """Value and error estimate of `job` from its scaled partial sums at the
-    first len(sums) of `points`.
+def _extrapolate(points: list[int], values: list[mpf], alpha: Fraction, log_degree: int,
+                 weights: _Weights):
+    """The tail fit's value and estimate, |w . S - w' . S|, for samples S, each
+    dot product and their difference rounded to G bits as mpmath's fdot rounds."""
+    w, w_prev, bits, *_ = _solved(points, alpha, log_degree, weights)
+    raw = [value._mpf_ for value in values]
+    last, prev = (mpf_shift(mpf_sum(list(map(mpf_mul, ws, raw)), bits, round_nearest), -bits)
+                  for ws in (w, w_prev))
+    err = mpf_abs(mpf_sub(last, prev, bits, round_nearest))
+    return mpmath.mp.make_mpf(last), mpmath.mp.make_mpf(err)
 
-    With two samples (no extrapolation levels), or with geometric decay in
-    x^(2n), the last partial sum is the value and its step from the one
-    before is the error; otherwise the tail is extrapolated.
+
+def _tail(job: _Job) -> tuple[Fraction, int]:
+    # outer terms decay like n^-(q + p/2) times a polylog of degree the chain
+    # levels: inner sums grow like logs, and their deficits shift q by integers
+    return Fraction(2 * job.head[2] + job.binom_power, 2), sum(map(len, job.chains))
+
+
+def _fit(job: _Job, points: list[int], sums: list[int], F: int, digits: int,
+         weights: _Weights) -> OracleResult:
+    """Value and error estimate of `job` from its sums at 2^F at the first
+    len(sums) of `points`: with two samples, or with geometric decay in
+    x^(2n), the last sum and its step; otherwise the tail is extrapolated.
     """
     points = points[: len(sums)]
     with workdps(digits + 15):
-        one = mpf(1 << F)
-        values = [mpf(s) / one for s in sums]
+        prec = mpmath.mp.prec  # mpf(s) / 2^F: s rounded to prec bits, then scaled
+        values = [mpmath.mp.make_mpf(from_man_exp(s, -F, prec, round_nearest)) for s in sums]
         if job.x != 1 or len(values) < 3:
             value, err = values[-1], abs(values[-1] - values[-2])
         else:
-            # outer terms decay like n^-(q + p/2) times a polylog whose degree
-            # is the number of chain levels: inner sums only grow
-            # logarithmically, and their deficits shift the exponent by
-            # integers
-            alpha = Fraction(job.head[2]) + Fraction(job.binom_power, 2)
-            log_degree = sum(len(chain) for chain in job.chains)
-            value, err = _extrapolate(points, values, alpha, log_degree, weights)
+            value, err = _extrapolate(points, values, *_tail(job), weights)
         return OracleResult(value, err, points[-1] + 1)
+
+
+def _cannot_settle(job: _Job, points: list[int], sums: list[int], digits: int, target: mpf,
+                   weights: _Weights) -> bool:
+    """Whether the x = 1 fit of `job` on `sums` must miss `target`, read on integers.
+
+    With W, W' the weights at 2^G and S the sums at 2^F, D = |(W - W') . S|
+    is the estimate exactly, in units of 2^-(F+G).  `_fit` rounds each value
+    S_i 2^-F to P = dps_to_prec(digits + 15) bits, each dot product and
+    their difference to G > P + 4 bits, and its mpf_sum drops only terms
+    2^(2G) below the sum; with A = (sum |W| + |W'|) max |S|, that moves the
+    estimate by under (A + D) 2^(1-P) units.  So if D - R > ceil(target
+    2^(F+G)), R = floor((A + D) 2^(3-P)) + 1, the mpf estimate is above the
+    target and the fit cannot settle; every other item goes on to `_fit`.
+    """
+    with workdps(digits + 15):  # the precision _fit solves the weights at
+        _, _, bits, diff, size = _solved(points[: len(sums)], *_tail(job), weights)
+    d = abs(sum(map(operator.mul, diff, sums)))
+    r = ((size * max(map(abs, sums)) + d) >> (dps_to_prec(digits + 15) - 3)) + 1
+    return d - r > to_int(mpf_shift(target._mpf_, _scale_bits(digits) + bits), round_ceiling)
 
 
 def direct_sums(
@@ -441,15 +446,10 @@ def direct_sums(
     """Directly sum every plain or harmonic-weighted series, one sweep per
     first sample point.
 
-    Equal items are swept once.  When the config worked out its levels, they
-    are a cap: after every odd sample count 2L+1 >= 3 below it, an item with
-    x = 1 is fitted on its samples so far, and it settles, leaving the sweep
-    with that fit as its result, at the first L whose estimate is at most
-    10^(1 - digits), one unit in the last digit.  An item still running at
-    the cap is fitted after the sweep, as under given levels.  Every
-    result's estimate must be within the 10^(-digits/2) budget; a
-    ConfigTooSmallError names the position of the first item that misses it
-    in its `index`.
+    Equal items are swept once, and items with x = 1 settle below a cap as
+    the module docstring says.  Every result's estimate must be within the
+    10^(-digits/2) budget; a ConfigTooSmallError names the position of the
+    first item that misses it in its `index`.
     """
     cfg = cfg or OracleConfig()
     digits = cfg.precision_digits
@@ -478,7 +478,8 @@ def direct_sums(
             if count < 3 or count % 2 == 0 or count == len(points):
                 return set()
             fits = {j: _fit(group[j], points, sums[j], F, digits, weights)
-                    for j in running if group[j].x == 1}
+                    for j in running if group[j].x == 1
+                    and not _cannot_settle(group[j], points, sums[j], digits, target, weights)}
             # this count's fit weights are done with; the basis rows stay
             prefix = tuple(points[:count])
             for key in [key for key in weights if key[0] == prefix]:
@@ -499,8 +500,7 @@ def direct_sums(
         if result.error_estimate > budget:
             exc = ConfigTooSmallError(
                 f"tail error estimate {mpmath.nstr(result.error_estimate, 5)} exceeds the "
-                f"10^-{digits / 2:g} budget; raise cutoff or levels"
-            )
+                f"10^-{digits / 2:g} budget; raise cutoff or levels")
             exc.index = index
             raise exc
         results.append(result)

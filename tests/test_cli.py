@@ -317,6 +317,22 @@ def test_harmonic_command(capsys):
     # (8 log 2 - 4)/pi
     assert out["compiled"].startswith("0.4918452564")
     assert float(out["deviation"]) < 1e-8
+    assert out["terms_used"] > 5000
+    with mpmath.workdps(30):
+        want = (8 * mpmath.log(2) - 4) / mpmath.pi
+        assert abs(mpmath.mpf(out["direct"]) - want) <= mpmath.mpf(out["direct_error_estimate"])
+
+
+def test_harmonic_direct_as_ci_checks(capsys):
+    # the step in .github/workflows/tier1.yml: the settling oracle path at
+    # the default digits, (8 log 2 - 4)/pi
+    args = ["harmonic", "--k", "1", "--head", "2n-1^1", "--binom", "2", "--method", "direct",
+            "--json"]
+    assert cli_main(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"binom", "direct", "direct_error_estimate", "head", "k", "l", "terms_used"}
+    assert float(out["direct_error_estimate"]) <= 1e-25
+    assert abs(float(out["direct"]) - (8 * math.log(2) - 4) / math.pi) <= 1e-12
 
 
 def test_harmonic_bad_head_status(capsys):

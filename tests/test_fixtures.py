@@ -1,10 +1,18 @@
 import json
+from decimal import Decimal
 
 import mpmath
 import pytest
 from mpmath import mpf, workprec
 
-from apery_words.fixtures import ORACLE_DIGITS, load_fixtures, render_report_table, verify_fixtures
+from apery_words.fixtures import (
+    ORACLE_DIGITS,
+    _oracle_values,
+    load_fixtures,
+    render_report_table,
+    supported_digits,
+    verify_fixtures,
+)
 from apery_words.oracle import OracleConfig, direct_harmonic_sum, direct_sum
 
 
@@ -54,17 +62,37 @@ def test_report_carries_weight_bookkeeping(report):
 
 def test_report_oracle_matches_single_sums(report):
     # verify sums every record in one batch; each record summed on its own
-    # must print the same oracle value
+    # must print the same oracle value and estimate
     records = sorted(load_fixtures(), key=lambda r: r.id)
     assert [r["id"] for r in report["records"]] == [rec.id for rec in records]
     cfg = OracleConfig(precision_digits=ORACLE_DIGITS)
     with workprec(140 + 16):
         for rec, entry in zip(records, report["records"]):
             if rec.series is not None:
-                value = direct_sum(rec.series, cfg).value
+                res = direct_sum(rec.series, cfg)
+                value, error = res.value, res.error_estimate
             else:
-                value = mpf(0)
+                value = error = mpf(0)
                 for part in rec.harmonic:
                     coef = mpf(part.coef.numerator) / part.coef.denominator
-                    value += direct_harmonic_sum(part.spec, cfg).value * coef
-            assert entry["oracle"] == mpmath.nstr(value, 16), rec.id
+                    res = direct_harmonic_sum(part.spec, cfg)
+                    value += res.value * coef
+                    error += res.error_estimate * abs(coef)
+            assert entry["oracle"] == mpmath.nstr(value, supported_digits(value, error, 16)), rec.id
+            assert entry["oracle_error_estimate"] == mpmath.nstr(error, 3), rec.id
+
+
+def test_report_prints_only_the_oracle_digits_its_estimate_supports(report):
+    # the unit of the last oracle digit printed is at least the record's
+    # estimate, which keeps most records below 16 digits
+    records = sorted(load_fixtures(), key=lambda r: r.id)
+    cfg = OracleConfig(precision_digits=ORACLE_DIGITS)
+    short = 0
+    with workprec(200):
+        for entry, (value, error) in zip(report["records"], _oracle_values(records, cfg)):
+            printed = Decimal(entry["oracle"])
+            places = printed.as_tuple().exponent
+            assert mpf(10) ** places >= error, entry["id"]
+            assert abs(mpf(entry["oracle"]) - value) <= mpf(10) ** places / 2, entry["id"]
+            short += len(printed.as_tuple().digits) < 16
+    assert short >= 27

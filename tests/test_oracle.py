@@ -38,7 +38,7 @@ from apery_words.series import (
     parse_spec,
 )
 
-from conftest import central_ratio, gamma_tail_check, random_spec
+from conftest import build_corpus, central_ratio, gamma_tail_check, random_spec
 
 # the block length of an earlier kernel, kept as the spacing of some points
 _BLOCK = 256
@@ -577,9 +577,10 @@ def _extrapolate_per_item(
     return last, abs(last - previous)
 
 
-@pytest.mark.parametrize("levels", range(1, 7))
+@pytest.mark.parametrize("levels", range(1, 9))
 def test_fixed_point_fit_matches_lu_solve(levels):
-    # 3 to 13 samples, as the schedules take, of synthetic tails
+    # 3 to 17 samples, as the schedules take up to the 25-digit cap, of
+    # synthetic tails
     # c + sum b N^(1-alpha-k) ln(N)^j: the shared weights' value and estimate
     # against the per-item mpmath LU fit
     points = _checkpoints(1_000, levels)
@@ -837,3 +838,116 @@ def test_plans_are_compiled_per_live_set(monkeypatch):
                 assert keyword.iskeyword(token.string) or _PLAN_NAME.fullmatch(token.string), token
             if token.type == tokenize.NUMBER:
                 assert token.string.isdigit(), token
+
+
+# The settle screen: an item that it passes over could not have settled, so
+# with the screen or without it every result is the same.
+
+
+def _results(results) -> list[tuple]:
+    return [(res.value, res.error_estimate, res.terms_used) for res in results]
+
+
+@pytest.mark.parametrize("digits", [16, 20, 25])
+def test_settle_screen_never_changes_a_decision(digits, verify_batch, monkeypatch):
+    cfg = OracleConfig(precision_digits=digits)
+    batches = [_fixture_items(), build_corpus(20)]
+    screened = [_results(direct_sums(items, cfg)) for items in batches]
+    if digits != 20:
+        assert screened[0] == _results(verify_batch(cfg)[0])
+    monkeypatch.setattr(oracle, "_cannot_settle", lambda *args: False)
+    for items, want in zip(batches, screened):
+        assert _results(direct_sums(items, cfg)) == want
+
+
+def test_settle_screen_at_the_target():
+    # synthetic sums whose fit estimate lies within 2x of the target on
+    # either side: an item that the screen passes over has an mpf estimate
+    # above the target, and the screen takes every item whose estimate is
+    # above it by more than the fit's roundings
+    job = _job(parse_spec("S[2n-1^2 > 2n^1 > 0]"))
+    digits = 16
+    F = _scale_bits(digits)
+    points = _checkpoints(125, 7)[:9]
+    weights = {}
+    with mpmath.workdps(digits + 15):
+        target = mpf(10) ** (1 - digits)
+        _, _, bits, diff, _ = oracle._solved(points, *oracle._tail(job), weights)
+    # a constant tail fits with an estimate of 0, and the estimate is linear
+    # in the last sample
+    base = [(1 << F) // 3] * len(points)
+
+    def last_at(ratio):
+        return base[-1] + int(mpmath.nint(ratio * target * 2 ** (F + bits) / abs(diff[-1])))
+
+    def decide(last):
+        sums = base[:-1] + [last]
+        res = oracle._fit(job, points, sums, F, digits, weights)
+        screened = oracle._cannot_settle(job, points, sums, digits, target, weights)
+        assert not screened or res.error_estimate > target
+        return res.error_estimate, screened
+
+    for ratio in (0.5, 0.9, 0.99, 0.999999, 1.000001, 1.01, 1.1, 2):
+        err, screened = decide(last_at(ratio))
+        assert abs(err / target - ratio) < 1e-6, ratio
+        assert screened == (ratio > 1), ratio
+
+    def first(pred):
+        # the smallest last sample between the 0.99 and 1.01 ratios where
+        # pred holds, which it then does from there on
+        lo, hi = last_at(0.99), last_at(1.01)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+        return hi
+
+    unsettled = first(lambda last: decide(last)[0] > target)
+    taken = first(lambda last: decide(last)[1])
+    # between them lies the band the bound leaves to the mpf fit: items
+    # that do not settle and still reach it
+    assert unsettled < taken
+    assert taken - unsettled < (last_at(1) - base[-1]) * 1e-12
+    states = {(decide(last)[0] <= target, decide(last)[1])
+              for last in (unsettled - 1, unsettled, taken - 1, taken)}
+    assert states == {(True, False), (False, False), (False, True)}
+
+
+def test_cached_basis_values_are_mpmath_pow(verify_batch):
+    # every power and log power that the fits cache, multiplied as a basis
+    # value, is mpf(N) ** mpf(e) * log(N) ** j bit for bit, and every row
+    # entry is that quotient truncated to 2^-G
+    for digits in (16, 25):
+        caches = []
+        fit_weights = oracle._fit_weights
+
+        def recording(points, alpha, log_degree, weights):
+            out = fit_weights(points, alpha, log_degree, weights)
+            caches.append((weights, out[2]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_fit_weights", recording)
+            direct_sums(_fixture_items(), OracleConfig(precision_digits=digits))
+        weights, bits = caches[-1]
+        assert all(cache is weights and at == bits for cache, at in caches)
+        powers, logs = weights[("pow",)], weights[("log",)]
+        exponents = {twice_e for twice_e, _ in powers}
+        assert len(powers) > 100 and len(exponents) > 5 and min(exponents) < -10
+        with mpmath.workprec(bits):
+
+            def reference(twice_e, j, big_n):
+                return mpf(big_n) ** mpf(float(Fraction(twice_e, 2))) * mpmath.log(big_n) ** j
+
+            for (twice_e, big_n) in powers:
+                for j in sorted(j for j, n in logs if n == big_n):
+                    got = mpmath.libmp.mpf_mul(powers[twice_e, big_n], logs[j, big_n], bits,
+                                               mpmath.libmp.round_nearest)
+                    assert got == reference(twice_e, j, big_n)._mpf_, (twice_e, j, big_n)
+            rows = [(key, row) for key, row in weights.items()
+                    if isinstance(key[0], int) and len(key) == 3]
+            assert len(rows) > 50
+            for (twice_e, j, first), row in rows:
+                top = reference(twice_e, j, first)
+                for big_n, entry in row.items():
+                    want = int(mpmath.ldexp(reference(twice_e, j, big_n) / top, bits))
+                    assert entry == want, (twice_e, j, first, big_n)
