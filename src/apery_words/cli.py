@@ -18,9 +18,9 @@ import mpmath
 from mpmath import workprec
 
 from . import fixtures as fixtures_mod
-from .fixtures import supported_digits
 from .constants import CONSTANT_WORDS, constant_value
 from .evaluate import ValueCache, eval_wordsum
+from .fixtures import supported_digits
 from .oracle import OracleConfig, direct_sums
 from .pipeline import compile_harmonic, compile_spec
 from .series import HarmonicSpec, canonical_key, parse_head, parse_spec, render

@@ -849,12 +849,10 @@ def _results(results) -> list[tuple]:
 
 
 @pytest.mark.parametrize("digits", [16, 20, 25])
-def test_settle_screen_never_changes_a_decision(digits, verify_batch, monkeypatch):
+def test_settle_screen_never_changes_a_decision(digits, monkeypatch):
     cfg = OracleConfig(precision_digits=digits)
     batches = [_fixture_items(), build_corpus(20)]
     screened = [_results(direct_sums(items, cfg)) for items in batches]
-    if digits != 20:
-        assert screened[0] == _results(verify_batch(cfg)[0])
     monkeypatch.setattr(oracle, "_cannot_settle", lambda *args: False)
     for items, want in zip(batches, screened):
         assert _results(direct_sums(items, cfg)) == want
@@ -912,7 +910,7 @@ def test_settle_screen_at_the_target():
     assert states == {(True, False), (False, False), (False, True)}
 
 
-def test_cached_basis_values_are_mpmath_pow(verify_batch):
+def test_cached_basis_values_are_mpmath_pow():
     # every power and log power that the fits cache, multiplied as a basis
     # value, is mpf(N) ** mpf(e) * log(N) ** j bit for bit, and every row
     # entry is that quotient truncated to 2^-G
