@@ -84,7 +84,7 @@ def test_report_oracle_matches_single_sums(report):
 
 def test_report_prints_only_the_oracle_digits_its_estimate_supports(report):
     # the unit of the last oracle digit printed is at least the record's
-    # estimate, which keeps most records below 16 digits
+    # estimate, which keeps many records below 16 digits
     records = sorted(load_fixtures(), key=lambda r: r.id)
     cfg = OracleConfig(precision_digits=ORACLE_DIGITS)
     short = 0
