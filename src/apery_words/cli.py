@@ -44,6 +44,13 @@ def _cache(args) -> ValueCache:
     return ValueCache(path)
 
 
+def _print_text(out: dict) -> None:
+    # what eval and harmonic print without --json
+    for key in ("compiled", "direct", "deviation", "direct_error_estimate"):
+        if key in out:
+            print(f"{key:24s} {out[key]}")
+
+
 def _evaluate(args, item, compile_item, out: dict):
     """The compiled / direct / both flow shared by eval and harmonic.
 
@@ -83,9 +90,7 @@ def cmd_eval(args) -> int:
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
-        for key in ("compiled", "direct", "deviation", "direct_error_estimate"):
-            if key in out:
-                print(f"{key:24s} {out[key]}")
+        _print_text(out)
         if "weight_report" in out:
             print(f"{'weight report':24s} {out['weight_report']}")
     return 0
@@ -144,9 +149,7 @@ def cmd_harmonic(args) -> int:
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
-        for key in ("compiled", "direct", "deviation"):
-            if key in out:
-                print(f"{key:12s} {out[key]}")
+        _print_text(out)
     return 0
 
 

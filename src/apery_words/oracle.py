@@ -32,23 +32,25 @@ exponent alpha = s_1 + binom_power/2 and j < depth, so the extrapolation
 fits the partial sums at N * 2^(i/2), i = 0..2L, against the basis
 {1} + {N^(1-alpha-k) * ln(N)^j}; the error estimate is the change from the
 fit with two basis functions fewer.  Both fits are linear in the samples S:
-the value is w . S and the estimate |w . S - w' . S|, where w and w' depend
-only on the sample points, alpha and the log degree (generalized Richardson
-extrapolation; Sidi, Practical Extrapolation Methods, 2003).  `direct_sums`
+with integer weights W and W' scaled by 2^G, G = dps_to_prec(digits + 40)
+bits, the value is W . S and the estimate |(W - W') . S|, both exact at
+2^-(F+G) and each rounded once to G bits (generalized Richardson
+extrapolation; Sidi, Practical Extrapolation Methods, 2003).  W and W'
+depend only on the sample points, alpha and the log degree; `direct_sums`
 solves for them once per such key in a dict local to the call, by
-elimination on integers scaled by 2^G, from basis rows built in libmp out of
-powers and log powers each computed once per call.
+elimination on integers, from basis rows built in libmp out of powers and
+log powers each computed once per call.  G comes from the digits alone, so
+the fit never reads mpmath's working precision.
 
 The sweep is resumable: after each sample it asks which running items have
 settled, and those leave it, with whatever only they read.  When the config
 worked out its own levels, they are a cap: after every odd sample count
 2L+1 >= 3 below the cap, each item with x = 1 settles at the first L whose
 fit's estimate is at most 10^(1 - digits), with the result an explicit
-L-level schedule gives and terms_used its own last sample + 1; an integer
-screen, `_cannot_settle`, first rules out on the exact estimate the items
-that cannot settle.  Other items are swept to the cap and fitted in full, as
-under given levels.  The fits of one count share their weights and drop
-them before the sweep goes on; the basis rows stay.
+L-level schedule gives and terms_used its own last sample + 1.  Other items
+are swept to the cap and fitted in full, as under given levels.  The fits
+of one count share their weights and drop them before the sweep goes on;
+the basis rows stay.
 """
 
 from __future__ import annotations
@@ -62,9 +64,8 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf, workdps
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_abs, mpf_div, mpf_log, mpf_mul,
-                          mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_ceiling,
-                          round_nearest, to_int)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_div, mpf_log, mpf_mul,
+                          mpf_pow_int, mpf_shift, mpf_sqrt, round_nearest, to_int)
 
 from .series import HarmonicSpec, Parity, Relation, SeriesSpec
 from .sweep import compile_plan
@@ -121,6 +122,10 @@ class OracleResult:
 
 def _scale_bits(digits: int) -> int:
     return int(math.ceil((digits + 15) * math.log2(10))) + 16
+
+
+def _fit_bits(digits: int) -> int:
+    return dps_to_prec(digits + 40)
 
 
 def _checkpoints(first: int, levels: int) -> list[int]:
@@ -294,26 +299,27 @@ def _partial_sums(
     return sums, F, reached
 
 
-# one dict per direct_sums call: (sample points, 2 alpha, log degree) -> the
-# _fit_weights tuple; (2e, log power j, N_o) -> {N: the basis function at N
-# over its value at N_o, an integer scaled by 2^G}; ("sqrt",) -> {N: sqrt(N)},
-# ("pow",) -> {(2e, N): N^e} and ("log",) -> {(j, N): ln(N)^j}, raw mpf
+# one dict per direct_sums call, whose digits fix G: (sample points, 2 alpha,
+# log degree) -> the _fit_weights pair; (2e, log power j, N_o) -> {N: the
+# basis function at N over its value at N_o, an integer scaled by 2^G};
+# ("sqrt",) -> {N: sqrt(N)}, ("pow",) -> {(2e, N): N^e} and ("log",) ->
+# {(j, N): ln(N)^j}, raw mpf
 _Weights = dict[tuple, tuple | dict]
 
 
-def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _Weights):
-    """Weights w, w' of the tail fit: its value is w . S, the previous level's w' . S.
+def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, bits: int,
+                 weights: _Weights) -> tuple[list[int], list[int]]:
+    """Weights W, W' of the tail fit at 2^G, G = `bits`: its value is W . S,
+    the previous level's W' . S.
 
     The fit solves M c = S for the samples S against the basis
     {1} + {N^(1-alpha-k) ln(N)^j, j = log_degree..0}, alpha a multiple of
-    1/2, and its value is the constant c_0 = e_0 . M^-1 S, so w solves
-    M^T w = e_0.  The basis functions beside the constant are one fewer than
-    the samples, at least 2; w' is the same fit with two fewer over the last
-    samples, zero on the first two.  Both are integers W, W' scaled by 2^G
-    (G bits the working precision); returns (w, w', G, W - W', sum |W| +
-    |W'|), w and w' the raw mpf of W and W'.  The rows of M^T are the basis
-    functions over the samples a solve uses, scaled to 1 at the first of them
-    (the first sample for w, the third for w'): each entry phi(N) / phi(N_o),
+    1/2, and its value is the constant c_0 = e_0 . M^-1 S, so W solves
+    M^T W = e_0.  The basis functions beside the constant are one fewer than
+    the samples, at least 2; W' is the same fit with two fewer over the last
+    samples, zero on the first two.  The rows of M^T are the basis functions
+    over the samples a solve uses, scaled to 1 at the first of them (the
+    first sample for W, the third for W'): each entry phi(N) / phi(N_o),
     divided at G bits in libmp and truncated to 2^-G, is kept in `weights`.
     phi(N) is the product at G bits of N^e and ln(N)^j, each kept per call:
     mpf_pow_int of N, or for half-integer e of sqrt(N) at G + 10 bits, and
@@ -327,7 +333,6 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _
     twice_alpha = int(2 * alpha)
     basis = [(2 - twice_alpha - 2 * k, j)
              for k in range(levels) for j in range(log_degree, -1, -1)][:levels]
-    bits = dps_to_prec(mpmath.mp.dps + 25)
     roots, powers, logs = (weights.setdefault((name,), {}) for name in ("sqrt", "pow", "log"))
 
     def phi(twice_e: int, j: int, big_n: int) -> tuple:
@@ -372,29 +377,27 @@ def _fit_weights(points: list[int], alpha: Fraction, log_degree: int, weights: _
             w[i] = ((rows[i][m + 1] - rest) << bits) // rows[i][i]
         return [0] * offset + w
 
-    fit, prev = solve(levels), solve(levels - 2)
-    return (*([from_int(u) for u in w] for w in (fit, prev)), bits,
-            [u - v for u, v in zip(fit, prev)], sum(map(abs, fit)) + sum(map(abs, prev)))
+    return solve(levels), solve(levels - 2)
 
 
-def _solved(points: list[int], alpha: Fraction, log_degree: int, weights: _Weights) -> tuple:
+def _rounded(man: int, shift: int, bits: int) -> mpf:
+    # man * 2^-shift, rounded once to nearest at `bits` bits
+    return mpmath.mp.make_mpf(from_man_exp(man, -shift, bits, round_nearest))
+
+
+def _extrapolate(points: list[int], sums: list[int], digits: int, alpha: Fraction,
+                 log_degree: int, weights: _Weights) -> tuple[mpf, mpf]:
+    """The tail fit's value W . S and estimate |(W - W') . S| for the sums S
+    at 2^F, each exact at 2^-(F+G) and rounded once to G bits."""
+    F, G = _scale_bits(digits), _fit_bits(digits)
     # the key's weights, solved on first use; Fraction hashes are not cached
     key = (tuple(points), alpha.numerator * 2 // alpha.denominator, log_degree)
     if key not in weights:
-        weights[key] = _fit_weights(points, alpha, log_degree, weights)
-    return weights[key]
-
-
-def _extrapolate(points: list[int], values: list[mpf], alpha: Fraction, log_degree: int,
-                 weights: _Weights):
-    """The tail fit's value and estimate, |w . S - w' . S|, for samples S, each
-    dot product and their difference rounded to G bits as mpmath's fdot rounds."""
-    w, w_prev, bits, *_ = _solved(points, alpha, log_degree, weights)
-    raw = [value._mpf_ for value in values]
-    last, prev = (mpf_shift(mpf_sum(list(map(mpf_mul, ws, raw)), bits, round_nearest), -bits)
-                  for ws in (w, w_prev))
-    err = mpf_abs(mpf_sub(last, prev, bits, round_nearest))
-    return mpmath.mp.make_mpf(last), mpmath.mp.make_mpf(err)
+        weights[key] = _fit_weights(points, alpha, log_degree, G, weights)
+    w, w_prev = weights[key]
+    value = sum(map(operator.mul, w, sums))
+    err = abs(value - sum(map(operator.mul, w_prev, sums)))
+    return _rounded(value, F + G, G), _rounded(err, F + G, G)
 
 
 def _tail(job: _Job) -> tuple[Fraction, int]:
@@ -403,41 +406,20 @@ def _tail(job: _Job) -> tuple[Fraction, int]:
     return Fraction(2 * job.head[2] + job.binom_power, 2), sum(map(len, job.chains))
 
 
-def _fit(job: _Job, points: list[int], sums: list[int], F: int, digits: int,
+def _fit(job: _Job, points: list[int], sums: list[int], digits: int,
          weights: _Weights) -> OracleResult:
     """Value and error estimate of `job` from its sums at 2^F at the first
     len(sums) of `points`: with two samples, or with geometric decay in
-    x^(2n), the last sum and its step; otherwise the tail is extrapolated.
+    x^(2n), the last sum and its step, each rounded to G > F bits, which is
+    exact; otherwise the tail is extrapolated.
     """
     points = points[: len(sums)]
-    with workdps(digits + 15):
-        prec = mpmath.mp.prec  # mpf(s) / 2^F: s rounded to prec bits, then scaled
-        values = [mpmath.mp.make_mpf(from_man_exp(s, -F, prec, round_nearest)) for s in sums]
-        if job.x != 1 or len(values) < 3:
-            value, err = values[-1], abs(values[-1] - values[-2])
-        else:
-            value, err = _extrapolate(points, values, *_tail(job), weights)
-        return OracleResult(value, err, points[-1] + 1)
-
-
-def _cannot_settle(job: _Job, points: list[int], sums: list[int], digits: int, target: mpf,
-                   weights: _Weights) -> bool:
-    """Whether the x = 1 fit of `job` on `sums` must miss `target`, read on integers.
-
-    With W, W' the weights at 2^G and S the sums at 2^F, D = |(W - W') . S|
-    is the estimate exactly, in units of 2^-(F+G).  `_fit` rounds each value
-    S_i 2^-F to P = dps_to_prec(digits + 15) bits, each dot product and
-    their difference to G > P + 4 bits, and its mpf_sum drops only terms
-    2^(2G) below the sum; with A = (sum |W| + |W'|) max |S|, that moves the
-    estimate by under (A + D) 2^(1-P) units.  So if D - R > ceil(target
-    2^(F+G)), R = floor((A + D) 2^(3-P)) + 1, the mpf estimate is above the
-    target and the fit cannot settle; every other item goes on to `_fit`.
-    """
-    with workdps(digits + 15):  # the precision _fit solves the weights at
-        _, _, bits, diff, size = _solved(points[: len(sums)], *_tail(job), weights)
-    d = abs(sum(map(operator.mul, diff, sums)))
-    r = ((size * max(map(abs, sums)) + d) >> (dps_to_prec(digits + 15) - 3)) + 1
-    return d - r > to_int(mpf_shift(target._mpf_, _scale_bits(digits) + bits), round_ceiling)
+    if job.x != 1 or len(sums) < 3:
+        F, G = _scale_bits(digits), _fit_bits(digits)
+        value, err = _rounded(sums[-1], F, G), _rounded(abs(sums[-1] - sums[-2]), F, G)
+    else:
+        value, err = _extrapolate(points, sums, digits, *_tail(job), weights)
+    return OracleResult(value, err, points[-1] + 1)
 
 
 def direct_sums(
@@ -453,7 +435,6 @@ def direct_sums(
     """
     cfg = cfg or OracleConfig()
     digits = cfg.precision_digits
-    F = _scale_bits(digits)
     jobs = {item: _job(item) for item in items}
     by_first: dict[int, list[_Job]] = {}
     for job in dict.fromkeys(jobs.values()):
@@ -477,9 +458,8 @@ def direct_sums(
             count = len(sums[running[0]])
             if count < 3 or count % 2 == 0 or count == len(points):
                 return set()
-            fits = {j: _fit(group[j], points, sums[j], F, digits, weights)
-                    for j in running if group[j].x == 1
-                    and not _cannot_settle(group[j], points, sums[j], digits, target, weights)}
+            fits = {j: _fit(group[j], points, sums[j], digits, weights)
+                    for j in running if group[j].x == 1}
             # this count's fit weights are done with; the basis rows stay
             prefix = tuple(points[:count])
             for key in [key for key in weights if key[0] == prefix]:
@@ -496,7 +476,7 @@ def direct_sums(
         if job in settled_at:
             result = replace(settled_at[job])
         else:
-            result = _fit(job, *swept[job], F, digits, weights)
+            result = _fit(job, *swept[job], digits, weights)
         if result.error_estimate > budget:
             exc = ConfigTooSmallError(
                 f"tail error estimate {mpmath.nstr(result.error_estimate, 5)} exceeds the "

@@ -76,7 +76,7 @@ def test_eval_direct_explicit_levels_as_ci_checks(capsys):
     assert cli_main(args) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["direct"] == "0.5707963267948966"
-    assert out["direct_error_estimate"] == "9.78e-32"
+    assert out["direct_error_estimate"] == "1.03e-31"
     assert abs(float(out["direct"]) - (math.pi / 2 - 1)) <= 1e-12
 
 
@@ -333,6 +333,17 @@ def test_harmonic_direct_as_ci_checks(capsys):
     assert set(out) == {"binom", "direct", "direct_error_estimate", "head", "k", "l", "terms_used"}
     assert float(out["direct_error_estimate"]) <= 1e-25
     assert abs(float(out["direct"]) - (8 * math.log(2) - 4) / math.pi) <= 1e-12
+
+
+def test_harmonic_text_prints_the_direct_error_estimate(capsys):
+    # without --json, harmonic prints the lines eval prints
+    args = ["harmonic", "--k", "1", "--head", "2n-1^1", "--binom", "2", "--method", "both",
+            "--digits", "20"]
+    assert cli_main(args) == 0
+    text = capsys.readouterr().out
+    assert [line.split()[0] for line in text.splitlines()] == [
+        "compiled", "direct", "deviation", "direct_error_estimate"]
+    assert float(text.splitlines()[-1].split()[1]) <= 1e-19
 
 
 def test_harmonic_bad_head_status(capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from apery_words import oracle, sweep
 from apery_words.fixtures import load_fixtures
@@ -586,23 +587,29 @@ def test_fixed_point_fit_matches_lu_solve(levels):
     points = _checkpoints(1_000, levels)
     assert len(points) == 2 * levels + 1
     rng = random.Random(levels)
-    with mpmath.workdps(31):
+    digits = 16
+    F = _scale_bits(digits)
+    with mpmath.workdps(digits + 15):
         for alpha in map(Fraction, ("1", "3/2", "2", "5/2", "7/2", "9/2")):
             for log_degree in range(3):
                 terms = [(1 - alpha - k, j, mpf(rng.uniform(-1, 1)))
                          for k in range(3) for j in range(log_degree + 1)]
-                values = [
-                    mpf(1) / 3 + sum(b * mpf(big_n) ** mpf(float(expo)) * mpmath.log(big_n) ** j
-                                     for expo, j, b in terms)
+                # the samples as the sweep gives them, integers at 2^F, and
+                # their exact values for the reference
+                sums = [
+                    int(mpmath.ldexp(
+                        mpf(1) / 3 + sum(b * mpf(big_n) ** mpf(float(expo)) * mpmath.log(big_n) ** j
+                                         for expo, j, b in terms), F))
                     for big_n in points
                 ]
+                values = [mpmath.mp.make_mpf(from_man_exp(s, -F)) for s in sums]
                 if alpha == 1 and len(points) - 1 > log_degree:
                     # the basis reaches N^0 ln(N)^0, a second constant, so M
                     # is singular; the reference LU fails on it as well
                     with pytest.raises(ZeroDivisionError):
-                        oracle._extrapolate(points, values, alpha, log_degree, {})
+                        oracle._extrapolate(points, sums, digits, alpha, log_degree, {})
                     continue
-                value, err = oracle._extrapolate(points, values, alpha, log_degree, {})
+                value, err = oracle._extrapolate(points, sums, digits, alpha, log_degree, {})
                 want_value, want_err = _extrapolate_per_item(
                     points, values, alpha, log_degree, len(points) - 1
                 )
@@ -626,14 +633,14 @@ def verify_batch():
             fits, solved, sweeps = [], [], []
             extrapolate, fit_weights = oracle._extrapolate, oracle._fit_weights
 
-            def recording_extrapolate(points, values, alpha, log_degree, weights):
-                out = extrapolate(points, values, alpha, log_degree, weights)
-                fits.append(((points, values, alpha, log_degree), out))
+            def recording_extrapolate(points, sums, digits, alpha, log_degree, weights):
+                out = extrapolate(points, sums, digits, alpha, log_degree, weights)
+                fits.append(((points, sums, digits, alpha, log_degree), out))
                 return out
 
-            def recording_fit_weights(points, alpha, log_degree, weights):
+            def recording_fit_weights(points, alpha, log_degree, bits, weights):
                 solved.append((tuple(points), alpha, log_degree))
-                return fit_weights(points, alpha, log_degree, weights)
+                return fit_weights(points, alpha, log_degree, bits, weights)
 
             def recording_sweep(jobs, points, digits, *args):
                 sweeps.append(len(jobs))
@@ -658,14 +665,19 @@ def test_shared_weights_match_per_item_fit(cfg, verify_batch):
     # solved once
     assert sweeps == [72]
     assert len(fits) == 74
-    keys = [(tuple(args[0]), *args[2:]) for args, _ in fits]
+    keys = [(tuple(args[0]), *args[3:]) for args, _ in fits]
     assert sorted(solved, key=repr) == sorted(set(keys), key=repr)
     assert len(solved) == 20
+    F = _scale_bits(cfg.precision_digits)
     with mpmath.workdps(cfg.precision_digits + 15):
-        for args, (value, err) in fits:
-            want_value, want_err = _extrapolate_per_item(*args, len(args[0]) - 1)
-            assert abs(value - want_value) < mpf(10) ** -30, args[2:]
-            assert abs(err - want_err) < mpf(10) ** -30, args[2:]
+        for (points, sums, _, alpha, log_degree), (value, err) in fits:
+            # the reference fits the exact sums: rounded ones move its own
+            # value by more than the tolerance
+            values = [mpmath.mp.make_mpf(from_man_exp(s, -F)) for s in sums]
+            want_value, want_err = _extrapolate_per_item(
+                points, values, alpha, log_degree, len(points) - 1)
+            assert abs(value - want_value) < mpf(10) ** -30, (alpha, log_degree)
+            assert abs(err - want_err) < mpf(10) ** -30, (alpha, log_degree)
 
 
 def test_verify_schedule_agrees_with_the_longer_sweep(verify_batch):
@@ -772,11 +784,11 @@ def _results_digest(results) -> str:
 
 def test_explicit_levels_never_settle(verify_batch):
     # an explicit schedule sweeps every item to its last sample, and its
-    # values and estimates are bit for bit those before settling existed
+    # values and estimates are pinned bit for bit
     results, _, _, _ = verify_batch(OracleConfig(1_000, 6, 16))
     assert {res.terms_used for res in results} == {64_001}
     assert _results_digest(results) == (
-        "daf527faeba2d7b373bba672a195d4f85d4078e468b03e02d4a1def10f8d388f"
+        "cae1b3d3c5bba96af0d26c7b4c77e5688570d65b73c7adaf1841e2e06e4de14f"
     )
 
 
@@ -840,74 +852,75 @@ def test_plans_are_compiled_per_live_set(monkeypatch):
                 assert token.string.isdigit(), token
 
 
-# The settle screen: an item that it passes over could not have settled, so
-# with the screen or without it every result is the same.
+# Settle decisions: every terms_used of the verify items and of
+# build_corpus(20) under the settling schedule, pinned from the mpf fit that
+# the exact integer fit replaced.
+
+_TERMS_DIGESTS = {
+    16: "f4721b4352c5f47de2ada28be28f708d3b6446665ffb00229024a3ffa4999db3",
+    20: "87bc378afe47b3413aadec7206ce80a294e86de245870175b11aac597771861d",
+    25: "31fdf18cea462c54e463279a70de7296e83d400e359159a0db9f8340ab9381a4",
+}
 
 
-def _results(results) -> list[tuple]:
-    return [(res.value, res.error_estimate, res.terms_used) for res in results]
-
-
-@pytest.mark.parametrize("digits", [16, 20, 25])
-def test_settle_screen_never_changes_a_decision(digits, monkeypatch):
+@pytest.mark.parametrize("digits", sorted(_TERMS_DIGESTS))
+def test_settle_decisions_are_pinned(digits):
     cfg = OracleConfig(precision_digits=digits)
-    batches = [_fixture_items(), build_corpus(20)]
-    screened = [_results(direct_sums(items, cfg)) for items in batches]
-    monkeypatch.setattr(oracle, "_cannot_settle", lambda *args: False)
-    for items, want in zip(batches, screened):
-        assert _results(direct_sums(items, cfg)) == want
+    results = direct_sums(_fixture_items(), cfg) + direct_sums(build_corpus(20), cfg)
+    terms = " ".join(str(res.terms_used) for res in results)
+    assert hashlib.sha256(terms.encode()).hexdigest() == _TERMS_DIGESTS[digits]
 
 
-def test_settle_screen_at_the_target():
-    # synthetic sums whose fit estimate lies within 2x of the target on
-    # either side: an item that the screen passes over has an mpf estimate
-    # above the target, and the screen takes every item whose estimate is
-    # above it by more than the fit's roundings
+def test_exact_fit_at_the_target():
+    # synthetic sums whose estimate lies within 2x of the target on either
+    # side: the value is W . S and the estimate |(W - W') . S|, exact at
+    # 2^-(F+G) and rounded once to G bits, and between two adjacent last
+    # sums an item goes from settling to not
     job = _job(parse_spec("S[2n-1^2 > 2n^1 > 0]"))
     digits = 16
-    F = _scale_bits(digits)
+    F, G = _scale_bits(digits), oracle._fit_bits(digits)
     points = _checkpoints(125, 7)[:9]
     weights = {}
+    w, w_prev = oracle._fit_weights(points, *oracle._tail(job), G, weights)
+    diff = [u - v for u, v in zip(w, w_prev)]
     with mpmath.workdps(digits + 15):
         target = mpf(10) ** (1 - digits)
-        _, _, bits, diff, _ = oracle._solved(points, *oracle._tail(job), weights)
-    # a constant tail fits with an estimate of 0, and the estimate is linear
-    # in the last sample
+    # a constant tail fits with an estimate of about 0, and the estimate is
+    # linear in the last sample
     base = [(1 << F) // 3] * len(points)
 
     def last_at(ratio):
-        return base[-1] + int(mpmath.nint(ratio * target * 2 ** (F + bits) / abs(diff[-1])))
+        return base[-1] + int(mpmath.nint(ratio * target * 2 ** (F + G) / abs(diff[-1])))
 
-    def decide(last):
+    def estimate(last):
         sums = base[:-1] + [last]
-        res = oracle._fit(job, points, sums, F, digits, weights)
-        screened = oracle._cannot_settle(job, points, sums, digits, target, weights)
-        assert not screened or res.error_estimate > target
-        return res.error_estimate, screened
+        res = oracle._fit(job, points, sums, digits, weights)
+        with mpmath.workprec(G):
+            for got, exact in ((res.value, sum(u * s for u, s in zip(w, sums))),
+                               (res.error_estimate, abs(sum(u * s for u, s in zip(diff, sums))))):
+                assert got == mpmath.ldexp(mpf(exact), -(F + G))
+                assert got._mpf_ == from_man_exp(exact, -(F + G), G, round_nearest)
+        assert res.terms_used == points[-1] + 1
+        return res.error_estimate
 
     for ratio in (0.5, 0.9, 0.99, 0.999999, 1.000001, 1.01, 1.1, 2):
-        err, screened = decide(last_at(ratio))
-        assert abs(err / target - ratio) < 1e-6, ratio
-        assert screened == (ratio > 1), ratio
+        assert abs(estimate(last_at(ratio)) / target - ratio) < 1e-6, ratio
+    lo, hi = last_at(0.99), last_at(1.01)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if estimate(mid) > target else (mid, hi)
+    assert estimate(lo) <= target < estimate(hi)
 
-    def first(pred):
-        # the smallest last sample between the 0.99 and 1.01 ratios where
-        # pred holds, which it then does from there on
-        lo, hi = last_at(0.99), last_at(1.01)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-        return hi
 
-    unsettled = first(lambda last: decide(last)[0] > target)
-    taken = first(lambda last: decide(last)[1])
-    # between them lies the band the bound leaves to the mpf fit: items
-    # that do not settle and still reach it
-    assert unsettled < taken
-    assert taken - unsettled < (last_at(1) - base[-1]) * 1e-12
-    states = {(decide(last)[0] <= target, decide(last)[1])
-              for last in (unsettled - 1, unsettled, taken - 1, taken)}
-    assert states == {(True, False), (False, False), (False, True)}
+def test_direct_sums_ignore_the_working_precision():
+    # the fit's precision follows from the digits alone
+    items = _fixture_items() + [parse_spec("S[2n^1 > 0]@x=1/2")]
+    runs = []
+    for dps in (15, 60):
+        with mpmath.workdps(dps):
+            runs.append([(res.value._mpf_, res.error_estimate._mpf_, res.terms_used)
+                         for res in direct_sums(items, CFG)])
+    assert runs[0] == runs[1]
 
 
 def test_cached_basis_values_are_mpmath_pow():
@@ -918,10 +931,9 @@ def test_cached_basis_values_are_mpmath_pow():
         caches = []
         fit_weights = oracle._fit_weights
 
-        def recording(points, alpha, log_degree, weights):
-            out = fit_weights(points, alpha, log_degree, weights)
-            caches.append((weights, out[2]))
-            return out
+        def recording(points, alpha, log_degree, bits, weights):
+            caches.append((weights, bits))
+            return fit_weights(points, alpha, log_degree, bits, weights)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_fit_weights", recording)
