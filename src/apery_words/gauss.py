@@ -26,8 +26,9 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable, so one given is kept as it is
+        self.re = re if re.__class__ is Fraction else Fraction(re)
+        self.im = im if im.__class__ is Fraction else Fraction(im)
 
     def __add__(self, other) -> "GaussRat":
         other = _coerce(other)

@@ -10,14 +10,15 @@ at 16 digits.
 
 `direct_sums` turns each item into a job once, sweeps the jobs of one first
 sample point in one batch and fits each item from its job; `direct_sum` and
-`direct_harmonic_sum` are batches of one.  The sweep runs loops over
-k = 2n - 1 per segment of indices, generated by `sweep.compile_plan`, whose
-locals hold each distinct x's a_n(x), the running sum of each level of a
-trie of chain levels (a level common to several chains is accumulated once),
-and the product (a^p * tops) >> F of each group of items that differ only in
-their head with its heads' quotients; each loop covers the groups of at most
-about `_PLAN_JOBS` items.  Equal items are swept once, and the scaled sums
-are bit-identical to a sweep of each item alone.
+`direct_harmonic_sum` are batches of one.  The sweep runs one loop over
+k = 2n - 1 per segment of indices, generated by `sweep.compile_plan` for
+every item that runs in it, whose locals hold each distinct x's a_n(x), the
+running sum of each node of a trie of chain levels, and the product
+(a^p * tops) >> F of each group of items that differ only in their head with
+its heads' quotients.  A trie node is keyed by its value, so a level common
+to several chains is accumulated once, whether the level above reads it at n
+or at n - 1.  Equal items are swept once, and the scaled sums are
+bit-identical to a sweep of each item alone.
 
 Every floor in the sweep rounds down by less than one ulp, 2^-F.  At index n,
 a_n carries under 2n ulps and a level j steps above the bottom under j*n, and
@@ -68,7 +69,7 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_div, mpf_log,
                           mpf_pow_int, mpf_shift, mpf_sqrt, round_nearest, to_int)
 
 from .series import HarmonicSpec, Parity, Relation, SeriesSpec
-from .sweep import compile_plan
+from .sweep import Node, compile_plan
 
 
 class ConfigTooSmallError(ValueError):
@@ -188,13 +189,6 @@ def _job(item: SeriesSpec | HarmonicSpec) -> _Job:
     return _Job(head, (chain,) if chain else (), start, item.binom_power, item.argument)
 
 
-# jobs per compiled plan: compiling takes about 4 KiB per generated line
-# while it runs, which on a batch of 72 verify jobs in one plan raised the
-# process's peak memory; plans apart repeat only their a_n(x) steps and the
-# trie nodes they share, which cost no measurable time on that batch
-_PLAN_JOBS = 16
-
-
 def _partial_sums(
     jobs: Sequence[_Job],
     points: list[int],
@@ -208,46 +202,51 @@ def _partial_sums(
     indices swept, the last point reached + 1).  The batch runs over n once,
     from 0 if a job starts there and from 1 otherwise, in segments that end
     at each point, at each job start and after n = 0.  Each segment runs the
-    loops that `sweep.compile_plan` compiles for the jobs that have started
-    and still run, one per run of groups with at least _PLAN_JOBS jobs (the
-    last with fewer), compiled anew only when that set changes; the plans of
-    one set alone are alive.  The state between segments is the last a_n(x)
-    of every x a running job reads (stepped from the first index on, also
-    before that job starts, by the first plan), each trie node's value and
-    each job's total.  Plans that share an x or a node each advance their
-    copy alike.  A trie node is a start and a bottom-up prefix of chain
-    levels, shared by every chain that begins with it.  Dividing by
-    (m*n + c)^e takes e floor divisions by the base, exact as
+    one loop that `sweep.compile_plan` compiles for the jobs that have
+    started and still run, compiled anew only when that set changes, after
+    the previous loop is dropped.  The state between segments is the last
+    a_n(x) of every x a running job reads (stepped from the first index on,
+    also before that job starts), each trie node's value and each job's
+    total.  A trie node is a start, the levels of a chain below it and its
+    own (m, c, e), shared by every chain that begins with those; whether
+    the level above reads it at n (weak) or at n - 1 (strict) belongs to
+    that reader, so chains that differ only in that link share the node.
+    Dividing by (m*n + c)^e takes e floor divisions by the base, exact as
     floor(floor(u/a)/b) = floor(u/(ab)) for b > 0 and the base at n = 0 is
-    1 or -1.  Every floor and sum is the one the index-by-index
-    recurrence takes, so the scaled sums depend neither on the segments nor
-    on the rest of the batch.
+    1 or -1.  Every floor and sum is the one the index-by-index recurrence
+    takes, so the scaled sums depend neither on the segments nor on the
+    rest of the batch.
     With `settled`, the sweep calls settled(running, sums) after each point,
     with the positions of the jobs still running and every job's sums so
     far, and the jobs at the positions it returns leave: their sums end at
-    that point, and the next plans read nothing that only they read.  The
+    that point, and the next plan reads nothing that only they read.  The
     sweep ends early once no job runs.
     """
     F = _scale_bits(digits)
-    # node -> its position; a parent enters before its children
-    index: dict[tuple[int, tuple[_Level, ...]], int] = {}
-    for job in jobs:
-        for chain in job.chains:
-            for i in range(1, len(chain) + 1):
-                index.setdefault((job.start, chain[:i]), len(index))
-    # per node: its parent's position (-1 at a root), its start and level
-    nodes = [(index.get((start, prefix[:-1]), -1), start, prefix[-1]) for start, prefix in index]
     xs = list(dict.fromkeys(job.x for job in jobs))
     x2 = [None if x == 1 else (x.numerator * x.numerator << F) // (x.denominator * x.denominator)
           for x in xs]
     x_at = [xs.index(job.x) for job in jobs]
-    # (x's position, binomial power - 1, start, its chain tops' nodes) ->
-    # [(head, job position)] by head, so heads that share (m, c) ascend in q
+    # trie nodes keyed by value, (start, levels below, (m, c, e)) -> position,
+    # a parent before its children; a root reads 1, and its link is never
+    # read.  Groups: (x's position, binomial power - 1, its chain tops'
+    # (node, link)) -> [(head, job position)] by head, so heads that share
+    # (m, c) ascend in q
+    index: dict[tuple, int] = {}
+    nodes: list[Node] = []
     groups: dict[tuple, list[tuple[tuple[int, int, int], int]]] = {}
     for j, job in sorted(enumerate(jobs), key=lambda item: item[1].head):
-        key = (x_at[j], job.binom_power - 1, job.start,
-               tuple(index[job.start, chain] for chain in job.chains))
-        groups.setdefault(key, []).append((job.head, j))
+        tops = []
+        for chain in job.chains:
+            node, weak = -1, True
+            for i, level in enumerate(chain):
+                key = (job.start, chain[:i], level[:3])
+                if key not in index:
+                    index[key] = len(nodes)
+                    nodes.append((node, weak, job.start, level[:3]))
+                node, weak = index[key], level[3]
+            tops.append((node, weak))
+        groups.setdefault((x_at[j], job.binom_power - 1, tuple(tops)), []).append((job.head, j))
     # the state between segments by its names in the plans, a_0 = 1
     state = dict.fromkeys([f"a{i}" for i in range(len(xs))], 1 << F)
     state.update(dict.fromkeys([f"v{i}" for i in range(len(nodes))], 0))
@@ -258,7 +257,7 @@ def _partial_sums(
     # sweep begins at 0 only if a job starts there
     cuts = sorted({job.start for job in jobs} | {1})
     n = cuts[0]
-    plans, plan_key = [], None
+    plan_key = None
     reached = 0
     for point in points:
         while n <= point:
@@ -266,27 +265,14 @@ def _partial_sums(
             live = {j for j in running if jobs[j].start <= n}
             key = (n == 0, tuple(running), tuple(sorted(live)))
             if key != plan_key:
-                plans = []  # gone before the next ones are compiled
-                # groups in trie order, so that a plan shares most of its nodes
-                chunks: list[list] = [[]]
-                for (xi, p, _, chain_nodes), members in sorted(groups.items(), key=lambda g: g[0][3]):
-                    members = [member for member in members if member[1] in live]
-                    if members and sum(len(group[3]) for group in chunks[-1]) >= _PLAN_JOBS:
-                        chunks.append([])
-                    if members:
-                        chunks[-1].append((xi, p, chain_nodes, members))
-                # the first plan also steps the x that only jobs yet to start read
-                x_read = [{xi for xi, *_ in chunk} for chunk in chunks]
-                x_read[0] |= {x_at[j] for j in running}
-                for chunk, xis in zip(chunks, x_read):
-                    x = {xi: x2[xi] for xi in sorted(xis)}
-                    plans.append(compile_plan(F, x, nodes, chunk, n == 0))
+                plan = None  # gone before the next one is compiled
+                x = {xi: x2[xi] for xi in sorted({x_at[j] for j in running})}
+                chosen = [(xi, p, job_tops, [member for member in members if member[1] in live])
+                          for (xi, p, job_tops), members in groups.items()]
+                plan, names = compile_plan(F, x, nodes, [g for g in chosen if g[3]], n == 0)
                 plan_key = key
-            # every plan reads the state before any writes it back: the a_n(x)
-            # and trie nodes that two plans share advance alike in both
-            outs = [plan(n, hi, *map(state.__getitem__, names)) for plan, names in plans]
-            for (_, names), out in zip(plans, outs):
-                state.update((name, out[name]) for name in names)
+            out = plan(n, hi, *map(state.__getitem__, names))
+            state.update((name, out[name]) for name in names)
             n = hi
         reached = point + 1
         for j in running:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-# a trie node of chain levels: (its parent's position, -1 at a root, its
-# start, its level (m, c, e, weak): the index m*n + c, that index's exponent
-# and whether the level above reads its sum at n (weak) or at n - 1)
-Node = tuple[int, int, tuple[int, int, int, bool]]
+# a trie node of chain levels: (its parent's position, -1 at a root, whether
+# it reads its parent's sum at n (a weak link) or at n - 1, its start, its
+# level (m, c, e): the index m*n + c and that index's exponent)
+Node = tuple[int, bool, int, tuple[int, int, int]]
 # what one plan reads of a group of jobs that differ only in their head:
-# (x's position, binomial power - 1, its chain tops' nodes, [(head (m, c, q),
-# job position)] by head)
-Group = tuple[int, int, tuple[int, ...], list[tuple[tuple[int, int, int], int]]]
+# (x's position, binomial power - 1, its chain tops' (node, weak link),
+# [(head (m, c, q), job position)] by head)
+Group = tuple[int, int, tuple[tuple[int, bool], ...], list[tuple[tuple[int, int, int], int]]]
 
 
 def _paren(expr: str) -> str:
@@ -37,35 +37,40 @@ def compile_plan(
 
     Returns (plan, names).  plan(lo, hi, *values) takes the state that
     `names` names as its arguments, which are its locals, and returns its
-    locals, the state among them advanced over the segment: a{i}, the last a_n(x) of each x i in `x2`
-    (position -> x^2 scaled by 2^F, None for x = 1); v{i}, the value of
-    each trie node the groups read; t{j}, the total of each of their jobs.
-    The state goes in as arguments and out as locals() because a load and a
-    store per name took more tokens, and so more of the parser's memory,
-    than the loop itself.  The loop runs k = 2n - 1 over the segment.  Per index it
-    steps each a_n(x) and squares those read squared; adds to each node its
-    parent's top (1 at a root) floor-divided e times by its index, the top
-    being the node's value after the add under a weak link above it and a
-    copy from before it under a strict one; then it divides each group's
+    locals, the state among them advanced over the segment: a{i}, the last
+    a_n(x) of each x i in `x2` (position -> x^2 scaled by 2^F, None for
+    x = 1); v{i}, the value of each trie node the groups read; t{j}, the
+    total of each of their jobs.  The state goes in as arguments and out as
+    locals() because a load and a store per name took more tokens, and so
+    more of the parser's memory, than the loop itself.  The loop runs
+    k = 2n - 1 over the segment.  Per index it steps each a_n(x) and squares
+    those read squared; adds to each node its parent's sum (1 at a root)
+    floor-divided e times by its index; then it divides each group's
     product (a^p * tops) >> F by its heads' indices, chaining the quotients
-    of heads that share (m, c) in ascending q.  An index m*n + c is written
-    from k, and is a local only if read more than once.  With `zero` the
-    plan is for n = 0 alone: a_0 = 1 takes no step and an index 0 reads as
-    1.  The source holds only integer literals and generated names.
+    of heads that share (m, c) in ascending q.  A child or group reads a
+    node by its own link: v{i} after the add under a weak one, u{i}, a copy
+    taken before it only if some reader is strict, under a strict one.  An
+    index m*n + c is written from k, a local only if read more than once.
+    With `zero` the plan is for n = 0 alone: a_0 = 1 takes no step and an
+    index 0 reads as 1.  The source holds only integer literals and
+    generated names.
     """
     used: set[int] = set()
-    for _, _, chain_nodes, _ in groups:
-        for node in chain_nodes:
+    for _, _, tops, _ in groups:
+        for node, _ in tops:
             while node >= 0 and node not in used:
                 used.add(node)
                 node = nodes[node][0]
     live = sorted(used)  # a parent before its children
+    # the nodes that a reader, a child or a group, reads at n - 1
+    strict = {nodes[i][0] for i in live if not nodes[i][1]}
+    strict |= {node for _, _, tops, _ in groups for node, weak in tops if not weak}
     # floor divisions per index by each index m*n + c; the a_n step reads 2n
     uses: dict[tuple[int, int], int] = {}
     if not zero:
         uses[2, 0] = len(x2)
     for i in live:
-        m, c, e, _ = nodes[i][2]
+        m, c, e = nodes[i][3]
         uses[m, c] = uses.get((m, c), 0) + e
     for _, _, _, members in groups:
         deepest = {head[:2]: head[2] for head, _ in members}  # heads ascend in q
@@ -89,19 +94,18 @@ def compile_plan(
             step = f"a{i} * k // {base[2, 0]}"
             body.append(f"a{i} = {step}" if sq is None else f"a{i} = {step} * {sq} >> {F}")
     body += [f"b{i} = a{i} * a{i} >> {F}" for i in sorted({xi for xi, p, _, _ in groups if p})]
-    top: dict[int, str] = {}
     for i in live:
-        parent, _, (m, c, e, weak) = nodes[i]
-        if not weak:
+        parent, weak, _, (m, c, e) = nodes[i]
+        if i in strict:
             body.append(f"u{i} = v{i}")
-        body.append(f"v{i} += {top[parent] if parent >= 0 else 1 << F}" + f" // {base[m, c]}" * e)
-        top[i] = f"v{i}" if weak else f"u{i}"
-    for xi, p, chain_nodes, members in groups:
+        top = f"{'uv'[weak]}{parent}" if parent >= 0 else 1 << F
+        body.append(f"v{i} += {top}" + f" // {base[m, c]}" * e)
+    for xi, p, tops, members in groups:
         # (w * t) // (L^q << F) == ((w * t) >> F) // L^q for L^q > 0; at
         # n = 0, where 2n - 1 = -1, w * t is a multiple of 2^F
         prod = f"{'ab'[p]}{xi}"
-        for node in chain_nodes:
-            prod = f"{_paren(prod)} * {top[node]} >> {F}"
+        for node, weak in tops:
+            prod = f"{_paren(prod)} * {'uv'[weak]}{node} >> {F}"
         if len(members) > 1 and " " in prod:
             body.append(f"w = {prod}")
             prod = "w"

@@ -26,12 +26,12 @@ from .gauss import GaussRat, WordSum
 from .trig import CompileError, TrigForm
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom:
     """1-form sign * dt/(pole - t) with an exact Gaussian-rational pole.
 
     An int or Fraction pole is stored as a GaussRat, so equal atoms hash and
-    name alike.
+    name alike.  Atoms are equal when their (pole, sign) are.
     """
 
     pole: GaussRat
@@ -50,6 +50,14 @@ class Atom:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # shared atoms meet themselves; unequal ones nearly always differ in hash
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.pole == other.pole and self.sign == other.sign
 
 
 W0 = Atom(GaussRat(0), -1)

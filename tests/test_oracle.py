@@ -828,19 +828,18 @@ def test_plans_are_compiled_per_live_set(monkeypatch):
     monkeypatch.setattr(sweep, "compile", recording_compile, raising=False)
     # the settling verify batch has seven live sets (n = 0, every job from
     # n = 1 on, and after each of the five sample counts at which items
-    # leave), each compiled in plans of about _PLAN_JOBS jobs; only the
-    # plans of the set being compiled are alive beside the new one
-    items = _fixture_items()
-    direct_sums(items, CFG)
-    assert len(sources) == 20
-    assert max(alive) < -(-len(set(map(_job, items))) // oracle._PLAN_JOBS)
+    # leave), each compiled as one plan; the previous plan is gone before
+    # the next one compiles
+    direct_sums(_fixture_items(), CFG)
+    assert len(sources) == 7
+    assert max(alive) == 0
     # a one-job explicit sweep compiles one plan, and one more for n = 0,
     # one at a time
     alive.clear()
     direct_sum(parse_spec("S[2n-1^2 > 2n+1^1 > 0]"), OracleConfig(1_000, 2, 16))
-    assert len(sources) == 21
+    assert len(sources) == 7 + 1
     direct_sum(parse_spec("S[2n+1^2 >= 0]"), OracleConfig(1_000, 2, 16))
-    assert len(sources) == 23
+    assert len(sources) == 7 + 1 + 2
     assert alive == [0, 0, 0]
     assert all(plan() is None for plan in plans)
     for source in sources:
@@ -850,6 +849,33 @@ def test_plans_are_compiled_per_live_set(monkeypatch):
                 assert keyword.iskeyword(token.string) or _PLAN_NAME.fullmatch(token.string), token
             if token.type == tokenize.NUMBER:
                 assert token.string.isdigit(), token
+
+
+def test_a_level_read_weak_and_strict_is_one_node(monkeypatch):
+    # the bottom level 2n^1 from n = 1 is read at n - 1 by the first head,
+    # at n by the second and at n - 1 by the level above it in the third
+    # spec: one trie node, summed once, with one copy taken before its add
+    sources = []
+
+    def recording_compile(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(sweep, "compile", recording_compile, raising=False)
+    texts = ["S[2n^2 > 2n^1 > 0]", "S[2n^2 >= 2n^1 > 0]", "S[2n^2 >= 2n^1 > 2n^1 > 0]"]
+    specs = [parse_spec(text) for text in texts]
+    points = [1, 2, 7, 40, 300]
+    F = _scale_bits(16)
+    batch = _partial_sums([_job(spec) for spec in specs], points, 16)[0]
+    assert batch == [_reference_partial_sums(spec, points, F) for spec in specs]
+    (source,) = sources
+    # the shared level reads 1 at the bottom, its child reads the copy
+    shared = re.findall(r"^\s*v(\d+) \+= \d+ //", source, re.M)
+    assert len(shared) == 1, source
+    assert len(re.findall(r"^\s*v\d+ \+=", source, re.M)) == 2, source
+    assert len(re.findall(r"^\s*u\d+ = ", source, re.M)) == 1, source
+    assert re.search(rf"^\s*u{shared[0]} = v{shared[0]}$", source, re.M), source
+    _assert_batch_matches_single(specs, points)
 
 
 # Settle decisions: every terms_used of the verify items and of

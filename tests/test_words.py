@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from apery_words.evaluate import _flip, eval_wordsum
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
+from apery_words.pipeline import compile_spec
 from apery_words.series import expand_harmonic
 from apery_words.trig import CompileError, TrigForm, compile_spec_to_trig
 from apery_words.words import (
@@ -208,7 +209,7 @@ def test_cov_matches_reference_expansion():
 
 def test_atom_pole_is_coerced():
     # an Atom equal to a canonical one hashes and names the same
-    for atom in (Atom(1), Atom(Fraction(1))):
+    for atom in (Atom(1), Atom(Fraction(1)), Atom(GaussRat(1))):
         assert atom == X1 and hash(atom) == hash(X1)
         assert atom_name(atom) == "x1"
         assert isinstance(atom.pole, GaussRat)
@@ -233,3 +234,47 @@ def test_atom_hash_is_cached_and_survives_copies():
         for twin in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
             assert twin == atom and hash(twin) == hash(atom)
             assert atom_name(twin) == atom_name(atom)
+
+
+def test_atoms_equal_by_pole_and_sign():
+    # fresh atoms compare by value; the sign tells atoms apart, and so does
+    # the pole where two hashes collide (hash(-1) is hash(-2) in CPython)
+    for value in (0, 2, -1, Fraction(1, 3), GaussRat(Fraction(-3, 2), Fraction(1, 4))):
+        for sign in (1, -1):
+            assert Atom(value, sign) == Atom(value, sign) != Atom(value, -sign)
+            assert hash(Atom(value, sign)) == hash(Atom(value, sign))
+    if hash(Atom(-1)) == hash(Atom(-2)):
+        assert Atom(-1) != Atom(-2)
+    assert _flip(X1) == W0 and _flip(W0) == X1
+    for other in (1, GaussRat(1), (GaussRat(1), 1), "x1", None):
+        assert (X1 == other) is False and (other == X1) is False and X1 != other
+
+
+def test_gaussrat_keeps_a_given_fraction():
+    half = Fraction(1, 2)
+    z = GaussRat(half, half)
+    assert z.re is half and z.im is half
+    assert type(GaussRat(1).re) is Fraction and GaussRat(1).im == 0
+    assert type(GaussRat(0, -3).im) is Fraction and GaussRat(0, -3) == GaussRat(0, Fraction(-3))
+
+
+def _convergent_by_fields(word) -> bool:
+    # the rule read field by field, as dataclass equality compared atoms
+    def same(a, b):
+        return (a.pole.re, a.pole.im, a.sign) == (b.pole.re, b.pole.im, b.sign)
+
+    return not word or not (same(word[0], X1) or same(word[-1], W0))
+
+
+def test_is_convergent_matches_field_comparison():
+    # every word of the verify word sums, reversed and flipped too, so that
+    # both verdicts occur
+    words = {word for spec in _verify_specs() for word in compile_spec(spec).terms}
+    assert len(words) > 600
+    verdicts = set()
+    for word in words:
+        for variant in (word, word[::-1], tuple(map(_flip, word))):
+            verdict = is_convergent(variant)
+            assert verdict == _convergent_by_fields(variant), word_key(variant)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
