@@ -43,8 +43,8 @@ integers, with F = precision_bits + _GUARD_BITS:
   exponent, and divides by the denominator once, rounding to F bits.  The
   same loop counts the bits lost to cancellation.
 
-Values reach mpmath only at the end of `eval_wordsum`, `eval_word`,
-`split_consistency` and `eval_segment`, which return them as BigComplex.
+Values reach mpmath only at the end of `eval_wordsum`, `eval_word` and
+`eval_segment`, which return them as BigComplex.
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ class BigComplex:
         # mpc() rounds to the ambient precision, 53 bits outside a workprec
         with workprec(max(mp.prec, self.precision_bits)):
             return mpc(self.real, self.imag)
-
-    @classmethod
-    def from_mpc(cls, value: mpc, precision_bits: int) -> "BigComplex":
-        return cls(value.real, value.imag, precision_bits)
 
 
 def _round(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
@@ -310,21 +306,22 @@ def eval_segment(sw: SegmentWord, precision_bits: int, n_terms: int | None = Non
 
 
 class ValueCache:
-    """Persistent (word, precision) -> value store, JSON lines on disk.
+    """Persistent (word, precision) -> value store, JSON lines at `path`.
 
-    Each line holds one value's parts as decimal strings of
-    ceil(F log10 2) + 1 digits; a line is read by rounding its decimals to
-    F bits, to nearest, so every value written reads back exactly.  Lines
-    of fewer digits, as older versions wrote, read the same way.  Inserts
-    append; corrupt lines are skipped on load;
-    concurrent writers can only race on identical idempotent values.
+    Each line holds the word's key, its precision as a JSON integer and the
+    value's parts as decimal strings of ceil(F log10 2) + 1 digits; a line
+    is read by rounding its decimals to F bits, to nearest, so every value
+    written reads back exactly.  Lines of fewer digits, as older versions
+    wrote, read the same way.  Inserts append; a line of another form than
+    `put` writes is corrupt and skipped on load; concurrent writers can only
+    race on identical idempotent values.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = os.fspath(path) if path is not None else None
+    def __init__(self, path: str | os.PathLike):
+        self.path = os.fspath(path)
         self._mem: dict[tuple[str, int], Value] = {}
         self._fh = None  # the append handle of an `appending` block
-        if self.path is not None and os.path.exists(self.path):
+        if os.path.exists(self.path):
             self._load()
 
     def _load(self) -> None:
@@ -335,8 +332,9 @@ class ValueCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    key, bits = rec["k"], int(rec["p"])
-                    if not isinstance(key, str) or bits < _MIN_BITS:
+                    key, bits = rec["k"], rec["p"]
+                    # put writes a JSON integer; 140.0 or "140" is not one
+                    if not isinstance(key, str) or type(bits) is not int or bits < _MIN_BITS:
                         continue
                     frac_bits = bits + _GUARD_BITS
                     value = _join(_parse(rec["re"], frac_bits), _parse(rec["im"], frac_bits))
@@ -351,8 +349,6 @@ class ValueCache:
         if (key, precision_bits) in self._mem:
             return
         self._mem[(key, precision_bits)] = value
-        if self.path is None:
-            return
         re, im = _decimals(value, precision_bits)
         line = json.dumps({"k": key, "p": precision_bits, "re": re, "im": im}, sort_keys=True) + "\n"
         if self._fh is not None:
@@ -368,9 +364,6 @@ class ValueCache:
         The handle is line-buffered, so each line still reaches the file in
         one write, and it is closed however the block is left.
         """
-        if self.path is None:
-            yield
-            return
         with open(self.path, "a", encoding="utf-8", buffering=1) as self._fh:
             try:
                 yield
@@ -457,13 +450,6 @@ def eval_word(
 ) -> BigComplex:
     """Value of a convergent word over [0, 1], split at 1/2."""
     return _to_big(_eval_words((word,), Fraction(1, 2), precision_bits, cache)[word], precision_bits)
-
-
-def split_consistency(word: Word, c: Fraction, precision_bits: int) -> BigComplex:
-    """Evaluate via a split at c (1/3, 1/2 or 2/3); test harness only."""
-    if c not in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
-        raise ValueError("split point must be 1/3, 1/2 or 2/3")
-    return _to_big(_eval_words((word,), c, precision_bits, None)[word], precision_bits)
 
 
 def eval_wordsum(

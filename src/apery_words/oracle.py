@@ -9,7 +9,8 @@ integers scaled by 2^F with F = ceil((digits + 15) * log2(10)) + 16 bits, 119
 at 16 digits.
 
 `direct_sums` turns each item into a job once, sweeps the jobs of one first
-sample point in one batch and fits each item from its job; `direct_sum` and
+sample point in one batch and fits each job once, at the sample where it
+leaves the sweep; equal items share that result.  `direct_sum` and
 `direct_harmonic_sum` are batches of one.  The sweep runs one loop over
 k = 2n - 1 per segment of indices, generated by `sweep.compile_plan` for
 every item that runs in it, whose locals hold each distinct x's a_n(x), the
@@ -43,15 +44,15 @@ elimination on integers, from basis rows built in libmp out of powers and
 log powers each computed once per call.  G comes from the digits alone, so
 the fit never reads mpmath's working precision.
 
-The sweep is resumable: after each sample it asks which running items have
-settled, and those leave it, with whatever only they read.  When the config
-worked out its own levels, they are a cap: after every odd sample count
-2L+1 >= 3 below the cap, each item with x = 1 settles at the first L whose
-fit's estimate is at most 10^(1 - digits), with the result an explicit
-L-level schedule gives and terms_used its own last sample + 1.  Other items
-are swept to the cap and fitted in full, as under given levels.  The fits
-of one count share their weights and drop them before the sweep goes on;
-the basis rows stay.
+The sweep is resumable: after each sample it asks which running items are
+done, and those leave it, with whatever only they read.  Every result is
+fitted there: at the last sample, each item still running is fitted in
+full.  When the config worked out its own levels, they are a cap: after
+every odd sample count 2L+1 >= 3 below the cap, each item with x = 1
+settles at the first L whose fit's estimate is at most 10^(1 - digits),
+with the result an explicit L-level schedule gives and terms_used its own
+last sample + 1.  Other items run to the last sample, as under given
+levels.  The fits of one count share their weights.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -114,7 +115,7 @@ class OracleConfig:
             raise ValueError("extrapolation_levels must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleResult:
     value: mpf
     error_estimate: mpf
@@ -243,7 +244,7 @@ def _partial_sums(
                 key = (job.start, chain[:i], level[:3])
                 if key not in index:
                     index[key] = len(nodes)
-                    nodes.append((node, weak, job.start, level[:3]))
+                    nodes.append((node, weak, level[:3]))
                 node, weak = index[key], level[3]
             tops.append((node, weak))
         groups.setdefault((x_at[j], job.binom_power - 1, tuple(tops)), []).append((job.head, j))
@@ -285,11 +286,11 @@ def _partial_sums(
     return sums, F, reached
 
 
-# one dict per direct_sums call, whose digits fix G: (sample points, 2 alpha,
-# log degree) -> the _fit_weights pair; (2e, log power j, N_o) -> {N: the
-# basis function at N over its value at N_o, an integer scaled by 2^G};
-# ("sqrt",) -> {N: sqrt(N)}, ("pow",) -> {(2e, N): N^e} and ("log",) ->
-# {(j, N): ln(N)^j}, raw mpf
+# one dict per direct_sums call, whose digits fix G, kept for all its fits:
+# (sample points, 2 alpha, log degree) -> the _fit_weights pair; (2e, log
+# power j, N_o) -> {N: the basis function at N over its value at N_o, an
+# integer scaled by 2^G}; ("sqrt",) -> {N: sqrt(N)}, ("pow",) -> {(2e, N):
+# N^e} and ("log",) -> {(j, N): ln(N)^j}, raw mpf
 _Weights = dict[tuple, tuple | dict]
 
 
@@ -414,10 +415,12 @@ def direct_sums(
     """Directly sum every plain or harmonic-weighted series, one sweep per
     first sample point.
 
-    Equal items are swept once, and items with x = 1 settle below a cap as
-    the module docstring says.  Every result's estimate must be within the
-    10^(-digits/2) budget; a ConfigTooSmallError names the position of the
-    first item that misses it in its `index`.
+    Equal items are one job, swept and fitted once, and they share one
+    result.  The sweep's checkpoint fits each job as it leaves: below a cap
+    an item with x = 1 when it settles, as the module docstring says, and
+    every job still running at the last sample.  Every result's estimate
+    must be within the 10^(-digits/2) budget; a ConfigTooSmallError names
+    the position of the first item that misses it in its `index`.
     """
     cfg = cfg or OracleConfig()
     digits = cfg.precision_digits
@@ -434,35 +437,26 @@ def direct_sums(
     with workdps(digits + 15):
         target, budget = mpf(10) ** (1 - digits), mpf(10) ** (-digits / 2)
     weights: _Weights = {}
-    settled_at: dict[_Job, OracleResult] = {}
-    swept = {}
+    fitted: dict[_Job, OracleResult] = {}
     for first, group in by_first.items():
         points = _checkpoints(first, cfg.extrapolation_levels)
 
         # reads this group and its points: it runs only within their sweep
-        def settled(running: list[int], sums: list[list[int]]) -> set[int]:
+        def checkpoint(running: list[int], sums: list[list[int]]) -> set[int]:
             count = len(sums[running[0]])
-            if count < 3 or count % 2 == 0 or count == len(points):
+            last = count == len(points)
+            if not (last or cfg._levels_are_cap and count >= 3 and count % 2):
                 return set()
             fits = {j: _fit(group[j], points, sums[j], digits, weights)
-                    for j in running if group[j].x == 1}
-            # this count's fit weights are done with; the basis rows stay
-            prefix = tuple(points[:count])
-            for key in [key for key in weights if key[0] == prefix]:
-                del weights[key]
-            done = {j for j, result in fits.items() if result.error_estimate <= target}
-            settled_at.update((group[j], fits[j]) for j in done)
+                    for j in running if last or group[j].x == 1}
+            done = {j for j, result in fits.items() if last or result.error_estimate <= target}
+            fitted.update((group[j], fits[j]) for j in done)
             return done
 
-        sums = _partial_sums(group, points, digits, settled if cfg._levels_are_cap else None)[0]
-        swept.update((job, (points, job_sums)) for job, job_sums in zip(group, sums))
+        _partial_sums(group, points, digits, checkpoint)
     results = []
     for index, item in enumerate(items):
-        job = jobs[item]
-        if job in settled_at:
-            result = replace(settled_at[job])
-        else:
-            result = _fit(job, *swept[job], digits, weights)
+        result = fitted[jobs[item]]
         if result.error_estimate > budget:
             exc = ConfigTooSmallError(
                 f"tail error estimate {mpmath.nstr(result.error_estimate, 5)} exceeds the "

@@ -13,9 +13,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 # a trie node of chain levels: (its parent's position, -1 at a root, whether
-# it reads its parent's sum at n (a weak link) or at n - 1, its start, its
-# level (m, c, e): the index m*n + c and that index's exponent)
-Node = tuple[int, bool, int, tuple[int, int, int]]
+# it reads its parent's sum at n (a weak link) or at n - 1, its level
+# (m, c, e): the index m*n + c and that index's exponent).  Its start is
+# only in the trie's key: a plan reads the nodes of started jobs alone
+Node = tuple[int, bool, tuple[int, int, int]]
 # what one plan reads of a group of jobs that differ only in their head:
 # (x's position, binomial power - 1, its chain tops' (node, weak link),
 # [(head (m, c, q), job position)] by head)
@@ -70,7 +71,7 @@ def compile_plan(
     if not zero:
         uses[2, 0] = len(x2)
     for i in live:
-        m, c, e = nodes[i][3]
+        m, c, e = nodes[i][2]
         uses[m, c] = uses.get((m, c), 0) + e
     for _, _, _, members in groups:
         deepest = {head[:2]: head[2] for head, _ in members}  # heads ascend in q
@@ -95,7 +96,7 @@ def compile_plan(
             body.append(f"a{i} = {step}" if sq is None else f"a{i} = {step} * {sq} >> {F}")
     body += [f"b{i} = a{i} * a{i} >> {F}" for i in sorted({xi for xi, p, _, _ in groups if p})]
     for i in live:
-        parent, weak, _, (m, c, e) = nodes[i]
+        parent, weak, (m, c, e) = nodes[i]
         if i in strict:
             body.append(f"u{i} = v{i}")
         top = f"{'uv'[weak]}{parent}" if parent >= 0 else 1 << F

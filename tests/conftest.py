@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from apery_words import evaluate
 from apery_words.evaluate import BigComplex
 from apery_words.oracle import OracleConfig, _scale_bits, direct_sum, direct_sums
 
@@ -61,6 +62,11 @@ def build_corpus(count: int, seed: int = 20240817) -> list[SeriesSpec]:
             seen.add(key)
             out.append(spec)
     return out
+
+
+def split_value(word, c: Fraction, precision_bits: int) -> BigComplex:
+    """A word's value over [0, 1] by Chen's rule split at c, not at 1/2."""
+    return evaluate._to_big(evaluate._eval_words((word,), c, precision_bits, None)[word], precision_bits)
 
 
 def central_ratio(n: int, x: Fraction | float = Fraction(1), digits: int = 40):

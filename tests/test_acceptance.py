@@ -17,7 +17,7 @@ from apery_words.pipeline import compile_harmonic, compile_spec
 from apery_words.series import HarmonicSpec, Parity, parse_spec
 from apery_words.words import is_convergent
 
-from conftest import CORPUS_BITS, ORACLE_CFG, central_ratio, gamma_tail_check
+from conftest import CORPUS_BITS, ORACLE_CFG, central_ratio, gamma_tail_check, split_value
 
 BITS = 140
 TAIL_CFG = OracleConfig(precision_digits=15)
@@ -193,7 +193,7 @@ def test_criterion_5d_reality(corpus_results):
 def test_criterion_5e_evaluator_checks(corpus_results):
     from fractions import Fraction
 
-    from apery_words.evaluate import eval_word, split_consistency
+    from apery_words.evaluate import eval_word
 
     words = []
     for entry in corpus_results:
@@ -206,7 +206,7 @@ def test_criterion_5e_evaluator_checks(corpus_results):
     for w in words[:8]:
         assert is_convergent(w)
         base = eval_word(w, 160).to_mpc()
-        alt = split_consistency(w, Fraction(1, 3), 160).to_mpc()
+        alt = split_value(w, Fraction(1, 3), 160).to_mpc()
         worst_split = max(worst_split, abs(base - alt))
         lo = eval_word(w, 128).to_mpc()
         hi = eval_word(w, 256).to_mpc()

@@ -22,13 +22,12 @@ from apery_words.evaluate import (
     eval_segment,
     eval_word,
     eval_wordsum,
-    split_consistency,
 )
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
 from apery_words.pipeline import compile_harmonic, compile_spec
 from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, deconcatenations, word_key
-from conftest import build_corpus
+from conftest import build_corpus, split_value
 
 POLE2 = Atom(GaussRat(2))
 # the atoms of the lower pieces of a word split at c, and their t -> 1-t images
@@ -165,15 +164,15 @@ def test_split_consistency_points():
     for word in words:
         base = eval_word(word, 160).to_mpc()
         for c in (Fraction(1, 3), Fraction(2, 3)):
-            other = split_consistency(word, c, 160).to_mpc()
+            other = split_value(word, c, 160).to_mpc()
             assert abs(base - other) < mpf(2) ** (-150)
 
 
 def test_split_zeta_words():
-    z2 = split_consistency((W0, X1), Fraction(1, 3), 160).to_mpc()
+    z2 = split_value((W0, X1), Fraction(1, 3), 160).to_mpc()
     assert abs(z2 - mpmath.pi**2 / 6) < 1e-45
     z3a = eval_word((W0, W0, X1), 160).to_mpc()
-    z3b = split_consistency((W0, W0, X1), Fraction(2, 3), 160).to_mpc()
+    z3b = split_value((W0, W0, X1), Fraction(2, 3), 160).to_mpc()
     assert abs(z3a - mpmath.zeta(3)) < 1e-45
     assert abs(z3b - mpmath.zeta(3)) < 1e-40
 
@@ -320,7 +319,7 @@ def _reference_eval_segment(sw, precision_bits, n_terms=None):
     frac_bits = precision_bits + 24
     with workprec(frac_bits):
         value = mpc(mpf((total_re, -frac_bits)), mpf((total_im, -frac_bits)))
-    return BigComplex.from_mpc(value, precision_bits)
+    return BigComplex(value.real, value.imag, precision_bits)
 
 
 def _walk_pieces(pieces, radius, bits, n_terms=None):
@@ -523,7 +522,8 @@ def _reference_mpc_wordsum(ws, precision_bits):
                 total += _mpc_piece(upper, 1 - c, precision_bits) * _mpc_piece(
                     lower, c, precision_bits
                 )
-            values[word] = BigComplex.from_mpc(+total, precision_bits)
+            total = +total
+            values[word] = BigComplex(total.real, total.imag, precision_bits)
     with workprec(precision_bits + evaluate._GUARD_BITS):
         total = mpc(0)
         for word, coef in ws.terms.items():
@@ -533,7 +533,8 @@ def _reference_mpc_wordsum(ws, precision_bits):
             total += mpf(ws.scalar_pi.numerator) / ws.scalar_pi.denominator * mpmath.pi
         if ws.pi_scale:
             total *= (2 / mpmath.pi) ** ws.pi_scale
-        return BigComplex.from_mpc(+total, precision_bits)
+        total = +total
+        return BigComplex(total.real, total.imag, precision_bits)
 
 
 def _assert_agrees_with_mpc_reference(ws, bits):
@@ -637,12 +638,19 @@ def test_cache_skips_lines_it_does_not_write(tmp_path):
         '{"im": "0", "k": "x-1.x1", "p": 140, "re": " 1.0"}',
         '{"im": "0", "k": "x-1.x1", "p": 140, "re": ".5"}',
         '{"im": "0", "k": "x-1.x1", "p": 140, "re": 0.5}',
+        # precisions that are not JSON integers, as put writes them
+        '{"im": "0", "k": "x-1.x1", "p": 140.0, "re": "0.5"}',
+        '{"im": "0", "k": "x-1.x1", "p": "140", "re": "0.5"}',
+        '{"im": "0", "k": "x-1.x1", "p": 140.9, "re": "0.5"}',
     ]
     path.write_text("".join(line + "\n" for line in bad + [good]))
     start = time.perf_counter()
     cache = ValueCache(path)
     assert time.perf_counter() - start < 1.0
     assert list(cache._mem) == [("w0.x1", 140)]
+    assert cache.get("w0.x1", 140) == evaluate._join(
+        evaluate._parse("1.6449340668482264364724151666460251892189499012066", 140 + evaluate._GUARD_BITS),
+        (0, 0))
     # the exponent bound lies far outside what put writes at the lowest precision
     frac_bits = 64 + evaluate._GUARD_BITS
     assert evaluate._parse("-1.5e+177", frac_bits) == evaluate._round(-15 * 10**176, 1, 0, frac_bits)

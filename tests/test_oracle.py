@@ -517,6 +517,27 @@ def test_direct_sums_sweeps_equal_items_once(monkeypatch):
         )
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [OracleConfig(1_000, 6, 16), OracleConfig(1_000, 0, 16), CFG],
+    ids=["1000-6", "1000-0", "settling"],
+)
+def test_every_result_leaves_through_the_sweep(cfg):
+    # two equal items, a geometric one and one with a tail bound: without
+    # levels the x = 1 items take the two-sample, last-sum fit.  Each result
+    # is the item's own direct_sum, and equal items share one result
+    items = [parse_spec("S2[2n^4 > 0]"), parse_spec("S2[2n^4 > 0]"),
+             parse_spec("S[2n-1^1 > 2n^1 > 0]@x=1/2"), parse_spec("S2[2n+1^4 > 2n^1 > 0]@tail=5")]
+    assert items[0] == items[1] and items[0] is not items[1]
+    results = direct_sums(items, cfg)
+    assert results[0] is results[1]
+    for item, res in zip(items, results):
+        alone = direct_sum(item, cfg)
+        assert (res.value, res.error_estimate, res.terms_used) == (
+            alone.value, alone.error_estimate, alone.terms_used
+        ), item
+
+
 def test_direct_sums_names_the_failing_item():
     # without levels only a geometric tail settles: at x = 1/2 the sum is
     # log(2 / (1 + sqrt(1 - x^2)))
@@ -660,11 +681,11 @@ def verify_batch():
 @pytest.mark.parametrize("cfg", [_OLD_VERIFY, OracleConfig(1_000, 6, 16)], ids=["10000-4", "1000-6"])
 def test_shared_weights_match_per_item_fit(cfg, verify_batch):
     _, fits, solved, sweeps = verify_batch(cfg)
-    # the 74 items are 72 distinct jobs, swept together once; every item is
-    # fitted, and the weights of each of the 20 (alpha, log degree) keys are
-    # solved once
+    # the 74 items are 72 distinct jobs, swept together once; every job is
+    # fitted once, as equal items are one job and share its result, and the
+    # weights of each of the 20 (alpha, log degree) keys are solved once
     assert sweeps == [72]
-    assert len(fits) == 74
+    assert len(fits) == 72
     keys = [(tuple(args[0]), *args[3:]) for args, _ in fits]
     assert sorted(solved, key=repr) == sorted(set(keys), key=repr)
     assert len(solved) == 20
