@@ -32,16 +32,10 @@ ORACLE_DIGITS = 16
 
 
 @dataclass
-class HarmonicPart:
-    coef: Fraction
-    spec: HarmonicSpec
-
-
-@dataclass
 class FixtureRecord:
     id: str
-    series: SeriesSpec | None
-    harmonic: list[HarmonicPart] | None
+    # the record's sum as (coefficient, spec) parts; a series is [(1, spec)]
+    parts: list[tuple[Fraction, SeriesSpec | HarmonicSpec]]
     closed_form: str | None
     printed_value: str | None
     anchor: str
@@ -61,7 +55,7 @@ def _text(data: dict, field: str, owner: str, required: bool = False) -> str | N
     return value
 
 
-def _harmonic_part(part, owner: str, j: int) -> HarmonicPart:
+def _harmonic_part(part, owner: str, j: int) -> tuple[Fraction, HarmonicSpec]:
     where = f"{owner}: harmonic part {j}"
     if not isinstance(part, dict) or "head" not in part:
         raise ValueError(f"fixture {where} has no head")
@@ -84,7 +78,7 @@ def _harmonic_part(part, owner: str, j: int) -> HarmonicPart:
     if coef is None:
         raise ValueError(f"fixture {where}: coef must be an integer or a fraction string")
     try:
-        return HarmonicPart(coef, HarmonicSpec(*weights, parity, exp, binom))
+        return coef, HarmonicSpec(*weights, parity, exp, binom)
     except ValueError as exc:
         raise ValueError(f"fixture {where}: {exc}") from exc
 
@@ -105,19 +99,20 @@ def _record_from_dict(data: dict, index: int) -> FixtureRecord:
     if "id" not in data:
         raise ValueError(f"fixture record {index} has no id")
     owner = _text(data, "id", f"record {index}", required=True)
-    series = _text(data, "series", owner)
-    series = _series(series, owner) if series else None
-    harmonic = None
-    if data.get("harmonic"):
-        if not isinstance(data["harmonic"], list):
-            raise ValueError(f"fixture {owner}: harmonic must be a list of parts")
-        harmonic = [_harmonic_part(part, owner, j) for j, part in enumerate(data["harmonic"])]
-    if series is None and harmonic is None:
+    series, harmonic = _text(data, "series", owner), data.get("harmonic")
+    if harmonic is not None and not isinstance(harmonic, list):
+        raise ValueError(f"fixture {owner}: harmonic must be a list of parts")
+    if series and harmonic:
+        raise ValueError(f"fixture {owner} has both a series and harmonic parts")
+    if series:
+        parts = [(Fraction(1), _series(series, owner))]
+    elif harmonic:
+        parts = [_harmonic_part(part, owner, j) for j, part in enumerate(harmonic)]
+    else:
         raise ValueError(f"fixture {owner} has neither a series nor harmonic parts")
     return FixtureRecord(
         id=owner,
-        series=series,
-        harmonic=harmonic,
+        parts=parts,
         closed_form=_text(data, "closed_form", owner),
         printed_value=_text(data, "printed_value", owner),
         anchor=data.get("anchor", ""),
@@ -136,14 +131,15 @@ def load_fixtures(path: str | None = None) -> list[FixtureRecord]:
     return [_record_from_dict(item, i) for i, item in enumerate(data)]
 
 
+def _mpf(q: Fraction) -> mpf:
+    return mpf(q.numerator) / q.denominator
+
+
 def _compiled_value(rec: FixtureRecord, precision_bits: int, cache: ValueCache | None):
-    if rec.series is not None:
-        return eval_wordsum(compile_spec(rec.series), precision_bits, cache).to_mpc()
     total = mpmath.mpc(0)
-    for part in rec.harmonic:
-        value = eval_wordsum(compile_harmonic(part.spec), precision_bits, cache).to_mpc()
-        value *= mpf(part.coef.numerator) / part.coef.denominator
-        total += value
+    for coef, spec in rec.parts:
+        ws = compile_spec(spec) if isinstance(spec, SeriesSpec) else compile_harmonic(spec)
+        total += eval_wordsum(ws, precision_bits, cache).to_mpc() * _mpf(coef)
     return total
 
 
@@ -165,31 +161,24 @@ def supported_digits(value: mpf, error_estimate: mpf, digits: int) -> int:
 
 def _oracle_values(records: list[FixtureRecord], cfg: OracleConfig) -> list[tuple[mpf, mpf]]:
     """Every record's oracle value and error estimate, from one batched
-    direct summation; a harmonic record's estimate is sum |coef| * estimate.
+    direct summation; a record's estimate is sum |coef| * estimate over its
+    parts.
 
     A ConfigTooSmallError is raised again with the id of the first record
     whose sum raised it.
     """
-    items, owners = [], []
-    for rec in records:
-        parts = [rec.series] if rec.series is not None else [part.spec for part in rec.harmonic]
-        items += parts
-        owners += [rec.id] * len(parts)
+    owners = [rec.id for rec in records for _ in rec.parts]
     try:
-        results = iter(direct_sums(items, cfg))
+        results = iter(direct_sums([spec for rec in records for _, spec in rec.parts], cfg))
     except ConfigTooSmallError as exc:
         raise ConfigTooSmallError(f"{owners[exc.index]}: {exc}") from exc
     values = []
     for rec in records:
-        if rec.series is not None:
-            res = next(results)
-            values.append((res.value, res.error_estimate))
-            continue
         total = error = mpf(0)
-        for part in rec.harmonic:
-            res, coef = next(results), mpf(part.coef.numerator) / part.coef.denominator
-            total += res.value * coef
-            error += res.error_estimate * abs(coef)
+        for coef, _ in rec.parts:
+            res, c = next(results), _mpf(coef)
+            total += res.value * c
+            error += res.error_estimate * abs(c)
         values.append((total, error))
     return values
 
@@ -214,11 +203,12 @@ def verify_fixtures(
                 "id": rec.id,
                 "anchor": rec.anchor,
                 "compiled": mpmath.nstr(compiled.real, digits),
-                "oracle": mpmath.nstr(oracle, supported_digits(oracle, error, 16)),
+                "oracle": mpmath.nstr(oracle, supported_digits(oracle, error, cfg.precision_digits)),
                 "oracle_error_estimate": mpmath.nstr(error, 3),
             }
-            if rec.series is not None:
-                entry["weight_report"] = predicted_weight_report(rec.series)
+            spec = rec.parts[0][1]
+            if isinstance(spec, SeriesSpec):
+                entry["weight_report"] = predicted_weight_report(spec)
             checks: list[bool] = []
             base_tol = mpf(rec.abs_tolerance) if rec.abs_tolerance is not None else mpf(0)
             oracle_tol = max(base_tol, mpf(1e-8))

@@ -54,56 +54,24 @@ class CompileError(ValueError):
     """A spec reached the compiler in a shape it does not support."""
 
 
-def pf_decompose(a: int, b: int) -> list[tuple[Fraction, str, int]]:
-    """Partial fractions of 1/(x^a (x-1)^b).
-
-    Returns (coefficient, pole, exponent) triples with pole "x-1" or "x":
-    1/(x^a (x-1)^b) = sum_j C(-a, b-j)/(x-1)^j
-                    + sum_j (-1)^(a+b-j) C(-b, a-j)/x^j.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("pf_decompose wants a, b >= 1")
-    out: list[tuple[Fraction, str, int]] = []
-    for j in range(1, b + 1):
-        out.append((_gen_binom(-a, b - j), "x-1", j))
-    for j in range(1, a + 1):
-        sign = -1 if (a + b - j) % 2 else 1
-        out.append((sign * _gen_binom(-b, a - j), "x", j))
-    return out
-
-
-def _gen_binom(n: int, k: int) -> Fraction:
-    # C(-m, k) = (-1)^k C(m+k-1, k)
-    if k == 0:
-        return Fraction(1)
-    sign = -1 if k % 2 else 1
-    return Fraction(sign * math.comb(-n + k - 1, k))
-
-
 def _merge_factors(p1: Parity, e1: int, p2: Parity, e2: int) -> list[tuple[Fraction, IndexTerm]]:
-    """Expand 1/(l1(n)^e1 * l2(n)^e2) into single-parity terms at the same n."""
+    """Expand 1/(l1(n)^e1 * l2(n)^e2) into single-parity terms at the same n.
+
+    With Y the lower index and X = Y + d the higher one (d = 1 or 2),
+    1/(X^a Y^b) = sum_{j<=b} (-1)^(b-j) C(a+b-j-1, b-j) d^-(a+b-j) / Y^j
+                + sum_{j<=a} (-1)^b     C(a+b-j-1, a-j) d^-(a+b-j) / X^j,
+    the lower index's terms first.
+    """
     if p1 is p2:
         return [(Fraction(1), IndexTerm(p1, e1 + e2))]
-    pair = {p1: e1, p2: e2}
-    if Parity.EVEN in pair and Parity.ODD_HIGH in pair:
-        # x = 2n+1: 1/((x-1)^even * x^odd); x-1 -> 2n, x -> 2n+1
-        a, b = pair[Parity.ODD_HIGH], pair[Parity.EVEN]
-        pole_map = {"x-1": Parity.EVEN, "x": Parity.ODD_HIGH}
-        scale = lambda j: Fraction(1)
-    elif Parity.EVEN in pair and Parity.ODD_LOW in pair:
-        # x = 2n: 1/(x^even * (x-1)^oddlow)
-        a, b = pair[Parity.EVEN], pair[Parity.ODD_LOW]
-        pole_map = {"x-1": Parity.ODD_LOW, "x": Parity.EVEN}
-        scale = lambda j: Fraction(1)
-    else:
-        # v = n + 1/2: 1/((2n+1)^a (2n-1)^b) = 2^(-a-b) / (v^a (v-1)^b),
-        # then 1/v^j = 2^j/(2n+1)^j and 1/(v-1)^j = 2^j/(2n-1)^j.
-        a, b = pair[Parity.ODD_HIGH], pair[Parity.ODD_LOW]
-        pole_map = {"x-1": Parity.ODD_LOW, "x": Parity.ODD_HIGH}
-        scale = lambda j: Fraction(2) ** (j - a - b)
+    (low, b), (high, a) = sorted(((p1, e1), (p2, e2)), key=lambda pe: pe[0].index_value(0))
+    d, w = high.index_value(0) - low.index_value(0), a + b
     return [
-        (coef * scale(j), IndexTerm(pole_map[pole], j))
-        for coef, pole, j in pf_decompose(a, b)
+        (Fraction((-1) ** (b - j) * math.comb(w - j - 1, b - j), d ** (w - j)), IndexTerm(low, j))
+        for j in range(1, b + 1)
+    ] + [
+        (Fraction((-1) ** b * math.comb(w - j - 1, a - j), d ** (w - j)), IndexTerm(high, j))
+        for j in range(1, a + 1)
     ]
 
 
@@ -266,44 +234,30 @@ def _apply_mult(mult: TrigForm | None, word: TrigWord) -> TrigWord:
     return (head,) + word[1:]
 
 
+# (parity, next parity or None at the chain's end) -> the block's branches,
+# each (coefficient, last form, multiplier of the next block's head)
+_BLOCKS = {
+    (_ALPHA, None): ((1, TrigForm.CSC, None), (-1, TrigForm.COT, None)),
+    (_BETA, None): ((1, TrigForm.DT, None),),
+    (_ALPHA, _ALPHA): ((1, TrigForm.CSC, TrigForm.SEC), (-1, TrigForm.COT, None)),
+    (_ALPHA, _BETA): ((1, TrigForm.CSC, TrigForm.TAN),),
+    (_BETA, _ALPHA): ((1, TrigForm.DT, TrigForm.SEC),),
+    (_BETA, _BETA): ((1, TrigForm.COT, None), (1, TrigForm.DT, TrigForm.TAN)),
+}
+
+
 def _plain_chain(terms: tuple[IndexTerm, ...]) -> WordItems:
     """Word combination for an EVEN/ODD_HIGH chain in block shape."""
     states: list[tuple[Fraction, TrigWord, TrigForm | None]] = [(Fraction(1), (), None)]
-    d = len(terms)
-    for j, term in enumerate(terms):
-        if term.parity not in (_ALPHA, _BETA):
+    for term, nxt in zip(terms, [t.parity for t in terms[1:]] + [None]):
+        branches = _BLOCKS.get((term.parity, nxt))
+        if branches is None:
             raise CompileError("plain chain may not contain 2n-1 indices")
-        s = term.exponent
-        F = (TrigForm.COT,) * (s - 1)
-        last = j == d - 1
-        if last:
-            if term.parity is _ALPHA:
-                branches = [
-                    (Fraction(1), F + (TrigForm.CSC,), None),
-                    (Fraction(-1), F + (TrigForm.COT,), None),
-                ]
-            else:
-                branches = [(Fraction(1), F + (TrigForm.DT,), None)]
-        else:
-            nxt = terms[j + 1].parity
-            if term.parity is _ALPHA and nxt is _ALPHA:
-                branches = [
-                    (Fraction(1), F + (TrigForm.CSC,), TrigForm.SEC),
-                    (Fraction(-1), F + (TrigForm.COT,), None),
-                ]
-            elif term.parity is _ALPHA:
-                branches = [(Fraction(1), F + (TrigForm.CSC,), TrigForm.TAN)]
-            elif nxt is _ALPHA:
-                branches = [(Fraction(1), F + (TrigForm.DT,), TrigForm.SEC)]
-            else:
-                branches = [
-                    (Fraction(1), F + (TrigForm.COT,), None),
-                    (Fraction(1), F + (TrigForm.DT,), TrigForm.TAN),
-                ]
+        F = (TrigForm.COT,) * (term.exponent - 1)
         states = [
-            (c * bc, w + _apply_mult(m, bw), bm)
+            (c * bc, w + _apply_mult(m, F + (form,)), bm)
             for c, w, m in states
-            for bc, bw, bm in branches
+            for bc, form, bm in branches
         ]
     return [(c, w) for c, w, _ in states]
 

@@ -255,12 +255,18 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
          "error: fixture x: weak bottom relation needs a 2n+1 innermost index"),
         ([{"id": "h", "harmonic": [{"head": "2n^1"}]}],
          "error: fixture h: harmonic part 0: head exponent must be >= 2 for binom_power 1"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "harmonic": [{"k": [1], "head": "2n-1^1", "binom": 2}]}],
+         "error: fixture x has both a series and harmonic parts"),
+        ([{"id": "x", "closed_form": "pi"}], "error: fixture x has neither a series nor harmonic parts"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "harmonic": {}}],
+         "error: fixture x: harmonic must be a list of parts"),
     ],
     ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head",
          "id-not-string", "series-not-string", "closed-form-not-string",
          "printed-value-not-string", "k-not-list", "l-not-positive", "k-bool",
          "binom-out-of-range", "binom-string", "coef-divides-by-zero", "series-tail",
-         "series-x", "series-invalid", "part-invalid"],
+         "series-x", "series-invalid", "part-invalid", "series-and-harmonic", "neither",
+         "harmonic-not-list"],
 )
 def test_verify_malformed_fixtures(records, message, tmp_path, capsys):
     path = tmp_path / "fx.json"

@@ -26,6 +26,7 @@ from apery_words.evaluate import (
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
 from apery_words.pipeline import compile_harmonic, compile_spec
+from apery_words.series import SeriesSpec
 from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, deconcatenations, word_key
 from conftest import build_corpus, split_value
 
@@ -352,13 +353,11 @@ def _split_pieces(word_sums):
 
 def _verify_word_sums():
     """The word sums of the bundled records: one per part, 74 in all."""
-    sums = []
-    for rec in load_fixtures():
-        if rec.series is not None:
-            sums.append(compile_spec(rec.series))
-        else:
-            sums += [compile_harmonic(part.spec) for part in rec.harmonic]
-    return sums
+    return [
+        compile_spec(spec) if isinstance(spec, SeriesSpec) else compile_harmonic(spec)
+        for rec in load_fixtures()
+        for _, spec in rec.parts
+    ]
 
 
 def test_walk_bit_identical_on_corpus_and_verify_pieces():

@@ -14,6 +14,7 @@ from apery_words.fixtures import (
     verify_fixtures,
 )
 from apery_words.oracle import OracleConfig, direct_harmonic_sum, direct_sum
+from apery_words.series import SeriesSpec
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,9 @@ def test_bundled_set_shape():
     assert len(records) >= 40
     for rec in records:
         assert rec.closed_form is not None or rec.printed_value is not None, rec.id
-        assert (rec.series is None) != (rec.harmonic is None)
+        # a series record is the one part (1, spec), never mixed with harmonic parts
+        series = [spec for _, spec in rec.parts if isinstance(spec, SeriesSpec)]
+        assert rec.parts and (not series or rec.parts == [(1, series[0])]), rec.id
 
 
 def test_tolerance_from_decimal_count():
@@ -68,16 +71,12 @@ def test_report_oracle_matches_single_sums(report):
     cfg = OracleConfig(precision_digits=ORACLE_DIGITS)
     with workprec(140 + 16):
         for rec, entry in zip(records, report["records"]):
-            if rec.series is not None:
-                res = direct_sum(rec.series, cfg)
-                value, error = res.value, res.error_estimate
-            else:
-                value = error = mpf(0)
-                for part in rec.harmonic:
-                    coef = mpf(part.coef.numerator) / part.coef.denominator
-                    res = direct_harmonic_sum(part.spec, cfg)
-                    value += res.value * coef
-                    error += res.error_estimate * abs(coef)
+            value = error = mpf(0)
+            for coef, spec in rec.parts:
+                c = mpf(coef.numerator) / coef.denominator
+                res = direct_sum(spec, cfg) if isinstance(spec, SeriesSpec) else direct_harmonic_sum(spec, cfg)
+                value += res.value * c
+                error += res.error_estimate * abs(c)
             assert entry["oracle"] == mpmath.nstr(value, supported_digits(value, error, 16)), rec.id
             assert entry["oracle_error_estimate"] == mpmath.nstr(error, 3), rec.id
 
@@ -96,3 +95,14 @@ def test_report_prints_only_the_oracle_digits_its_estimate_supports(report):
             assert abs(mpf(entry["oracle"]) - value) <= mpf(10) ** places / 2, entry["id"]
             short += len(printed.as_tuple().digits) < 16
     assert short >= 27
+
+
+def test_oracle_prints_the_digits_of_its_config(tmp_path):
+    # this sum's estimate at 20 digits, 3.35e-24, supports all 20 of them
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([{"id": "odd-2", "series": "S[2n+1^2 >= 0]"}]))
+    report = verify_fixtures(str(path), precision_bits=100, oracle_cfg=OracleConfig(precision_digits=20))
+    entry = report["records"][0]
+    assert entry["status"] == "PASS"
+    assert mpf(entry["oracle_error_estimate"]) < mpf("1e-23")
+    assert len(Decimal(entry["oracle"]).as_tuple().digits) == 20

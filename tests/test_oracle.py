@@ -344,7 +344,7 @@ def test_sweep_matches_reference_on_random_specs():
 
 
 def _harmonic_shapes() -> list[HarmonicSpec]:
-    shapes = {part.spec for rec in load_fixtures() if rec.harmonic for part in rec.harmonic}
+    shapes = {spec for rec in load_fixtures() for _, spec in rec.parts if isinstance(spec, HarmonicSpec)}
     for parity in Parity:
         for p in (1, 2):
             for k_vec, l_vec in (((), ()), ((1,), ()), ((), (2,)), ((2, 1), (1,)), ((1,), (1, 3))):
@@ -427,10 +427,7 @@ def _assert_batch_matches_single(items, points: list[int], digits: int = 16):
 
 
 def _fixture_items() -> list[SeriesSpec | HarmonicSpec]:
-    items = []
-    for rec in load_fixtures():
-        items += [rec.series] if rec.series is not None else [part.spec for part in rec.harmonic]
-    return items
+    return [spec for rec in load_fixtures() for _, spec in rec.parts]
 
 
 def test_chained_quotients_match_reference():

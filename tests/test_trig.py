@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -19,11 +20,11 @@ from apery_words.series import (
 from apery_words.trig import (
     CompileError,
     TrigForm,
+    _merge_factors,
     compile_blocks,
     compile_spec_to_trig,
     convert_relations,
     eliminate_inner_oddlow,
-    pf_decompose,
     rewrite_to_block_shape,
 )
 
@@ -39,26 +40,44 @@ def _oracle(spec, coef):
 # --- partial fractions -------------------------------------------------------
 
 def test_pf_11():
-    assert pf_decompose(1, 1) == [(Fraction(1), "x-1", 1), (Fraction(-1), "x", 1)]
+    # 1/(2n (2n+1)) = 1/(2n) - 1/(2n+1)
+    assert _merge_factors(Parity.EVEN, 1, Parity.ODD_HIGH, 1) == [
+        (Fraction(1), IndexTerm(Parity.EVEN, 1)),
+        (Fraction(-1), IndexTerm(Parity.ODD_HIGH, 1)),
+    ]
 
 
 def test_pf_21():
-    assert pf_decompose(2, 1) == [
-        (Fraction(1), "x-1", 1),
-        (Fraction(-1), "x", 1),
-        (Fraction(-1), "x", 2),
+    # 1/((2n+1)^2 2n) = 1/(2n) - 1/(2n+1) - 1/(2n+1)^2
+    assert _merge_factors(Parity.ODD_HIGH, 2, Parity.EVEN, 1) == [
+        (Fraction(1), IndexTerm(Parity.EVEN, 1)),
+        (Fraction(-1), IndexTerm(Parity.ODD_HIGH, 1)),
+        (Fraction(-1), IndexTerm(Parity.ODD_HIGH, 2)),
     ]
 
 
 @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 1)])
 def test_pf_rational_evaluation(a, b):
-    for x in (Fraction(3), Fraction(5), Fraction(7)):
+    # 1/(x^a (x-1)^b) with x = 2n+1, so x-1 = 2n
+    for n in (1, 2, 3):
+        x = Fraction(2 * n + 1)
         direct = 1 / (x**a * (x - 1) ** b)
         expanded = sum(
-            coef / ((x - 1) ** e if pole == "x-1" else x**e)
-            for coef, pole, e in pf_decompose(a, b)
+            coef / Fraction(t.parity.index_value(n)) ** t.exponent
+            for coef, t in _merge_factors(Parity.ODD_HIGH, a, Parity.EVEN, b)
         )
         assert expanded == direct
+
+
+@pytest.mark.parametrize("p1,p2", list(product(Parity, Parity)), ids=lambda p: p.name)
+def test_merge_factors_exact(p1, p2):
+    # every ordered parity pair and exponents 1-4, in exact rationals at n = 1..6
+    for e1 in range(1, 5):
+        for e2 in range(1, 5):
+            terms = _merge_factors(p1, e1, p2, e2)
+            for n in range(1, 7):
+                expanded = sum(coef / Fraction(t.parity.index_value(n)) ** t.exponent for coef, t in terms)
+                assert expanded == 1 / (Fraction(p1.index_value(n)) ** e1 * p2.index_value(n) ** e2)
 
 
 # --- relation conversion -----------------------------------------------------

@@ -13,7 +13,7 @@ from apery_words.evaluate import _flip, eval_wordsum
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
 from apery_words.pipeline import compile_spec
-from apery_words.series import expand_harmonic
+from apery_words.series import SeriesSpec, expand_harmonic
 from apery_words.trig import CompileError, TrigForm, compile_spec_to_trig
 from apery_words.words import (
     W0,
@@ -185,16 +185,14 @@ def _reference_cov(expr):
 def _verify_specs():
     specs = []
     for rec in load_fixtures():
-        if rec.series is not None:
-            specs.append(rec.series)
-        for part in rec.harmonic or ():
-            specs += [s for _, s in expand_harmonic(part.spec)]
+        for _, spec in rec.parts:
+            specs += [spec] if isinstance(spec, SeriesSpec) else [s for _, s in expand_harmonic(spec)]
     return specs
 
 
 def test_cov_matches_reference_expansion():
-    # same words, same coefficients and the same term order: eval_wordsum
-    # sums in term order, so the order reaches the last guard bits
+    # same words, same coefficients and the same term order: word sums are
+    # exact integer sums, so the order sets only the order of cache lines
     exprs = [compile_spec_to_trig(s) for s in build_corpus(100) + _small_specs() + _verify_specs()]
     # w0.x-1 and w0.x1 cancel after two trig words and come back, last, with
     # the third; no compiled spec above moves a surviving word that way
