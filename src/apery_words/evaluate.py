@@ -325,7 +325,8 @@ class ValueCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as U+FFFD, which no line put writes holds
+        with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:

@@ -142,73 +142,40 @@ def validate(spec: SeriesSpec) -> None:
             )
 
 
-_TOKEN = re.compile(r"\s*(2n\+1|2n-1|2n|>=|>|\^|\[|\]|S2|S|0|[1-9][0-9]*|@)")
+# The grammar is regular: a head, one or more index terms each followed by the
+# relation below it, and the bottom.  Each pattern consumes the whitespace
+# after it; the spellings of parities and relations are those of the enums.
+_HEAD = re.compile(r"\s*(S2?)\s*\[\s*")
+_TERM = re.compile(r"(2n[+-]1|2n)\s*\^\s*([1-9][0-9]*)\s*(>=?)\s*")
+_BOTTOM = re.compile(r"0\s*\]\s*")
 
 
 def parse_spec(text: str) -> SeriesSpec:
-    """Parse the spec mini-language; raises SpecSyntaxError with a position."""
-    pos = 0
-    tokens: list[tuple[str, int]] = []
+    """Parse the spec mini-language: "S[" or "S2[", index terms "2n^e",
+    "2n+1^e" or "2n-1^e" each followed by ">" or ">=", then "0]", with
+    whitespace allowed between pieces, then the optional "@tail=N" and
+    "@x=q" suffixes.  A SpecSyntaxError names the position where the piece
+    that fails to match begins (a suffix error, the '@' of its suffix)."""
     body, at_sign, suffix_part = text.partition("@")
-    while pos < len(body):
-        m = _TOKEN.match(body, pos)
-        if not m:
-            if body[pos:].strip() == "":
-                break
-            raise SpecSyntaxError(f"unexpected character {body[pos:].lstrip()[0]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-
-    cursor = 0
-
-    def peek() -> str | None:
-        return tokens[cursor][0] if cursor < len(tokens) else None
-
-    def take(expected: str | None = None, what: str = "") -> str:
-        nonlocal cursor
-        if cursor >= len(tokens):
-            raise SpecSyntaxError(f"unexpected end of spec, expected {what or expected}", len(body))
-        tok, at = tokens[cursor]
-        if expected is not None and tok != expected:
-            raise SpecSyntaxError(f"expected {what or expected!r}, found {tok!r}", at)
-        cursor += 1
-        return tok
-
-    head = peek()
-    if head not in ("S", "S2"):
-        raise SpecSyntaxError("spec must start with 'S' or 'S2'", 0)
-    take()
-    binom_power = 2 if head == "S2" else 1
-    take("[")
-
-    parities = {"2n": Parity.EVEN, "2n+1": Parity.ODD_HIGH, "2n-1": Parity.ODD_LOW}
+    head = _HEAD.match(body)
+    if head is None:
+        raise SpecSyntaxError("spec must start with 'S[' or 'S2['", 0)
+    binom_power = 2 if head[1] == "S2" else 1
+    pos = head.end()
     terms: list[IndexTerm] = []
     relations: list[Relation] = []
-    while True:
-        tok, at = tokens[cursor] if cursor < len(tokens) else (None, len(body))
-        if tok not in parities:
-            raise SpecSyntaxError("expected an index term (2n, 2n+1 or 2n-1)", at)
-        take()
-        take("^", what="'^' before the exponent")
-        exp_tok, exp_at = tokens[cursor] if cursor < len(tokens) else (None, len(body))
-        if exp_tok is None or not exp_tok.isdigit() or exp_tok == "0":
-            raise SpecSyntaxError("expected a positive integer exponent", exp_at)
-        take()
-        try:
-            terms.append(IndexTerm(parities[tok], int(exp_tok)))
-        except SpecValidationError as exc:
-            raise SpecSyntaxError(str(exc), exp_at) from exc
-        rel = peek()
-        if rel not in (">", ">="):
-            raise SpecSyntaxError("expected '>' or '>='", tokens[cursor][1] if cursor < len(tokens) else len(body))
-        take()
-        relations.append(Relation.STRICT if rel == ">" else Relation.WEAK)
-        if peek() == "0":
-            take()
-            break
-    take("]")
-    if cursor != len(tokens):
-        raise SpecSyntaxError("trailing input after ']'", tokens[cursor][1])
+    bottom = None
+    while bottom is None:
+        term = _TERM.match(body, pos)
+        if term is None:
+            expected = "an index term (2n^e, 2n+1^e or 2n-1^e, then > or >=)"
+            raise SpecSyntaxError(f"expected {expected}" + (" or '0]'" if terms else ""), pos)
+        terms.append(IndexTerm(Parity(term[1]), int(term[2])))
+        relations.append(Relation(term[3]))
+        pos = term.end()
+        bottom = _BOTTOM.match(body, pos)
+    if bottom.end() != len(body):
+        raise SpecSyntaxError("trailing input after ']'", bottom.end())
 
     tail_bound = 0
     argument = Fraction(1)
@@ -225,7 +192,7 @@ def parse_spec(text: str) -> SeriesSpec:
                 raise SpecSyntaxError(f"suffix @{key} given twice", at)
             seen.add(key)
             if key == "tail":
-                if not value.isdigit():
+                if not re.fullmatch("[0-9]+", value):
                     raise SpecSyntaxError("@tail wants a non-negative integer", at)
                 tail_bound = int(value)
             elif key == "x":
@@ -277,50 +244,32 @@ def expand_harmonic(h: HarmonicSpec) -> list[tuple[Fraction, SeriesSpec]]:
     """Expand a harmonic-weighted sum into plain series specs.
 
     The zh-chain (n >= m_1 > ... > m_e > 0, denominators rewritten
-    1/m^k = 2^k/(2m)^k) and the odd-chain (rewritten to 2r+1 indices with
-    n > r_1 > ... > r_f >= 0) are interleaved in all ways: a zh index above an
-    odd index gives a strict step, an odd index above a zh index gives a weak
-    step, and no cross-equality is counted twice.
+    1/m^k = 2^k/(2m)^k, so 2n indices) and the odd-chain (rewritten to 2n+1
+    indices with n > r_1 > ... > r_f >= 0) are interleaved in all ways, and
+    each relation follows from the parities, counting no cross-equality
+    twice: a 2n index is read weakly from the head or from a 2n+1 index
+    above it and strictly from a 2n index, a 2n+1 index is read strictly,
+    and the bottom relation is weak under a 2n+1 index and strict otherwise.
     """
     e, f = len(h.k_vec), len(h.l_vec)
     coef = Fraction(2) ** sum(h.k_vec)
-    head_exp = h.head_exponent
     if h.head_parity is Parity.EVEN:
-        coef *= Fraction(2) ** head_exp
+        coef *= Fraction(2) ** h.head_exponent
 
     out: list[tuple[Fraction, SeriesSpec]] = []
     for zh_slots in itertools.combinations(range(e + f), e):
-        zh_slots = set(zh_slots)
-        terms = [IndexTerm(h.head_parity, head_exp)]
-        kinds = ["head"]
-        ki = li = 0
-        for slot in range(e + f):
-            if slot in zh_slots:
-                terms.append(IndexTerm(Parity.EVEN, h.k_vec[ki]))
-                kinds.append("zh")
-                ki += 1
-            else:
-                terms.append(IndexTerm(Parity.ODD_HIGH, h.l_vec[li]))
-                kinds.append("odd")
-                li += 1
+        ks, ls = iter(h.k_vec), iter(h.l_vec)
+        terms = [IndexTerm(h.head_parity, h.head_exponent)]
         relations = []
-        for upper, lower in zip(kinds, kinds[1:]):
-            if lower == "zh":
-                # n >= m_1 within the zh-chain's head step, m_i > m_{i+1}
-                # inside it; an odd index above a zh index is the weak
-                # cross-comparison r >= m.
-                relations.append(Relation.WEAK if upper in ("head", "odd") else Relation.STRICT)
+        upper_is_zh = False  # the head reads a zh index weakly, whatever its parity
+        for slot in range(e + f):
+            is_zh = slot in zh_slots
+            if is_zh:
+                terms.append(IndexTerm(Parity.EVEN, next(ks)))
             else:
-                relations.append(Relation.STRICT)
-        if kinds[-1] == "odd" or (kinds[-1] == "head" and h.head_parity is Parity.ODD_HIGH):
-            relations.append(Relation.WEAK)
-        else:
-            relations.append(Relation.STRICT)
-        out.append(
-            (
-                coef,
-                SeriesSpec(h.binom_power, tuple(terms), tuple(relations)),
-            )
-        )
+                terms.append(IndexTerm(Parity.ODD_HIGH, next(ls)))
+            relations.append(Relation.WEAK if is_zh and not upper_is_zh else Relation.STRICT)
+            upper_is_zh = is_zh
+        relations.append(Relation.WEAK if terms[-1].parity is Parity.ODD_HIGH else Relation.STRICT)
+        out.append((coef, SeriesSpec(h.binom_power, tuple(terms), tuple(relations))))
     return out
-

@@ -388,12 +388,13 @@ def predicted_weight_report(spec: SeriesSpec) -> dict:
     """Weight bookkeeping for reports: the maximal word weight the compiled
     value can involve, per the block structure of the leading indices."""
     w = spec.weight
-    lead = spec.terms[0].parity
+    # only a 2n-1 lead of exponent >= 2 is unrolled to lower weight
+    unrolled = spec.terms[0].parity is Parity.ODD_LOW and spec.terms[0].exponent >= 2
     second = spec.terms[1].parity if spec.depth > 1 else None
     if spec.binom_power == 1:
-        nu = 1 if (lead is Parity.ODD_LOW and spec.terms[0].exponent >= 2) else 0
+        nu = 1 if unrolled else 0
         return {"weight": w, "nu": nu, "max_word_weight": w - nu}
-    eta = 2 if lead is Parity.ODD_LOW else 0
+    eta = 2 if unrolled else 0
     iota = 2 if second is Parity.EVEN else 1
     return {
         "weight": w,

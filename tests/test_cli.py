@@ -379,10 +379,12 @@ def test_cache_env_override(tmp_path, monkeypatch, capsys):
 def test_cache_skips_lines_without_string_key(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CMZV_CACHE", raising=False)
     path = tmp_path / "cache.jsonl"
-    path.write_text(
-        '{"p": 140, "re": "1", "im": "0"}\n'
-        '{"k": ["w0"], "p": 140, "re": "1", "im": "0"}\n'
-        '{"k": "w0.x1", "p": 140, "re": "1.5", "im": "0"}\n'
+    # the last bad line is not UTF-8; it fails to parse like the others
+    path.write_bytes(
+        b'{"p": 140, "re": "1", "im": "0"}\n'
+        b'{"k": ["w0"], "p": 140, "re": "1", "im": "0"}\n'
+        b'\xff\n'
+        b'{"k": "w0.x1", "p": 140, "re": "1.5", "im": "0"}\n'
     )
     assert list(ValueCache(path)._mem) == [("w0.x1", 140)]
     rc = cli_main(["eval", "S[2n^1 > 0]", "--method", "compiled", "--cache-path", str(path)])

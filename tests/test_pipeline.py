@@ -5,9 +5,10 @@ from mpmath import workprec
 
 from apery_words.constants import eval_const
 from apery_words.evaluate import eval_wordsum
+from apery_words.fixtures import load_fixtures
 from apery_words.oracle import OracleConfig, direct_sum
 from apery_words.pipeline import compile_harmonic, compile_spec
-from apery_words.series import HarmonicSpec, Parity, expand_harmonic, parse_spec
+from apery_words.series import HarmonicSpec, Parity, SeriesSpec, expand_harmonic, parse_spec, render
 from apery_words.trig import predicted_weight_report
 from apery_words.words import words_to_json_dict
 
@@ -123,3 +124,11 @@ def test_compiled_words_match_weight_bound(corpus_results):
     for entry in corpus_results:
         bound = entry.spec.weight + (1 if entry.spec.binom_power == 2 else 0)
         assert entry.words.max_weight() <= bound, entry.spec
+
+
+def test_weight_report_bounds_compiled_words(corpus):
+    # the reported maximal word weight bounds the compiled words: a 2n-1 lead
+    # of exponent 1 is not unrolled, at either binomial power
+    plain = [spec for rec in load_fixtures() for _, spec in rec.parts if isinstance(spec, SeriesSpec)]
+    for spec in corpus + plain:
+        assert compile_spec(spec).max_weight() <= predicted_weight_report(spec)["max_word_weight"], render(spec)

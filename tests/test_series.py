@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -89,21 +90,22 @@ def test_parse_rejects_reachable_zero_denominator():
 
 
 def test_parse_syntax_errors_carry_position():
-    with pytest.raises(SpecSyntaxError):
-        parse_spec("S[2n > 0]")
-    with pytest.raises(SpecSyntaxError):
-        parse_spec("T[2n^1 > 0]")
-    with pytest.raises(SpecSyntaxError):
-        parse_spec("S[2n^1 >")
     # a bare trailing '@' and a repeated suffix key
     for text in ("S[2n^1 > 0]@", "S[2n^1 > 0]@tail=3@", "S[2n^1 > 0]@tail=3@tail=5",
                  "S[2n^1 > 0]@x=1/2@x=1/3"):
         with pytest.raises(SpecSyntaxError):
             parse_spec(text)
-    # a suffix error points at the '@' of its own suffix
-    for text, position in (("S[2n^1 > 0]@tail=3@x=abc", 18), ("S[2n^1 > 0]@tail=3@tail=5", 18),
+    # an error points where the piece that fails to match begins: the head,
+    # an index term with its relation, the bottom '0]' or trailing input; a
+    # suffix error points at the '@' of its own suffix
+    for text, position in (("S[2n > 0]", 2), ("T[2n^1 > 0]", 0), ("S[2n^1 >", 8), ("S[]", 2),
+                           ("S[2n^1 > 0] x", 12),
+                           ("S[2n^1 > 0]@tail=3@x=abc", 18), ("S[2n^1 > 0]@tail=3@tail=5", 18),
                            ("S[2n^1 > 0]@tail=3@", 18), ("S[2n^1 > 0]@tail=3@y=1", 18),
-                           ("S[2n^1 > 0]@tail=x", 11)):
+                           ("S[2n^1 > 0]@tail=x", 11),
+                           # @tail takes ASCII digits only: int() would take '\u0663' as 3
+                           # and fail on '\u00b2' with a bare ValueError
+                           ("S[2n^1 > 0]@tail=\u00b2", 11), ("S[2n^1 > 0]@tail=\u0663", 11)):
         with pytest.raises(SpecSyntaxError) as info:
             parse_spec(text)
         assert info.value.position == position, text
@@ -161,6 +163,7 @@ def test_canonical_key_pinned_digest():
 
 def test_equal_keys_for_spellings():
     assert canonical_key(parse_spec("S[2n^1>0]")) == canonical_key(parse_spec("S[ 2n^1 > 0 ]"))
+    assert render(parse_spec("S2 [ 2n-1 ^ 2 > 2n ^ 1 > 0 ]")) == "S2[2n-1^2 > 2n^1 > 0]"
     assert canonical_key(parse_spec("S[2n^1 > 0]@x=0.50")) == canonical_key(
         parse_spec("S[2n^1 > 0]@x=1/2")
     )
@@ -201,6 +204,28 @@ def test_expand_harmonic_matches_direct_sum(h):
         for coef, spec in expand_harmonic(h)
     )
     assert abs(float(direct) - expanded) < 1e-8
+
+
+def test_expand_harmonic_pinned():
+    # every valid head with k and l of 0-3 entries each (entries 1-3, at most
+    # 4 weights in all), each head parity, exponents 1-3 and binom 1-2; the
+    # digest pins the expansions term for term
+    vecs = [v for n in range(4) for v in itertools.product((1, 2, 3), repeat=n)]
+    digest = hashlib.sha256()
+    count = 0
+    for k, l in itertools.product(vecs, repeat=2):
+        if len(k) + len(l) > 4:
+            continue
+        for parity, exponent, binom in itertools.product(Parity, (1, 2, 3), (1, 2)):
+            try:
+                h = HarmonicSpec(k, l, parity, exponent, binom)
+            except SpecValidationError:
+                continue
+            count += 1
+            for coef, spec in expand_harmonic(h):
+                digest.update(f"{coef} {render(spec)}\n".encode())
+    assert count == 5775
+    assert digest.hexdigest() == "7174180211a1a69e24754302e6830f4f9656581ce9dee991dd1f443a90ff5656"
 
 
 def test_harmonic_validation():
