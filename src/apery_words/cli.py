@@ -54,10 +54,12 @@ def _print_text(out: dict) -> None:
 def _evaluate(args, item, compile_item, out: dict):
     """The compiled / direct / both flow shared by eval and harmonic.
 
-    Adds "compiled", "direct" with "direct_error_estimate" and "terms_used",
-    and "deviation" to `out` as --method asks and returns the compiled value
-    (None where skipped).  "direct" carries only the digits the oracle
-    supports; "deviation" is taken between the unrounded values.
+    Adds "compiled" with "bits_lost", "direct" with "direct_error_estimate"
+    and "terms_used", and "deviation" to `out` as --method asks and returns
+    the compiled value (None where skipped).  "bits_lost" is the bits that
+    cancellation in the word sum cost, to 0.1 bit; "direct" carries only
+    the digits the oracle supports; "deviation" is taken between the
+    unrounded values.
     """
     digits = args.digits
     cache = _cache(args)
@@ -66,6 +68,7 @@ def _evaluate(args, item, compile_item, out: dict):
         if args.method in ("compiled", "both"):
             value = eval_wordsum(compile_item(item), _bits(digits), cache)
             out["compiled"] = mpmath.nstr(value.real, digits)
+            out["bits_lost"] = round(value.bits_lost, 1)
         if args.method in ("direct", "both"):
             cfg = OracleConfig(args.cutoff, args.levels, max(15, min(digits, 25)))
             res = direct_sums([item], cfg)[0]

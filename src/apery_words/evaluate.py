@@ -6,16 +6,24 @@ default):
     I_[0,1](w) = sum over splittings w = u.v of I_[c,1](u) * I_[0,c](v),
 
 the upper piece is mapped onto [0, 1-c] by t -> 1-t (atom (b, s) becomes
-(1-b, -s), word reversed), and each piece is integrated by maintaining the
-suffix integral as a truncated power series: dividing by (b - t) is the
-first-order recurrence q_m = (p_m + q_{m-1})/b, so one atom costs O(N).
+(1-b, -s), word reversed), and each piece over [0, r] is integrated by
+maintaining the suffix integral as a power series in the scaled variable
+s = t/r: dividing by (b - t) = r(b/r - s) is the first-order recurrence
+Q_m = (p_m + Q_{m-1}) * r/b, so one atom costs O(N), and the piece's value
+is the plain sum of its coefficients.
+
+The alphabet {0, +-1, +-i} is closed under complex conjugation, and on
+[0, 1] the word with every pole conjugated has the conjugate value.  So only
+one word of each conjugate pair is evaluated, its representative: the one
+whose first non-real pole has a positive imaginary part.  The other takes
+the representative's value with the imaginary part negated.
 
 Piece (a1, ..., ak) is piece (a2, ..., ak) plus one such atom step.  So the
-pieces of the words a call must evaluate, less those already in the memo,
-go into one suffix trie per radius, keyed from the last atom, and one
-depth-first walk evaluates them all: each trie node costs one atom step on
-its parent's coefficients, plus a Horner sum where a piece ends.  The
-pieces of a word are closed under taking suffixes (the lower pieces are its
+pieces of the representatives a call must evaluate, less those already in
+the memo, go into one suffix trie per radius, keyed from the last atom, and
+one depth-first walk evaluates them all: each trie node costs one atom step
+on its parent's coefficients, plus a sum where a piece ends.  The pieces of
+a word are closed under taking suffixes (the lower pieces are its
 suffixes, the upper ones the flips of its reversed prefixes), so a node is
 a wanted piece unless an earlier call left it in the memo, which keeps
 values and not coefficients: the walk then steps through it once more on
@@ -24,20 +32,22 @@ distinct piece instead of one per atom of each piece, and the walk holds
 one coefficient array per depth.
 
 All poles keep distance >= 1 from the origin (or sit at 0 with the dt/t
-form), so the series converge geometrically at rate c/|b| <= c.
+form), so the series converge geometrically at rate r/|b| <= r.  Each
+series runs until its own terms end (see _walk), at most to a fixed cap.
 
 Every pole met is a Gaussian rational (the level-4 poles 0, +-1, +-i and
 their t -> 1-t images 1, 2, 1-+i), so the whole chain runs on Gaussian
 integers, with F = precision_bits + _GUARD_BITS:
 
-- the walk's coefficients are pairs of Python ints scaled by 2^F, 1/b
-  enters as an exact integer triple, and the memo keeps each piece's value
-  as the pair (re, im) at 2^-F that the walk leaves;
+- the walk's coefficients are pairs of Python ints scaled by
+  2^(F + _WALK_BITS), r/b enters as an exact integer triple, and the memo
+  keeps each piece's value as the pair (re, im) at 2^-F that the walk
+  leaves;
 - a word's value is its split sum of upper times lower piece, summed
   exactly at 2^-2F and rounded once: each part to F significant bits, to
   nearest with ties to even, which is the value an mpf of F bits holds.
   It is kept as (re, im, exp), (re + im*i) * 2^exp, and the cache stores
-  and parses exactly that value;
+  and parses exactly that value, for representatives only;
 - a word sum puts its Gaussian-rational coefficients over one common
   denominator, sums coefficient times value exactly over the smallest
   exponent, and divides by the denominator once, rounding to F bits.  The
@@ -64,10 +74,13 @@ from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, to_str
 
 from .gauss import GaussRat
-from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
+from .words import W0, X1, XI, XM1, XMI, Atom, Word, WordSum, deconcatenations, is_convergent, word_key
 
 _MIN_BITS = 64
 _GUARD_BITS = 24
+# bits the walk carries below 2^-F: its floor errors add up unweighted over
+# the terms of each series (see _walk)
+_WALK_BITS = 12
 
 # a word value (re, im, exp): (re + im*i) * 2^exp, each part rounded to
 # F = precision_bits + _GUARD_BITS significant bits
@@ -191,11 +204,42 @@ def _flip(atom: Atom) -> Atom:
     return Atom(GaussRat(1) - atom.pole, -atom.sign)
 
 
-def _inverse(pole: GaussRat) -> tuple[int, int, int]:
-    """Integers (u, v, e) with 1/pole = (u + v*i)/e exactly, e > 0."""
+# the canonical atoms of `words`, keyed by identity since an atom's hash is a
+# Python call and every word is scanned: the sign of each pole's imaginary
+# part, and the conjugate atom
+_IMAG_SIGN = {id(W0): 0, id(X1): 0, id(XM1): 0, id(XI): 1, id(XMI): -1}
+_CONJUGATE = {id(W0): W0, id(X1): X1, id(XM1): XM1, id(XI): XMI, id(XMI): XI}
+
+
+@functools.cache
+def _conj(atom: Atom) -> Atom:
+    """The complex conjugate of any other atom: a canonical atom where it
+    equals one, else one object per atom met."""
+    image = Atom(GaussRat(atom.pole.re, -atom.pole.im), atom.sign)
+    return next((a for a in (W0, X1, XM1, XI, XMI) if a == image), image)
+
+
+def _representative(word: Word) -> tuple[Word, bool]:
+    """The word or its conjugate, whichever has a positive imaginary part at
+    its first non-real pole (the word itself if it has none), and whether
+    that is the conjugate.  I(conj w) = conj I(w) on [0, 1]."""
+    for atom in word:
+        im = _IMAG_SIGN.get(id(atom))
+        if im is None:
+            im = atom.pole.im
+        if im:
+            if im > 0:
+                return word, False
+            return tuple([_CONJUGATE.get(id(a)) or _conj(a) for a in word]), True
+    return word, False
+
+
+def _scaled_inverse(pole: GaussRat, radius: Fraction) -> tuple[int, int, int]:
+    """Integers (u, v, e) with radius/pole = (u + v*i)/e exactly, e > 0."""
     den = math.lcm(pole.re.denominator, pole.im.denominator)
     x, y = int(pole.re * den), int(pole.im * den)
-    u, v, e = den * x, -den * y, x * x + y * y
+    num = radius.numerator * den
+    u, v, e = num * x, -num * y, radius.denominator * (x * x + y * y)
     g = math.gcd(u, v, e)
     return u // g, v // g, e // g
 
@@ -241,35 +285,55 @@ def _walk(
     """Integrate every piece of a suffix trie over radius > t_1 > ... > t_k > 0.
 
     A depth-first walk: each node takes one atom step on its parent's
-    coefficients and sums the series where a piece ends, so the walk holds
-    one coefficient array per depth.  The series runs in fixed point:
-    coefficients are pairs of Python ints (real, imaginary) scaled by 2^F
-    with F = precision_bits + _GUARD_BITS, and every pole enters as the
-    exact triple 1/b = (u + v*i)/e.  Each floor division errs by less than
-    one unit (ulp) of 2^-F per component, so each atom adds at most
-    2*sqrt(2) ulps to every coefficient (the division by |b| >= 1 in
-    q_m = (p_m + q_{m-1})/b cannot grow an error faster than the following
-    division by m + 1 shrinks it), and the Horner step at radius r weights
-    coefficient errors by r^m.  For k atoms the result is within
-    sqrt(2) * (2k + 1) / (1 - r) ulps of the truncated series: under 2^6
-    ulps for k <= 6 at r <= 2/3, far inside the guard.  A piece's value is
-    the pair of Horner sums (re, im), to be read at 2^-F, unrounded.
+    coefficients and sums them where a piece ends, so the walk holds one
+    coefficient array per depth.  The series runs in the scaled variable
+    s = t/radius, in fixed point: coefficient m is a pair of Python ints
+    (real, imaginary), the coefficient of t^m times radius^m scaled by
+    2^(F + _WALK_BITS) with F = precision_bits + _GUARD_BITS.  So a piece's
+    value is the plain sum of its coefficients, and the atom
+    dt/(b - t) = ds/(b/r - s) enters as the exact triple
+    r/b = (u + v*i)/e, |r/b| <= r < 1:
+
+        Q_m = (d_{m-1} + Q_{m-1}) * r/b,   coefficient m of the child = Q_m / m,
+
+    each division a floor.  A dt/t step divides coefficient m by m.
+
+    A child's loop ends at n_terms, a cap where the series are truncated as
+    before (ceil((precision_bits + 48) ln 2 / -ln r) by default), or sooner:
+    once it is past its parent's length, where d_{m-1} is 0, and both parts
+    of Q_m have floored to 0 or -1.  From there on each term only multiplies
+    Q by r/b, so the series' tail is below (|Q_m| + its error) * r/(1 - r).
+
+    Each floor errs by less than one unit (ulp) of 2^-(F + _WALK_BITS) per
+    component.  With |r/b| <= 1 the error of Q_m grows by at most the
+    parent's coefficient error plus sqrt(2) per term, and the division by m
+    takes that growth back, so each atom adds at most 2*sqrt(2) ulps to
+    every coefficient it computes.  The error of Q_m is then at most m times
+    the coefficient error plus sqrt(2), so a stop drops a tail of at most
+    that coefficient error plus 2*sqrt(2), times r/(1 - r), which the pieces
+    beyond carry on as one more geometric series.  A k-atom piece's sum of
+    at most N = n_terms + 1 terms is thus within 2*sqrt(2) * k * (N + k) ulps
+    of its series truncated at n_terms.  The errors add unweighted over the
+    terms, which is what the _WALK_BITS extra bits absorb: for k <= 6 at
+    r = 1/2 that is under one unit of 2^-F at 140 bits and under three at
+    600, far inside the guard.  A piece's value is that sum rounded to the
+    nearest multiple of 2^-F, which adds half a unit: the pair (re, im) to
+    be read at 2^-F.
     """
     if n_terms is None:
         n_terms = int(
             math.ceil((precision_bits + 48) * math.log(2) / -math.log(float(radius)))
         )
-    frac_bits = precision_bits + _GUARD_BITS
-    num, den = radius.numerator, radius.denominator
+    half = 1 << (_WALK_BITS - 1)
+    ratios: dict[Atom, tuple[int, int, int]] = {}
     values = {}
 
     def visit(node: _Node, re: list[int], im: list[int], sign: int) -> None:
         if node.piece is not None:
-            total_re = total_im = 0
-            for c_re, c_im in zip(reversed(re), reversed(im)):
-                total_re = total_re * num // den + c_re
-                total_im = total_im * num // den + c_im
-            values[node.piece] = (sign * total_re, sign * total_im)
+            values[node.piece] = (
+                sign * ((sum(re) + half) >> _WALK_BITS),
+                sign * ((sum(im) + half) >> _WALK_BITS),
+            )
         # the word is linear in each atom's sign, so the signs multiply out and
         # every step integrates dt/(b - t) or, for b = 0, dt/t = -dt/(0 - t)
         for atom, child in node.children.items():
@@ -279,18 +343,28 @@ def _walk(
                 new_im = [0] + [c // m for m, c in enumerate(im[1:], 1)]
                 visit(child, new_re, new_im, -sign * atom.sign)
                 continue
-            u, v, e = _inverse(atom.pole)
+            ratio = ratios.get(atom)
+            if ratio is None:
+                ratio = ratios[atom] = _scaled_inverse(atom.pole, radius)
+            u, v, e = ratio
             new_re, new_im = [0], [0]
             q_re = q_im = 0
-            for m in range(1, n_terms + 1):
-                p_re, p_im = re[m - 1] + q_re, im[m - 1] + q_im
+            top = min(len(re), n_terms)
+            for m, c_re, c_im in zip(range(1, top + 1), re, im):
+                p_re, p_im = c_re + q_re, c_im + q_im
                 q_re = (p_re * u - p_im * v) // e
                 q_im = (p_re * v + p_im * u) // e
                 new_re.append(q_re // m)
                 new_im.append(q_im // m)
+            for m in range(top + 1, n_terms + 1):
+                if -1 <= q_re <= 0 and -1 <= q_im <= 0:
+                    break
+                q_re, q_im = (q_re * u - q_im * v) // e, (q_re * v + q_im * u) // e
+                new_re.append(q_re // m)
+                new_im.append(q_im // m)
             visit(child, new_re, new_im, sign * atom.sign)
 
-    visit(root, [1 << frac_bits] + [0] * n_terms, [0] * (n_terms + 1), 1)
+    visit(root, [1 << (precision_bits + _GUARD_BITS + _WALK_BITS)], [0], 1)
     return values
 
 
@@ -314,7 +388,9 @@ class ValueCache:
     written reads back exactly.  Lines of fewer digits, as older versions
     wrote, read the same way.  Inserts append; a line of another form than
     `put` writes is corrupt and skipped on load; concurrent writers can only
-    race on identical idempotent values.
+    race on identical idempotent values.  The evaluator puts and gets the
+    keys of representatives only, so a line for another word, as older
+    versions wrote, is loaded but never served.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -380,67 +456,77 @@ def _decimals(value: Value, precision_bits: int) -> list[str]:
     return [to_str(from_man_exp(part, exp), digits) for part in (re, im)]
 
 
-# in-process memo for segment pieces; prefixes repeat heavily across words
+# in-process memo for the segment pieces of representatives; prefixes repeat
+# heavily across words
 _segment_memo: dict[tuple[tuple[Atom, ...], Fraction, int], tuple[int, int]] = {}
 
 
 def _eval_words(
     words: Iterable[Word], c: Fraction, precision_bits: int, cache: ValueCache | None
-) -> dict[Word, Value]:
-    """Values of convergent words over [0, 1], each split at c.
+) -> list[Value]:
+    """Values of convergent words over [0, 1], each split at c, in the order
+    of `words`.
 
-    Each word's cache entry is looked up once.  The pieces of the words that
-    miss and that the memo lacks go into one suffix trie per radius, and one
-    walk of each trie fills the memo; then each missing word's upper times
-    lower pieces are summed over its splittings exactly, on the memo's
+    Only representatives (see _representative) are looked up, walked, summed
+    and cached; a word that is the conjugate of its representative takes the
+    representative's value (re, -im, exp).  Each representative's cache
+    entry is looked up once.  The pieces of the representatives that miss
+    and that the memo lacks go into one suffix trie per radius, and one walk
+    of each trie fills the memo; then each missing representative's upper
+    times lower pieces are summed over its splittings exactly, on the memo's
     integer pairs at 2^-F (so the sum is at 2^-2F), and rounded once to F
-    bits.  The missing words are written to the cache in the order of
-    `words`, through one append handle.
+    bits.  The missing representatives are written to the cache in the
+    order in which `words` first reaches them, through one append handle.
     """
     frac_bits = precision_bits + _GUARD_BITS
-    values: dict[Word, Value] = {}
+    # each representative's value in a one-item list, None while it is
+    # missing, so that each word is hashed once however it resolves
+    cells: dict[Word, list[Value | None]] = {(): [(1, 0, 0)]}
+    resolved = []
     missing = []
     tries: dict[Fraction, _Node] = {}
     for word in words:
         if not is_convergent(word):
             raise DivergentWordError(word_key(word))
-        if not word:
-            values[word] = (1, 0, 0)
-            continue
-        key = word_key(word)
-        hit = cache.get(key, precision_bits) if cache is not None else None
-        if hit is not None:
-            values[word] = hit
-            continue
-        # the upper piece: the prefix mapped by t -> 1-t
-        splits = [
-            (tuple([_flip(a) for a in reversed(prefix)]), suffix)
-            for prefix, suffix in deconcatenations(word)
-        ]
-        for upper, lower in splits:
-            for atoms, radius in ((upper, 1 - c), (lower, c)):
-                if atoms and (atoms, radius, precision_bits) not in _segment_memo:
-                    _add_piece(tries.setdefault(radius, _Node()), atoms)
-        missing.append((word, key, splits))
+        rep, conjugated = _representative(word)
+        cell = cells.get(rep)
+        if cell is None:
+            key = word_key(rep)
+            cell = cells[rep] = [cache.get(key, precision_bits) if cache is not None else None]
+            if cell[0] is None:
+                # the upper piece: the prefix mapped by t -> 1-t
+                splits = [
+                    (tuple([_flip(a) for a in reversed(prefix)]), suffix)
+                    for prefix, suffix in deconcatenations(rep)
+                ]
+                for upper, lower in splits:
+                    for atoms, radius in ((upper, 1 - c), (lower, c)):
+                        if atoms and (atoms, radius, precision_bits) not in _segment_memo:
+                            _add_piece(tries.setdefault(radius, _Node()), atoms)
+                missing.append((cell, key, splits))
+        resolved.append((cell, conjugated))
     for radius, root in tries.items():
         for atoms, value in _walk(root, radius, precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
     one = (1 << frac_bits, 0)
-    for word, _, splits in missing:
+    for cell, _, splits in missing:
         total_re = total_im = 0
         for upper, lower in splits:
             u_re, u_im = _segment_memo[(upper, 1 - c, precision_bits)] if upper else one
             l_re, l_im = _segment_memo[(lower, c, precision_bits)] if lower else one
             total_re += u_re * l_re - u_im * l_im
             total_im += u_re * l_im + u_im * l_re
-        values[word] = _join(
+        cell[0] = _join(
             _round(total_re, 1, -2 * frac_bits, frac_bits),
             _round(total_im, 1, -2 * frac_bits, frac_bits),
         )
     if cache is not None and missing:
         with cache.appending():
-            for word, key, _ in missing:
-                cache.put(key, precision_bits, values[word])
+            for cell, key, _ in missing:
+                cache.put(key, precision_bits, cell[0])
+    values = []
+    for (value,), conjugated in resolved:
+        values.append((value[0], -value[1], value[2]) if conjugated else value)
     return values
 
 
@@ -450,7 +536,7 @@ def eval_word(
     cache: ValueCache | None = None,
 ) -> BigComplex:
     """Value of a convergent word over [0, 1], split at 1/2."""
-    return _to_big(_eval_words((word,), Fraction(1, 2), precision_bits, cache)[word], precision_bits)
+    return _to_big(_eval_words((word,), Fraction(1, 2), precision_bits, cache)[0], precision_bits)
 
 
 def eval_wordsum(
@@ -475,10 +561,9 @@ def eval_wordsum(
     values = _eval_words(ws.terms, Fraction(1, 2), precision_bits, cache)
     frac_bits = precision_bits + _GUARD_BITS
     den = math.lcm(*[q for c in ws.terms.values() for q in (c.re.denominator, c.im.denominator)])
-    low = min((values[word][2] for word in ws.terms), default=0)
+    low = min((exp for _, _, exp in values), default=0)
     sum_re = sum_im = bound = 0
-    for word, coef in ws.terms.items():
-        re, im, exp = values[word]
+    for coef, (re, im, exp) in zip(ws.terms.values(), values):
         a = coef.re.numerator * (den // coef.re.denominator)
         b = coef.im.numerator * (den // coef.im.denominator)
         shift = exp - low

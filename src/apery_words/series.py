@@ -148,6 +148,8 @@ def validate(spec: SeriesSpec) -> None:
 _HEAD = re.compile(r"\s*(S2?)\s*\[\s*")
 _TERM = re.compile(r"(2n[+-]1|2n)\s*\^\s*([1-9][0-9]*)\s*(>=?)\s*")
 _BOTTOM = re.compile(r"0\s*\]\s*")
+# the @x forms the README and render use: an ASCII decimal, or p/q with q > 0
+_ARGUMENT = re.compile(r"[0-9]+(?:\.[0-9]+)?|[0-9]+/[0-9]*[1-9][0-9]*")
 
 
 def parse_spec(text: str) -> SeriesSpec:
@@ -196,10 +198,10 @@ def parse_spec(text: str) -> SeriesSpec:
                     raise SpecSyntaxError("@tail wants a non-negative integer", at)
                 tail_bound = int(value)
             elif key == "x":
-                try:
-                    argument = Fraction(value)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise SpecSyntaxError(f"@x wants a decimal, got {value!r}", at) from exc
+                # Fraction() would also take other scripts' digits and "_"
+                if not _ARGUMENT.fullmatch(value):
+                    raise SpecSyntaxError(f"@x wants a decimal or p/q, got {value!r}", at)
+                argument = Fraction(value)
             else:
                 raise SpecSyntaxError(f"unknown suffix {key!r}", at)
             at += len(part) + 1

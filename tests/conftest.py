@@ -64,9 +64,26 @@ def build_corpus(count: int, seed: int = 20240817) -> list[SeriesSpec]:
     return out
 
 
+def depth4_specs(count: int = 8) -> list[SeriesSpec]:
+    """The first `count` distinct depth-4 specs that
+    random_spec(random.Random(7), max_depth=4, max_weight=6) draws: a fixed
+    set beyond the corpus's depth 3 and weight 5, chosen by this rule alone."""
+    from apery_words.series import render
+
+    rng = random.Random(7)
+    seen: set[str] = set()
+    out: list[SeriesSpec] = []
+    while len(out) < count:
+        spec = random_spec(rng, max_depth=4, max_weight=6)
+        if len(spec.terms) == 4 and render(spec) not in seen:
+            seen.add(render(spec))
+            out.append(spec)
+    return out
+
+
 def split_value(word, c: Fraction, precision_bits: int) -> BigComplex:
     """A word's value over [0, 1] by Chen's rule split at c, not at 1/2."""
-    return evaluate._to_big(evaluate._eval_words((word,), c, precision_bits, None)[word], precision_bits)
+    return evaluate._to_big(evaluate._eval_words((word,), c, precision_bits, None)[0], precision_bits)
 
 
 def central_ratio(n: int, x: Fraction | float = Fraction(1), digits: int = 40):
@@ -112,6 +129,11 @@ class CorpusEntry:
 @pytest.fixture(scope="session")
 def corpus() -> list[SeriesSpec]:
     return build_corpus(100)
+
+
+@pytest.fixture(scope="session")
+def depth4() -> list[SeriesSpec]:
+    return depth4_specs()
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ from importlib import resources
 import mpmath
 import pytest
 
-from apery_words.cli import cli_main
-from apery_words.evaluate import ValueCache
+from apery_words.cli import _bits, cli_main
+from apery_words.evaluate import ValueCache, eval_wordsum
 from apery_words.pipeline import compile_spec
 from apery_words.series import (
     IndexTerm,
@@ -17,6 +17,7 @@ from apery_words.series import (
     Relation,
     SeriesSpec,
     SpecValidationError,
+    parse_spec,
     render,
 )
 from apery_words.trig import compile_spec_to_trig, trig_to_json_dict
@@ -58,8 +59,9 @@ def test_eval_default_flags(capsys):
 def test_eval_prints_direct_to_the_digits_its_estimate_supports(digits, direct, deviation, capsys):
     assert cli_main(["eval", "S[2n+1^1 >= 2n^1 > 2n^1 > 0]", "--digits", str(digits), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"compiled", "compiled_imag", "deviation", "direct", "direct_error_estimate",
-                        "key", "max_word_weight", "method", "spec", "terms_used", "weight_report"}
+    assert set(out) == {"bits_lost", "compiled", "compiled_imag", "deviation", "direct",
+                        "direct_error_estimate", "key", "max_word_weight", "method", "spec",
+                        "terms_used", "weight_report"}
     assert out["direct"] == direct
     # the error estimate is within one unit in the last digit printed
     last_unit = 10.0 ** -len(direct.split(".")[1])
@@ -85,6 +87,21 @@ def test_eval_compiled_only(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["compiled"].startswith("0.014864453782")
     assert out["weight_report"]["max_word_weight"] == 2
+
+
+def test_eval_and_harmonic_json_report_bits_lost(capsys):
+    # the bits cancellation cost in the word sum, to 0.1 bit, beside the
+    # compiled value only
+    spec = "S2[2n-1^2 > 2n^1 > 0]"
+    assert cli_main(["eval", spec, "--method", "compiled", "--digits", "30", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lost = eval_wordsum(compile_spec(parse_spec(spec)), _bits(30)).bits_lost
+    assert out["bits_lost"] == round(lost, 1) and 0 < lost < 24
+    args = ["harmonic", "--k", "1", "--head", "2n-1^1", "--binom", "2", "--json"]
+    assert cli_main(args + ["--method", "compiled"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["bits_lost"], float)
+    assert cli_main(args + ["--method", "direct"]) == 0
+    assert "bits_lost" not in json.loads(capsys.readouterr().out)
 
 
 def test_compile_ir_roundtrips(capsys):

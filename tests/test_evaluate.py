@@ -238,10 +238,12 @@ def test_cache_roundtrip(tmp_path):
     fresh = eval_word(word, 140, cache)
     hit = eval_word(word, 140, cache)
     assert abs(hit.to_mpc() - fresh.to_mpc()) == 0
-    # reload from disk: the value written, bit for bit
+    # reload from disk: the value written, bit for bit, on the line of the
+    # representative w0.xi; the word's own key has none
     reloaded = ValueCache(path)
-    stored = reloaded.get(word_key(word), 140)
-    assert stored is not None
+    assert len(reloaded._mem) == 1
+    assert reloaded.get(word_key((W0, XI)), 140) is not None
+    assert reloaded.get(word_key(word), 140) is None
     again = eval_word(word, 140, reloaded)
     assert (again.real, again.imag) == (fresh.real, fresh.imag)
 
@@ -272,8 +274,15 @@ def test_bigcomplex_invariants():
 
 def _reference_segment_ints(sw, precision_bits, n_terms=None):
     """Reference: one piece integrated from scratch, atom by atom, as the
-    segment kernel did before pieces shared the steps of their suffixes; the
-    pair of ints (re, im) at 2^-F."""
+    segment kernel did before pieces shared the steps of their suffixes, in
+    the scaled variable s = t/r with 12 bits below 2^-F; the pair of ints
+    (re, im) at 2^-F.
+
+    Coefficient m is that of t^m times r^m, at 2^-(F + 12).  An atom
+    dt/(b - t) divides by b/r, which is taken exactly from the Fractions, and
+    its loop stops at n_terms, or once past the parent's length with both
+    parts of the quotient floored to 0 or -1.
+    """
     radius = sw.segment_radius
     for i, atom in enumerate(sw.atoms):
         if atom.pole == GaussRat(0):
@@ -285,10 +294,8 @@ def _reference_segment_ints(sw, precision_bits, n_terms=None):
         n_terms = int(
             math.ceil((precision_bits + 48) * math.log(2) / -math.log(float(radius)))
         )
-    frac_bits = precision_bits + 24
     sign = 1
-    re = [1 << frac_bits] + [0] * n_terms
-    im = [0] * (n_terms + 1)
+    re, im = [1 << (precision_bits + 24 + 12)], [0]
     for atom in reversed(sw.atoms):
         if atom.pole == GaussRat(0):
             sign = -sign * atom.sign
@@ -296,22 +303,26 @@ def _reference_segment_ints(sw, precision_bits, n_terms=None):
             im = [0] + [c // m for m, c in enumerate(im[1:], 1)]
             continue
         sign *= atom.sign
-        u, v, e = evaluate._inverse(atom.pole)
+        # r/b = r * conj(b) / |b|^2 = (u + v*i)/e
+        pole = atom.pole
+        z_re = radius * pole.re / pole.norm2()
+        z_im = -radius * pole.im / pole.norm2()
+        e = math.lcm(z_re.denominator, z_im.denominator)
+        u, v = int(z_re * e), int(z_im * e)
         new_re, new_im = [0], [0]
         q_re = q_im = 0
         for m in range(1, n_terms + 1):
-            p_re, p_im = re[m - 1] + q_re, im[m - 1] + q_im
+            if m > len(re) and q_re in (0, -1) and q_im in (0, -1):
+                break
+            p_re = (re[m - 1] if m <= len(re) else 0) + q_re
+            p_im = (im[m - 1] if m <= len(im) else 0) + q_im
             q_re = (p_re * u - p_im * v) // e
             q_im = (p_re * v + p_im * u) // e
             new_re.append(q_re // m)
             new_im.append(q_im // m)
         re, im = new_re, new_im
-    num, den = radius.numerator, radius.denominator
-    total_re = total_im = 0
-    for c_re, c_im in zip(reversed(re), reversed(im)):
-        total_re = total_re * num // den + c_re
-        total_im = total_im * num // den + c_im
-    return sign * total_re, sign * total_im
+    half = 1 << 11
+    return sign * ((sum(re) + half) >> 12), sign * ((sum(im) + half) >> 12)
 
 
 def _reference_eval_segment(sw, precision_bits, n_terms=None):
@@ -399,6 +410,30 @@ def test_eval_segment_is_the_walk_over_one_piece():
             assert (got.real, got.imag) == (ref.real, ref.imag)
 
 
+@pytest.mark.parametrize("bits", [140, 600])
+def test_walk_error_within_its_stated_bound(bits):
+    # _walk: a k-atom piece is within 2 sqrt(2) k (n_terms + 1 + k) units of
+    # 2^-(F + 12), plus half a unit of 2^-F for the rounding, of its series
+    # truncated at n_terms; the walk at 64 more bits stands in for the series
+    rng = random.Random(11)
+    pieces = set()
+    while len(pieces) < 40:
+        atoms = tuple(rng.choice(rng.choice((LOWER, UPPER))) for _ in range(rng.randint(1, 6)))
+        if atoms[-1].pole:
+            pieces.add(atoms)
+    radius = Fraction(1, 2)
+    got, fine = _walk_pieces(pieces, radius, bits), _walk_pieces(pieces, radius, bits + 64)
+    n_terms = bits + 48  # the default cap at radius 1/2
+    worst = 0
+    for atoms in pieces:
+        bound = 2 * math.sqrt(2) * len(atoms) * (n_terms + 1 + len(atoms)) / 2**12 + 0.5
+        (re, im), (fine_re, fine_im) = got[atoms], fine[atoms]
+        error = abs(complex((re << 64) - fine_re, (im << 64) - fine_im)) / 2**64
+        assert error <= bound, word_key(atoms)
+        worst = max(worst, error)
+    assert worst > 0
+
+
 @pytest.mark.parametrize(
     "word, error, message",
     [
@@ -450,7 +485,9 @@ def test_cold_eval_wordsum_writes_the_lines_of_eval_word(monkeypatch, tmp_path):
     for word in ws.terms:
         eval_word(word, 140, by_word)
     lines = (tmp_path / "sum.jsonl").read_bytes()
-    assert lines.count(b"\n") == sum(1 for w in ws.terms if w)
+    reps = {evaluate._representative(w)[0] for w in ws.terms if w}
+    assert len(reps) < sum(1 for w in ws.terms if w)
+    assert lines.count(b"\n") == len(reps)
     assert lines == (tmp_path / "words.jsonl").read_bytes()
 
 
@@ -473,7 +510,9 @@ def test_cold_eval_wordsum_opens_the_cache_once(monkeypatch, tmp_path):
     cache.put = lambda *args: puts.append(args[0]) or put(*args)
     eval_wordsum(ws, 140, cache)
     assert len(opened) == 1 and opened[0].closed
-    assert puts == [word_key(w) for w in ws.terms if w]
+    # one put per representative, in the order the words first reach them
+    reps = dict.fromkeys(evaluate._representative(w)[0] for w in ws.terms if w)
+    assert puts == [word_key(rep) for rep in reps]
     opened.clear()
     eval_wordsum(ws, 140, cache)
     assert not opened
@@ -511,9 +550,11 @@ def _reference_mpc_wordsum(ws, precision_bits):
             with workprec(precision_bits):
                 values[word] = BigComplex(mpf(1), mpf(0), precision_bits)
             continue
+        # the memo holds the pieces of representatives only
+        rep, conjugated = evaluate._representative(word)
         splits = [
             (tuple([evaluate._flip(a) for a in reversed(prefix)]), suffix)
-            for prefix, suffix in deconcatenations(word)
+            for prefix, suffix in deconcatenations(rep)
         ]
         with workprec(precision_bits + evaluate._GUARD_BITS):
             total = mpc(0)
@@ -522,6 +563,8 @@ def _reference_mpc_wordsum(ws, precision_bits):
                     lower, c, precision_bits
                 )
             total = +total
+            if conjugated:
+                total = total.conjugate()
             values[word] = BigComplex(total.real, total.imag, precision_bits)
     with workprec(precision_bits + evaluate._GUARD_BITS):
         total = mpc(0)
@@ -678,17 +721,58 @@ def test_parent_cache_lines_load_and_serve(monkeypatch, tmp_path):
     path.write_text("".join(line + "\n" for _, line in _PARENT_LINES))
     cache = ValueCache(path)
     assert len(cache._mem) == len(_PARENT_LINES)
+    # the lines of representatives serve; those of w0.x-i and x-i.x-1.xi load
+    # but are never read (test_cache_never_serves_lines_of_non_representatives)
+    served_lines = [(w, line) for w, line in _PARENT_LINES if not evaluate._representative(w)[1]]
+    assert len(served_lines) == 4
     fresh = {}
-    for word, line in _PARENT_LINES:
+    for word, line in served_lines:
         bits = json.loads(line)["p"]
         fresh[word] = eval_word(word, bits)
     monkeypatch.setattr(evaluate, "_walk", None)  # a served line never walks
-    for word, line in _PARENT_LINES:
+    for word, line in served_lines:
         bits = json.loads(line)["p"]
         served = eval_word(word, bits, cache)
         with workprec(bits + 64):
             ref = fresh[word].to_mpc()
             assert abs(served.to_mpc() - ref) <= mpf(2) ** -bits * max(1, abs(ref))
+
+
+def test_cache_never_serves_lines_of_non_representatives(monkeypatch, tmp_path):
+    # lines for x-i.x-1.xi and w0.x-i as versions that cached every word
+    # wrote them, the second with a wrong value: each word takes the conjugate
+    # of its representative, which is walked and put
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_PARENT_LINES[1][1] + "\n"
+                    + '{"im": "0.25", "k": "w0.x-i", "p": 140, "re": "0.5"}\n')
+    cache = ValueCache(path)
+    assert cache.get("w0.x-i", 140) is not None
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    for word in ((XMI, XM1, XI), (W0, XMI)):
+        served = eval_word(word, 140, cache)
+        fresh = eval_word(word, 140)
+        assert (served.real, served.imag) == (fresh.real, fresh.imag)
+    assert abs(served.to_mpc() - (-mpmath.pi**2 / 48 + 1j * mpmath.catalan)) < 1e-40
+    assert evaluate._segment_memo
+    keys = [json.loads(line)["k"] for line in path.read_text().splitlines()]
+    assert keys == ["x-i.x-1.xi", "w0.x-i", "xi.x-1.x-i", "w0.xi"]
+
+
+def test_conjugate_words_are_exact_conjugates(monkeypatch):
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    far = Atom(GaussRat(2, 1))
+    words = [(W0, XMI), (XMI, XM1, XI), (XM1, W0, XI, XMI), (W0, XI, X1, XMI, XM1), (XM1, far, XMI)]
+    for word in words:
+        # the conjugate from fresh atoms, equal to the shared ones but not them
+        conj = tuple(Atom(GaussRat(a.pole.re, -a.pole.im), a.sign) for a in word)
+        for bits in (64, 140, 330):
+            v, w = eval_word(word, bits), eval_word(conj, bits)
+            with workprec(bits + 64):  # so that negating rounds nothing
+                assert (w.real, w.imag) == (v.real, -v.imag), word_key(word)
+    # a representative is built from the atoms of words, not from new ones
+    rep, conjugated = evaluate._representative((W0, XMI, XM1, XI))
+    assert conjugated and [a is b for a, b in zip(rep, (W0, XI, XM1, XMI))] == [True] * 4
+    assert evaluate._representative((XM1, XI, XMI)) == ((XM1, XI, XMI), False)
 
 
 @pytest.mark.parametrize("bits", [64, 140, 330])

@@ -6,7 +6,7 @@ from mpmath import workprec
 from apery_words.constants import eval_const
 from apery_words.evaluate import eval_wordsum
 from apery_words.fixtures import load_fixtures
-from apery_words.oracle import OracleConfig, direct_sum
+from apery_words.oracle import OracleConfig, direct_sum, direct_sums
 from apery_words.pipeline import compile_harmonic, compile_spec
 from apery_words.series import HarmonicSpec, Parity, SeriesSpec, expand_harmonic, parse_spec, render
 from apery_words.trig import predicted_weight_report
@@ -22,6 +22,21 @@ def test_pipeline_equivalence_on_corpus(corpus_results):
         worst = max(worst, float(dev))
         assert dev < 1e-8, entry.spec
     assert worst < 1e-8
+
+
+def test_depth4_compiled_values(depth4):
+    # conftest.depth4_specs: the first 8 distinct depth-4 specs of
+    # random_spec(random.Random(7), max_depth=4, max_weight=6).  Compiled values
+    # at 140 and 200 bits agree within 2^-130, which an exhausted guard would
+    # break, and meet the 16-digit oracle within the corpus's 1e-8 gate
+    assert len({render(spec) for spec in depth4}) == 8
+    assert {len(spec.terms) for spec in depth4} == {4}
+    for spec, res in zip(depth4, direct_sums(depth4, CFG)):
+        ws = compile_spec(spec)
+        lo, hi = eval_wordsum(ws, 140), eval_wordsum(ws, 200)
+        with workprec(264):
+            assert abs(lo.to_mpc() - hi.to_mpc()) < mpmath.mpf(2) ** -130, render(spec)
+            assert abs(lo.real - res.value) < 1e-8, render(spec)
 
 
 def test_compile_is_memoized():
@@ -126,9 +141,9 @@ def test_compiled_words_match_weight_bound(corpus_results):
         assert entry.words.max_weight() <= bound, entry.spec
 
 
-def test_weight_report_bounds_compiled_words(corpus):
+def test_weight_report_bounds_compiled_words(corpus, depth4):
     # the reported maximal word weight bounds the compiled words: a 2n-1 lead
     # of exponent 1 is not unrolled, at either binomial power
     plain = [spec for rec in load_fixtures() for _, spec in rec.parts if isinstance(spec, SeriesSpec)]
-    for spec in corpus + plain:
+    for spec in corpus + plain + depth4:
         assert compile_spec(spec).max_weight() <= predicted_weight_report(spec)["max_word_weight"], render(spec)

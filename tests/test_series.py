@@ -74,6 +74,8 @@ def test_parse_suffixes():
     spec = parse_spec("S[2n^2 > 0]@tail=3@x=0.5")
     assert spec.tail_bound == 3
     assert spec.argument == Fraction(1, 2)
+    assert parse_spec("S[2n^2 > 0]@x=3/4").argument == Fraction(3, 4)
+    assert parse_spec("S[2n^2 > 0]@x=1").argument == 1
 
 
 def test_parse_rejects_weak_even_bottom():
@@ -105,7 +107,11 @@ def test_parse_syntax_errors_carry_position():
                            ("S[2n^1 > 0]@tail=x", 11),
                            # @tail takes ASCII digits only: int() would take '\u0663' as 3
                            # and fail on '\u00b2' with a bare ValueError
-                           ("S[2n^1 > 0]@tail=\u00b2", 11), ("S[2n^1 > 0]@tail=\u0663", 11)):
+                           ("S[2n^1 > 0]@tail=\u00b2", 11), ("S[2n^1 > 0]@tail=\u0663", 11),
+                           # @x takes an ASCII decimal or p/q only: Fraction() would
+                           # take both of these as 1/2
+                           ("S[2n^1 > 0]@x=\u0660.\u0665", 11), ("S[2n^1 > 0]@x=1_0/2_0", 11),
+                           ("S[2n^1 > 0]@tail=3@x=1/0", 18), ("S[2n^1 > 0]@x=1e-1", 11)):
         with pytest.raises(SpecSyntaxError) as info:
             parse_spec(text)
         assert info.value.position == position, text
