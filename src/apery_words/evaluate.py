@@ -74,7 +74,7 @@ from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, to_str
 
 from .gauss import GaussRat
-from .words import W0, X1, XI, XM1, XMI, Atom, Word, WordSum, deconcatenations, is_convergent, word_key
+from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
 
 _MIN_BITS = 64
 _GUARD_BITS = 24
@@ -200,37 +200,29 @@ class SegmentWord:
 
 @functools.cache
 def _flip(atom: Atom) -> Atom:
-    """The t -> 1-t image of an atom; one object per atom met."""
+    """The t -> 1-t image of an atom, cached to spare its Gaussian-rational
+    arithmetic."""
     return Atom(GaussRat(1) - atom.pole, -atom.sign)
-
-
-# the canonical atoms of `words`, keyed by identity since an atom's hash is a
-# Python call and every word is scanned: the sign of each pole's imaginary
-# part, and the conjugate atom
-_IMAG_SIGN = {id(W0): 0, id(X1): 0, id(XM1): 0, id(XI): 1, id(XMI): -1}
-_CONJUGATE = {id(W0): W0, id(X1): X1, id(XM1): XM1, id(XI): XMI, id(XMI): XI}
 
 
 @functools.cache
 def _conj(atom: Atom) -> Atom:
-    """The complex conjugate of any other atom: a canonical atom where it
-    equals one, else one object per atom met."""
-    image = Atom(GaussRat(atom.pole.re, -atom.pole.im), atom.sign)
-    return next((a for a in (W0, X1, XM1, XI, XMI) if a == image), image)
+    """The atom with its pole complex-conjugated."""
+    return Atom(GaussRat(atom.pole.re, -atom.pole.im), atom.sign)
 
 
 def _representative(word: Word) -> tuple[Word, bool]:
     """The word or its conjugate, whichever has a positive imaginary part at
     its first non-real pole (the word itself if it has none), and whether
-    that is the conjugate.  I(conj w) = conj I(w) on [0, 1]."""
+    that is the conjugate.  I(conj w) = conj I(w) on [0, 1].
+
+    The first non-real pole is the first atom that is not its own conjugate.
+    """
     for atom in word:
-        im = _IMAG_SIGN.get(id(atom))
-        if im is None:
-            im = atom.pole.im
-        if im:
-            if im > 0:
+        if _conj(atom) is not atom:
+            if atom.pole.im > 0:
                 return word, False
-            return tuple([_CONJUGATE.get(id(a)) or _conj(a) for a in word]), True
+            return tuple([_conj(a) for a in word]), True
     return word, False
 
 
@@ -479,9 +471,8 @@ def _eval_words(
     order in which `words` first reaches them, through one append handle.
     """
     frac_bits = precision_bits + _GUARD_BITS
-    # each representative's value in a one-item list, None while it is
-    # missing, so that each word is hashed once however it resolves
-    cells: dict[Word, list[Value | None]] = {(): [(1, 0, 0)]}
+    # each representative's value, None while it is missing
+    values: dict[Word, Value | None] = {(): (1, 0, 0)}
     resolved = []
     missing = []
     tries: dict[Fraction, _Node] = {}
@@ -489,11 +480,10 @@ def _eval_words(
         if not is_convergent(word):
             raise DivergentWordError(word_key(word))
         rep, conjugated = _representative(word)
-        cell = cells.get(rep)
-        if cell is None:
+        if rep not in values:
             key = word_key(rep)
-            cell = cells[rep] = [cache.get(key, precision_bits) if cache is not None else None]
-            if cell[0] is None:
+            value = values[rep] = cache.get(key, precision_bits) if cache is not None else None
+            if value is None:
                 # the upper piece: the prefix mapped by t -> 1-t
                 splits = [
                     (tuple([_flip(a) for a in reversed(prefix)]), suffix)
@@ -503,31 +493,32 @@ def _eval_words(
                     for atoms, radius in ((upper, 1 - c), (lower, c)):
                         if atoms and (atoms, radius, precision_bits) not in _segment_memo:
                             _add_piece(tries.setdefault(radius, _Node()), atoms)
-                missing.append((cell, key, splits))
-        resolved.append((cell, conjugated))
+                missing.append((rep, key, splits))
+        resolved.append((rep, conjugated))
     for radius, root in tries.items():
         for atoms, value in _walk(root, radius, precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
     one = (1 << frac_bits, 0)
-    for cell, _, splits in missing:
+    for rep, _, splits in missing:
         total_re = total_im = 0
         for upper, lower in splits:
             u_re, u_im = _segment_memo[(upper, 1 - c, precision_bits)] if upper else one
             l_re, l_im = _segment_memo[(lower, c, precision_bits)] if lower else one
             total_re += u_re * l_re - u_im * l_im
             total_im += u_re * l_im + u_im * l_re
-        cell[0] = _join(
+        values[rep] = _join(
             _round(total_re, 1, -2 * frac_bits, frac_bits),
             _round(total_im, 1, -2 * frac_bits, frac_bits),
         )
     if cache is not None and missing:
         with cache.appending():
-            for cell, key, _ in missing:
-                cache.put(key, precision_bits, cell[0])
-    values = []
-    for (value,), conjugated in resolved:
-        values.append((value[0], -value[1], value[2]) if conjugated else value)
-    return values
+            for rep, key, _ in missing:
+                cache.put(key, precision_bits, values[rep])
+    out = []
+    for rep, conjugated in resolved:
+        re, im, exp = values[rep]
+        out.append((re, -im, exp) if conjugated else (re, im, exp))
+    return out
 
 
 def eval_word(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -29,6 +30,11 @@ from .series import HarmonicSpec, SeriesSpec, parse_head, parse_spec
 # the oracle gate is max(decimal tolerance, 1e-8), so 16 digits are all it
 # uses, whatever the compiled precision
 ORACLE_DIGITS = 16
+
+# ASCII only: mpf and Fraction would also read other scripts' digits, "_"
+# and blanks, and mpf "nan"
+_PRINTED = re.compile(r"-?[0-9]+\.[0-9]+")
+_COEF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @dataclass
@@ -72,8 +78,9 @@ def _harmonic_part(part, owner: str, j: int) -> tuple[Fraction, HarmonicSpec]:
         raise ValueError(f"fixture {where}: binom must be 1 or 2")
     coef = part.get("coef", "1")
     try:
-        coef = Fraction(coef) if type(coef) in (str, int) else None
-    except (ValueError, ZeroDivisionError):
+        ascii_coef = type(coef) is int or type(coef) is str and _COEF.fullmatch(coef)
+        coef = Fraction(coef) if ascii_coef else None
+    except ZeroDivisionError:
         coef = None
     if coef is None:
         raise ValueError(f"fixture {where}: coef must be an integer or a fraction string")
@@ -110,11 +117,15 @@ def _record_from_dict(data: dict, index: int) -> FixtureRecord:
         parts = [_harmonic_part(part, owner, j) for j, part in enumerate(harmonic)]
     else:
         raise ValueError(f"fixture {owner} has neither a series nor harmonic parts")
+    closed_form = _text(data, "closed_form", owner)
+    printed = _text(data, "printed_value", owner)
+    if printed is not None and not _PRINTED.fullmatch(printed):
+        raise ValueError(f"fixture {owner}: printed_value {printed!r} is not [-]digits.digits")
     return FixtureRecord(
         id=owner,
         parts=parts,
-        closed_form=_text(data, "closed_form", owner),
-        printed_value=_text(data, "printed_value", owner),
+        closed_form=closed_form,
+        printed_value=printed,
         anchor=data.get("anchor", ""),
     )
 

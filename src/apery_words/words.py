@@ -9,56 +9,51 @@ A word converges iff it does not start with x1 and does not end with w0.
 cov() applies t -> arcsin((1-u^2)/(1+u^2)) to a WordSum over trig words: each
 trig form maps to a fixed combination of atoms, the substitution reverses
 orientation, so each word is reversed and picks up (-1)^length.  Every
-coefficient of that map is a unit (+-1 or +-i), so the expansion runs on an
-integer alphabet: a word is a tuple of indices into the five canonical atoms
-and its coefficient a power of i mod 4 times the trig word's rational
-coefficient.  The result is a WordSum over atom words with Gaussian-rational
-coefficients (WordSum lives in gauss and is re-exported here);
-words_to_json_dict writes it.
+coefficient of that map is a unit (+-1 or +-i), so a word's coefficient is a
+power of i mod 4 times the trig word's rational coefficient.  The result is
+a WordSum over atom words with Gaussian-rational coefficients (WordSum lives
+in gauss and is re-exported here); words_to_json_dict writes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .gauss import GaussRat, WordSum
 from .trig import CompileError, TrigForm
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Atom:
     """1-form sign * dt/(pole - t) with an exact Gaussian-rational pole.
 
-    An int or Fraction pole is stored as a GaussRat, so equal atoms hash and
-    name alike.  Atoms are equal when their (pole, sign) are.
+    An int or Fraction pole is stored as a GaussRat.  There is one atom per
+    (pole, sign): building one returns the atom of `_ATOMS`, so atoms are
+    equal, and hash alike, when they are the same object.
     """
 
     pole: GaussRat
-    sign: int = 1
-    # words are hashed as dict keys at every stage, so each atom is hashed
-    # once; slots keep the stored hash from growing the atoms the evaluator
-    # makes for every flipped segment
-    _hash: int = field(init=False, repr=False, compare=False)
+    sign: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, pole, sign: int = 1) -> Atom:
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not isinstance(self.pole, GaussRat):
-            object.__setattr__(self, "pole", GaussRat(self.pole))
-        object.__setattr__(self, "_hash", hash((self.pole, self.sign)))
+        if not isinstance(pole, GaussRat):
+            pole = GaussRat(pole)
+        atom = _ATOMS.get((pole, sign))
+        if atom is None:
+            atom = _ATOMS[pole, sign] = object.__new__(cls)
+            object.__setattr__(atom, "pole", pole)
+            object.__setattr__(atom, "sign", sign)
+        return atom
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # pickle and deepcopy build the atom anew, which returns this one
+        return Atom, (self.pole, self.sign)
 
-    def __eq__(self, other) -> bool:
-        # shared atoms meet themselves; unequal ones nearly always differ in hash
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self.pole == other.pole and self.sign == other.sign
 
+_ATOMS: dict[tuple[GaussRat, int], Atom] = {}
 
 W0 = Atom(GaussRat(0), -1)
 X1 = Atom(GaussRat(1), 1)
@@ -86,7 +81,7 @@ def word_key(word: Word) -> str:
 def is_convergent(word: Word) -> bool:
     if not word:
         return True
-    return word[0] != X1 and word[-1] != W0
+    return word[0] is not X1 and word[-1] is not W0
 
 
 def deconcatenations(word: Word) -> list[tuple[Word, Word]]:
@@ -118,18 +113,15 @@ def words_to_json_dict(ws: WordSum) -> dict:
     }
 
 
-# the canonical atoms by integer index, and the substitution table over them:
-# each trig form becomes a fixed combination of atoms, each with coefficient
-# i**power (power mod 4)
-_ATOMS = (W0, X1, XM1, XI, XMI)
-_W0, _X1, _XM1, _XI, _XMI = range(5)
+# the substitution table: each trig form becomes a fixed combination of
+# atoms, each with coefficient i**power (power mod 4)
 _COV = {
-    TrigForm.DT: ((1, _XMI), (3, _XI)),
-    TrigForm.COT: ((0, _XMI), (0, _XI), (2, _XM1), (2, _X1)),
-    TrigForm.CSC: ((0, _XM1), (2, _X1)),
-    TrigForm.TAN: ((2, _W0), (2, _XMI), (2, _XI)),
-    TrigForm.SEC: ((2, _W0),),
-    TrigForm.SECCSC: ((2, _W0), (2, _XM1), (2, _X1)),
+    TrigForm.DT: ((1, XMI), (3, XI)),
+    TrigForm.COT: ((0, XMI), (0, XI), (2, XM1), (2, X1)),
+    TrigForm.CSC: ((0, XM1), (2, X1)),
+    TrigForm.TAN: ((2, W0), (2, XMI), (2, XI)),
+    TrigForm.SEC: ((2, W0),),
+    TrigForm.SECCSC: ((2, W0), (2, XM1), (2, X1)),
 }
 
 
@@ -137,13 +129,12 @@ def cov(expr: WordSum) -> WordSum:
     """Change of variables onto [0, 1]: expand, reverse, sign, collect.
 
     Takes a word sum over trig words, returns one over atom words.  Each trig
-    word expands into integer words (atom indices) with a power of i; the
-    word is reversed, and its sign (-1)^length enters as i^2 per odd length.
-    Contributions collect per integer word as exact (re, im) pairs, dropping
-    a word whose sum cancels to 0 as WordSum.add_term does, and each word
-    that survives becomes an atom word once, in first-seen order.
+    word expands into atom words with a power of i; the word is reversed,
+    and its sign (-1)^length enters as i^2 per odd length.  Contributions
+    collect per atom word as exact (re, im) pairs, dropping a word whose sum
+    cancels to 0 as WordSum.add_term does, in first-seen order.
     """
-    acc: dict[tuple[int, ...], tuple] = {}
+    acc: dict[Word, tuple] = {}
     for tword, coef in expr.terms.items():
         for f in tword:
             if f not in _COV:
@@ -154,7 +145,7 @@ def cov(expr: WordSum) -> WordSum:
         # prepending each form's atom builds the reversed word directly
         stack = [(2 * (len(tword) % 2), ())]
         for f in tword:
-            stack = [(power + p, (k,) + word) for power, word in stack for p, k in _COV[f]]
+            stack = [(power + p, (atom,) + word) for power, word in stack for p, atom in _COV[f]]
         for power, word in stack:
             re, im = units[power & 3]
             old = acc.get(word)
@@ -168,9 +159,7 @@ def cov(expr: WordSum) -> WordSum:
         scalar=GaussRat(expr.scalar), scalar_pi=expr.scalar_pi, pi_scale=expr.pi_scale
     )
     for word, (re, im) in acc.items():
-        # from a list, not a generator, so the tuple is allocated at its size
-        atoms = tuple([_ATOMS[k] for k in word])
-        if word and (word[0] == _X1 or word[-1] == _W0):
-            raise NonconvergentWordError(word_key(atoms))
-        ws.terms[atoms] = GaussRat(re, im)
+        if not is_convergent(word):
+            raise NonconvergentWordError(word_key(word))
+        ws.terms[word] = GaussRat(re, im)
     return ws

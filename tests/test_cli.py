@@ -123,23 +123,27 @@ _SMALL_SPEC_DIGESTS = {
     "words": "168458758978a6b90825318592e07b9d6616ef068f8fbe170835b5f5aeaa3385",
 }
 
+# the same digest over _depth4_specs()
+_DEPTH4_DIGESTS = {
+    "trig": "5751f223b3f3299994cbfc48ea4517151d53166c8381be1c5da7f57c09289129",
+    "words": "fe56b03f4c02cd539250b324288a01ff79f915bd480e3c5ad9c10b04af465e85",
+}
+
 _IR_WRITERS = {
     "trig": lambda spec: trig_to_json_dict(compile_spec_to_trig(spec)),
     "words": lambda spec: words_to_json_dict(compile_spec(spec)),
 }
 
 
-def _small_specs() -> list[SeriesSpec]:
-    """Every valid spec of depth <= 3, exponents 1-3 and weight <= 4 (911).
-
-    An S2 sum counts 1 extra weight.  Unlike the random corpus, this set
-    holds every parity and relation pattern of its sizes.
-    """
+def _specs(depths, exponents, max_weight: int) -> list[SeriesSpec]:
+    """Every valid spec of the given depths and exponents and weight <=
+    max_weight, an S2 sum counting 1 extra weight, in the order of the loops
+    below: S then S2, depth, exponents, parities, relations."""
     out = []
     for p in (1, 2):
-        for depth in range(1, 4):
-            for exps in itertools.product(range(1, 4), repeat=depth):
-                if sum(exps) + p - 1 > 4:
+        for depth in depths:
+            for exps in itertools.product(exponents, repeat=depth):
+                if sum(exps) + p - 1 > max_weight:
                     continue
                 for parities in itertools.product(list(Parity), repeat=depth):
                     for rels in itertools.product(list(Relation), repeat=depth):
@@ -149,6 +153,21 @@ def _small_specs() -> list[SeriesSpec]:
                         except SpecValidationError:
                             pass
     return out
+
+
+def _small_specs() -> list[SeriesSpec]:
+    """Every valid spec of depth <= 3, exponents 1-3 and weight <= 4 (911).
+
+    Unlike the random corpus, this set holds every parity and relation
+    pattern of its sizes.
+    """
+    return _specs(range(1, 4), range(1, 4), 4)
+
+
+def _depth4_specs() -> list[SeriesSpec]:
+    """Every 8th valid spec of depth 4, exponents 1-2 and weight <= 5,
+    starting with the first: 609 of the 4,872."""
+    return _specs([4], range(1, 3), 5)[::8]
 
 
 @pytest.mark.parametrize("ir", ["trig", "words"])
@@ -162,6 +181,14 @@ def test_compile_output_pinned(ir, capsys):
     blob = "".join(json.dumps(_IR_WRITERS[ir](spec), sort_keys=True) + "\n"
                    for spec in _small_specs())
     assert hashlib.sha256(blob.encode()).hexdigest() == _SMALL_SPEC_DIGESTS[ir]
+
+
+@pytest.mark.parametrize("ir", ["trig", "words"])
+def test_depth4_compile_output_pinned(ir):
+    # beyond the depth and weight of the pins above
+    blob = "".join(json.dumps(_IR_WRITERS[ir](spec), sort_keys=True) + "\n"
+                   for spec in _depth4_specs())
+    assert hashlib.sha256(blob.encode()).hexdigest() == _DEPTH4_DIGESTS[ir]
 
 
 def test_verify_subset(tmp_path, capsys):
@@ -264,6 +291,18 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
          "error: fixture h: harmonic part 0: binom must be 1 or 2"),
         ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "coef": "1/0"}]}],
          "error: fixture h: harmonic part 0: coef must be an integer or a fraction string"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "printed_value": "1.0887_9"}],
+         "error: fixture x: printed_value '1.0887_9' is not [-]digits.digits"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "printed_value": "١.٠٨٨٧"}],
+         "error: fixture x: printed_value '١.٠٨٨٧' is not [-]digits.digits"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "printed_value": "nan"}],
+         "error: fixture x: printed_value 'nan' is not [-]digits.digits"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "printed_value": " 0.69"}],
+         "error: fixture x: printed_value ' 0.69' is not [-]digits.digits"),
+        ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "coef": "١/٢"}]}],
+         "error: fixture h: harmonic part 0: coef must be an integer or a fraction string"),
+        ([{"id": "h", "harmonic": [{"k": [1], "head": "2n^2", "coef": "1_0/2"}]}],
+         "error: fixture h: harmonic part 0: coef must be an integer or a fraction string"),
         ([{"id": "x", "series": "S[2n^1 > 0]@tail=3"}],
          "error: fixture x: a series with @tail > 0 or @x < 1 has no compiled value"),
         ([{"id": "x", "series": "S[2n^1 > 0]@x=1/2"}],
@@ -281,7 +320,9 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
     ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head",
          "id-not-string", "series-not-string", "closed-form-not-string",
          "printed-value-not-string", "k-not-list", "l-not-positive", "k-bool",
-         "binom-out-of-range", "binom-string", "coef-divides-by-zero", "series-tail",
+         "binom-out-of-range", "binom-string", "coef-divides-by-zero",
+         "printed-value-underscore", "printed-value-arabic-indic", "printed-value-nan",
+         "printed-value-blank", "coef-arabic-indic", "coef-underscore", "series-tail",
          "series-x", "series-invalid", "part-invalid", "series-and-harmonic", "neither",
          "harmonic-not-list"],
 )

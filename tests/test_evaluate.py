@@ -763,13 +763,13 @@ def test_conjugate_words_are_exact_conjugates(monkeypatch):
     far = Atom(GaussRat(2, 1))
     words = [(W0, XMI), (XMI, XM1, XI), (XM1, W0, XI, XMI), (W0, XI, X1, XMI, XM1), (XM1, far, XMI)]
     for word in words:
-        # the conjugate from fresh atoms, equal to the shared ones but not them
+        # the conjugate built from its poles, which gives back the shared atoms
         conj = tuple(Atom(GaussRat(a.pole.re, -a.pole.im), a.sign) for a in word)
         for bits in (64, 140, 330):
             v, w = eval_word(word, bits), eval_word(conj, bits)
             with workprec(bits + 64):  # so that negating rounds nothing
                 assert (w.real, w.imag) == (v.real, -v.imag), word_key(word)
-    # a representative is built from the atoms of words, not from new ones
+    # a representative is made of the atoms of words
     rep, conjugated = evaluate._representative((W0, XMI, XM1, XI))
     assert conjugated and [a is b for a, b in zip(rep, (W0, XI, XM1, XMI))] == [True] * 4
     assert evaluate._representative((XM1, XI, XMI)) == ((XM1, XI, XMI), False)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import mpmath
+import pytest
 from mpmath import workprec
 
 from apery_words.constants import eval_const
@@ -147,3 +148,25 @@ def test_weight_report_bounds_compiled_words(corpus, depth4):
     plain = [spec for rec in load_fixtures() for _, spec in rec.parts if isinstance(spec, SeriesSpec)]
     for spec in corpus + plain + depth4:
         assert compile_spec(spec).max_weight() <= predicted_weight_report(spec)["max_word_weight"], render(spec)
+
+
+@pytest.mark.parametrize("text", [
+    "S[2n^2 > 0]", "S[2n+1^2 >= 0]", "S[2n-1^2 > 0]", "S[2n^1 > 2n^1 > 0]",
+    "S[2n+1^1 >= 2n^1 > 0]", "S[2n-1^1 > 2n^1 > 0]", "S2[2n^1 > 0]", "S2[2n+1^1 >= 0]",
+])
+def test_weight_report_admits_the_value_found_by_pslq(text):
+    # the value (pi times it for an S2 sum) is an integer relation over the
+    # level-4 basis of weight <= 2, pi and log 2 of weight 1, that uses no
+    # element above the reported maximal word weight; for example
+    # S[2n^2 > 0] = (pi^2 - 12 log^2 2)/24
+    spec = parse_spec(text)
+    with workprec(400):
+        value = eval_wordsum(compile_spec(spec), 400).real * mpmath.pi ** (spec.binom_power - 1)
+        pi, log2 = mpmath.pi, mpmath.log(2)
+        basis = [(1, 0), (pi, 1), (log2, 1), (pi**2, 2), (pi * log2, 2), (log2**2, 2),
+                 (mpmath.catalan, 2)]
+        relation = mpmath.pslq([value] + [b for b, _ in basis], maxcoeff=10**6,
+                               maxsteps=1000)
+    assert relation is not None and relation[0] != 0, text
+    top = predicted_weight_report(spec)["max_word_weight"]
+    assert all(w <= top for c, (_, w) in zip(relation[1:], basis) if c), (text, relation)

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery_words.evaluate import _flip, eval_wordsum
+from apery_words.evaluate import _conj, _flip, eval_wordsum
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
 from apery_words.pipeline import compile_spec
@@ -222,21 +222,19 @@ def test_gaussrat_hash_matches_equal_numbers():
     assert {GaussRat(2): "a"}[2] == "a"
 
 
-def test_atom_hash_is_cached_and_survives_copies():
-    fresh = Atom(GaussRat(1), 1)
-    assert fresh is not X1
-    assert hash(fresh) == hash(X1) and atom_name(fresh) == atom_name(X1) == "x1"
-    for atom in (W0, X1, XM1, XI, XMI):
-        back = _flip(_flip(atom))
-        assert back == atom and hash(back) == hash(atom)
-        for twin in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
-            assert twin == atom and hash(twin) == hash(atom)
-            assert atom_name(twin) == atom_name(atom)
+def test_each_atom_is_one_object_through_coercion_and_copies():
+    assert Atom(1) is X1 and Atom(Fraction(1)) is X1 and Atom(GaussRat(1), 1) is X1
+    for atom in (W0, X1, XM1, XI, XMI, Atom(GaussRat(2, 1))):
+        assert _flip(_flip(atom)) is atom and _conj(_conj(atom)) is atom
+        assert copy.deepcopy(atom) is atom and pickle.loads(pickle.dumps(atom)) is atom
+        with pytest.raises(FrozenInstanceError):
+            atom.pole = GaussRat(3)
 
 
 def test_atoms_equal_by_pole_and_sign():
-    # fresh atoms compare by value; the sign tells atoms apart, and so does
-    # the pole where two hashes collide (hash(-1) is hash(-2) in CPython)
+    # atoms built alike are one object; the sign tells atoms apart, and so
+    # does the pole where two poles' hashes collide (hash(-1) is hash(-2) in
+    # CPython)
     for value in (0, 2, -1, Fraction(1, 3), GaussRat(Fraction(-3, 2), Fraction(1, 4))):
         for sign in (1, -1):
             assert Atom(value, sign) == Atom(value, sign) != Atom(value, -sign)
