@@ -68,10 +68,17 @@ def eval_const(
     expr: str,
     precision_bits: int = 160,
     cache: ValueCache | None = None,
+    leaves: dict[str, mpc] | None = None,
 ) -> mpc:
     """Evaluate arithmetic over catalog constants and integers, e.g.
-    '2*G - pi*log2/2', at the requested precision."""
-    leaves: dict[str, mpc] = {}
+    '2*G - pi*log2/2', at the requested precision.
+
+    `leaves` maps catalog names to their values at this precision; the call
+    reads the constants it holds and adds those it evaluates, so closed
+    forms that share one table evaluate each constant once.
+    """
+    if leaves is None:
+        leaves = {}
 
     def leaf(name: str) -> mpc:
         if name not in CONSTANT_WORDS:

@@ -53,7 +53,7 @@ integers, with F = precision_bits + _GUARD_BITS:
   exponent, and divides by the denominator once, rounding to F bits.  The
   same loop counts the bits lost to cancellation.
 
-Values reach mpmath only at the end of `eval_wordsum`, `eval_word` and
+Values reach mpmath only at the end of `eval_wordsums`, `eval_word` and
 `eval_segment`, which return them as BigComplex.
 """
 
@@ -64,7 +64,7 @@ import json
 import math
 import os
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,18 +211,21 @@ def _conj(atom: Atom) -> Atom:
     return Atom(GaussRat(atom.pole.re, -atom.pole.im), atom.sign)
 
 
+@functools.cache
+def _imag_sign(atom: Atom) -> int:
+    """The sign of the atom's pole's imaginary part; Fractions compare slowly."""
+    return (atom.pole.im > 0) - (atom.pole.im < 0)
+
+
 def _representative(word: Word) -> tuple[Word, bool]:
     """The word or its conjugate, whichever has a positive imaginary part at
     its first non-real pole (the word itself if it has none), and whether
     that is the conjugate.  I(conj w) = conj I(w) on [0, 1].
-
-    The first non-real pole is the first atom that is not its own conjugate.
     """
     for atom in word:
-        if _conj(atom) is not atom:
-            if atom.pole.im > 0:
-                return word, False
-            return tuple([_conj(a) for a in word]), True
+        sign = _imag_sign(atom)
+        if sign:
+            return (word, False) if sign > 0 else (tuple([_conj(a) for a in word]), True)
     return word, False
 
 
@@ -247,13 +250,15 @@ class _Node:
         self.children: dict[Atom, _Node] = {}
 
 
-def _add_piece(root: _Node, atoms: tuple[Atom, ...]) -> None:
+def _add_piece(root: _Node, atoms: tuple[Atom, ...], conjugated: bool = False) -> None:
     """Put a piece into a suffix trie keyed from its last atom.
 
     Only the nodes the piece adds have their atom checked: a node's atom has
     the same place from the end in every piece through it.  Of several
     faults the one nearest the piece's first atom is raised, as a scan from
-    the first atom would find it.
+    the first atom would find it.  A piece of a representative that is the
+    conjugate of the word asked for is `conjugated`, and its fault names the
+    pole as that word has it.
     """
     node, fault = root, None
     for depth, atom in enumerate(reversed(atoms), 1):
@@ -263,7 +268,8 @@ def _add_piece(root: _Node, atoms: tuple[Atom, ...]) -> None:
                 if depth == 1:
                     fault = DivergentWordError("dt/t-type atom at the position nearest 0")
             elif atom.pole.norm2() < 1:
-                fault = PoleTooCloseError(f"pole {atom.pole} inside the unit disk")
+                pole = _conj(atom).pole if conjugated else atom.pole
+                fault = PoleTooCloseError(f"pole {pole} inside the unit disk")
             child = node.children[atom] = _Node()
         node = child
     if fault is not None:
@@ -448,9 +454,10 @@ def _decimals(value: Value, precision_bits: int) -> list[str]:
     return [to_str(from_man_exp(part, exp), digits) for part in (re, im)]
 
 
-# in-process memo for the segment pieces of representatives; prefixes repeat
+# in-process memo for the segment pieces of representatives, keyed by (atoms,
+# radius as (numerator, denominator), bits), which hash in C; prefixes repeat
 # heavily across words
-_segment_memo: dict[tuple[tuple[Atom, ...], Fraction, int], tuple[int, int]] = {}
+_segment_memo: dict[tuple[tuple[Atom, ...], tuple[int, int], int], tuple[int, int]] = {}
 
 
 def _eval_words(
@@ -471,11 +478,12 @@ def _eval_words(
     order in which `words` first reaches them, through one append handle.
     """
     frac_bits = precision_bits + _GUARD_BITS
+    upper_r, lower_r = (1 - c).as_integer_ratio(), c.as_integer_ratio()
     # each representative's value, None while it is missing
     values: dict[Word, Value | None] = {(): (1, 0, 0)}
     resolved = []
     missing = []
-    tries: dict[Fraction, _Node] = {}
+    tries: dict[tuple[int, int], _Node] = {}
     for word in words:
         if not is_convergent(word):
             raise DivergentWordError(word_key(word))
@@ -490,20 +498,20 @@ def _eval_words(
                     for prefix, suffix in deconcatenations(rep)
                 ]
                 for upper, lower in splits:
-                    for atoms, radius in ((upper, 1 - c), (lower, c)):
+                    for atoms, radius in ((upper, upper_r), (lower, lower_r)):
                         if atoms and (atoms, radius, precision_bits) not in _segment_memo:
-                            _add_piece(tries.setdefault(radius, _Node()), atoms)
+                            _add_piece(tries.setdefault(radius, _Node()), atoms, conjugated)
                 missing.append((rep, key, splits))
         resolved.append((rep, conjugated))
     for radius, root in tries.items():
-        for atoms, value in _walk(root, radius, precision_bits).items():
+        for atoms, value in _walk(root, Fraction(*radius), precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
     one = (1 << frac_bits, 0)
     for rep, _, splits in missing:
         total_re = total_im = 0
         for upper, lower in splits:
-            u_re, u_im = _segment_memo[(upper, 1 - c, precision_bits)] if upper else one
-            l_re, l_im = _segment_memo[(lower, c, precision_bits)] if lower else one
+            u_re, u_im = _segment_memo[(upper, upper_r, precision_bits)] if upper else one
+            l_re, l_im = _segment_memo[(lower, lower_r, precision_bits)] if lower else one
             total_re += u_re * l_re - u_im * l_im
             total_im += u_re * l_im + u_im * l_re
         values[rep] = _join(
@@ -535,13 +543,26 @@ def eval_wordsum(
     precision_bits: int,
     cache: ValueCache | None = None,
 ) -> BigComplex:
-    """sum coef * I(word) + scalar (+ pi part), scaled by (2/pi)^pi_scale.
+    """One word sum's value: a batch of one for eval_wordsums."""
+    return eval_wordsums([ws], precision_bits, cache)[0]
 
-    The coefficients go over one common denominator d, so the sum of
-    numerator times word value is exact on integers over the smallest
-    exponent of the values; it is divided by d once and rounded to F bits,
-    the one rounding of the word part.  The scalar, pi and 2/pi parts are
-    added in mpmath at F bits.
+
+def eval_wordsums(
+    wordsums: Sequence[WordSum],
+    precision_bits: int,
+    cache: ValueCache | None = None,
+) -> list[BigComplex]:
+    """sum coef * I(word) + scalar (+ pi part), scaled by (2/pi)^pi_scale,
+    for each word sum in order.
+
+    One _eval_words pass takes the words of all the sums, in order, so each
+    trie node is stepped once, the cache gets the lines that one call per
+    sum would write, in the same order, and of several faulty words the
+    first raises.  A sum's coefficients go over one common denominator d,
+    so the sum of numerator times word value is exact on integers over the
+    smallest exponent of the values; it is divided by d once and rounded to
+    F bits, the one rounding of the word part.  The scalar, pi and 2/pi
+    parts are added in mpmath at F bits.
 
     The same loop sums the L1 bound |coef|_1 * |value|_1, where |x + yi|_1 =
     |x| + |y|, and the result's `bits_lost` is log2 of that bound over
@@ -549,34 +570,39 @@ def eval_wordsum(
     cost (infinite if the word part is exactly 0, 0 if it has no terms).  It
     overstates the loss in complex modulus by at most one bit.
     """
-    values = _eval_words(ws.terms, Fraction(1, 2), precision_bits, cache)
+    words = list(dict.fromkeys(word for ws in wordsums for word in ws.terms))
+    values = dict(zip(words, _eval_words(words, Fraction(1, 2), precision_bits, cache)))
     frac_bits = precision_bits + _GUARD_BITS
-    den = math.lcm(*[q for c in ws.terms.values() for q in (c.re.denominator, c.im.denominator)])
-    low = min((exp for _, _, exp in values), default=0)
-    sum_re = sum_im = bound = 0
-    for coef, (re, im, exp) in zip(ws.terms.values(), values):
-        a = coef.re.numerator * (den // coef.re.denominator)
-        b = coef.im.numerator * (den // coef.im.denominator)
-        shift = exp - low
-        sum_re += (a * re - b * im) << shift
-        sum_im += (a * im + b * re) << shift
-        bound += (abs(a) + abs(b)) * (abs(re) + abs(im)) << shift
-    if not bound:
-        bits_lost = 0.0
-    elif sum_re or sum_im:
-        bits_lost = math.log2(bound) - math.log2(abs(sum_re) + abs(sum_im))
-    else:
-        bits_lost = math.inf
-    words = _to_big(
-        _join(_round(sum_re, den, low, frac_bits), _round(sum_im, den, low, frac_bits)),
-        precision_bits,
-    )
-    with workprec(frac_bits):
-        total = mpc(words.real, words.imag)
-        total += ws.scalar.to_mpc()
-        if ws.scalar_pi:
-            total += mpf(ws.scalar_pi.numerator) / ws.scalar_pi.denominator * mpmath.pi
-        if ws.pi_scale:
-            total *= (2 / mpmath.pi) ** ws.pi_scale
-        total = +total
-    return BigComplex(total.real, total.imag, precision_bits, bits_lost)
+    out = []
+    for ws in wordsums:
+        coefs = ws.terms.values()
+        den = math.lcm(*[q for c in coefs for q in (c.re.denominator, c.im.denominator)])
+        low = min((values[word][2] for word in ws.terms), default=0)
+        sum_re = sum_im = bound = 0
+        for word, coef in ws.terms.items():
+            re, im, exp = values[word]
+            a = coef.re.numerator * (den // coef.re.denominator)
+            b = coef.im.numerator * (den // coef.im.denominator)
+            shift = exp - low
+            sum_re += (a * re - b * im) << shift
+            sum_im += (a * im + b * re) << shift
+            bound += (abs(a) + abs(b)) * (abs(re) + abs(im)) << shift
+        if not bound:
+            bits_lost = 0.0
+        elif sum_re or sum_im:
+            bits_lost = math.log2(bound) - math.log2(abs(sum_re) + abs(sum_im))
+        else:
+            bits_lost = math.inf
+        with workprec(frac_bits):
+            # each part rounded once to F bits, so mpf takes it exactly
+            total = mpc(
+                mpf(_round(sum_re, den, low, frac_bits)), mpf(_round(sum_im, den, low, frac_bits))
+            )
+            total += ws.scalar.to_mpc()
+            if ws.scalar_pi:
+                total += mpf(ws.scalar_pi.numerator) / ws.scalar_pi.denominator * mpmath.pi
+            if ws.pi_scale:
+                total *= (2 / mpmath.pi) ** ws.pi_scale
+            total = +total
+        out.append(BigComplex(total.real, total.imag, precision_bits, bits_lost))
+    return out

@@ -21,7 +21,7 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .constants import eval_const
-from .evaluate import ValueCache, eval_wordsum
+from .evaluate import ValueCache, eval_wordsums
 from .oracle import ConfigTooSmallError, OracleConfig, direct_sums
 from .pipeline import compile_harmonic, compile_spec
 from .trig import predicted_weight_report
@@ -146,27 +146,64 @@ def _mpf(q: Fraction) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
-def _compiled_value(rec: FixtureRecord, precision_bits: int, cache: ValueCache | None):
-    total = mpmath.mpc(0)
-    for coef, spec in rec.parts:
-        ws = compile_spec(spec) if isinstance(spec, SeriesSpec) else compile_harmonic(spec)
-        total += eval_wordsum(ws, precision_bits, cache).to_mpc() * _mpf(coef)
-    return total
+def _compiled_values(
+    records: list[FixtureRecord], precision_bits: int, cache: ValueCache | None
+) -> list[mpmath.mpc]:
+    """Every record's compiled value, sum coef * value over its parts, with
+    the word sums of all the records' parts from one eval_wordsums call."""
+    sums = [
+        compile_spec(spec) if isinstance(spec, SeriesSpec) else compile_harmonic(spec)
+        for rec in records
+        for _, spec in rec.parts
+    ]
+    values = iter(eval_wordsums(sums, precision_bits, cache))
+    totals = []
+    for rec in records:
+        total = mpmath.mpc(0)
+        for coef, _ in rec.parts:
+            total += next(values).to_mpc() * _mpf(coef)
+        totals.append(total)
+    return totals
+
+
+def _log10(x: mpf) -> tuple[int, bool]:
+    """(k, whether |x| = 10^k) for the k with 10^k <= |x| < 10^(k + 1), of a
+    finite nonzero mpf; exact, on the integers of its mantissa and exponent."""
+    if not mpmath.isfinite(x) or not x:
+        raise ValueError(f"no decimal exponent for {x}")
+    _, man, exp, bc = x._mpf_
+
+    def cmp(k: int) -> int:  # the sign of |x| - 10^k
+        num, den = man << max(exp, 0), 1 << max(-exp, 0)
+        if k >= 0:
+            den *= 10**k
+        else:
+            num *= 10**-k
+        return (num > den) - (num < den)
+
+    # 2^(exp + bc - 1) <= |x| < 2^(exp + bc), so the guess is off by at most one
+    k = math.floor((exp + bc - 1) * math.log10(2))
+    while cmp(k) < 0:
+        k -= 1
+    while cmp(k + 1) >= 0:
+        k += 1
+    return k, cmp(k) == 0
 
 
 def supported_digits(value: mpf, error_estimate: mpf, digits: int) -> int:
     """The significant digits of an oracle value that its estimate supports.
 
     At most `digits`, and at most as many as leave the error estimate within
-    one unit in the last digit printed, the rule by which the oracle settles.
-    The logarithms are taken at 53 bits, which can move the count by one
-    only for a value or estimate within 2^-50 of a power of ten.
+    one unit in the last digit printed, the rule by which the oracle settles:
+    floor(log10 |value|) - ceil(log10 error_estimate) + 1.  The count is
+    exact, also at a power of ten: both logarithms are found on the integers
+    of the mantissas and exponents (see _log10).
     """
     if not (value and error_estimate):
         return digits
-    with workprec(53):
-        lead = int(mpmath.floor(mpmath.log10(abs(value))))
-        last = int(mpmath.ceil(mpmath.log10(error_estimate)))
+    lead, _ = _log10(value)
+    last, power = _log10(error_estimate)
+    last += not power  # the ceiling
     return max(1, min(digits, lead - last + 1))
 
 
@@ -207,9 +244,12 @@ def verify_fixtures(
     closed_tol = mpf(10) ** (-(digits - 10))
     report_records = []
     failures = 0
+    # the run's catalog-constant values, shared by its closed forms
+    constants: dict[str, mpmath.mpc] = {}
     with workprec(precision_bits + 16):
-        for rec, (oracle, error) in zip(records, _oracle_values(records, cfg)):
-            compiled = _compiled_value(rec, precision_bits, cache)
+        for rec, (oracle, error), compiled in zip(
+            records, _oracle_values(records, cfg), _compiled_values(records, precision_bits, cache)
+        ):
             entry: dict = {
                 "id": rec.id,
                 "anchor": rec.anchor,
@@ -227,7 +267,7 @@ def verify_fixtures(
             entry["dev_compiled_oracle"] = mpmath.nstr(dev, 3)
             checks.append(dev <= oracle_tol)
             if rec.closed_form is not None:
-                closed = eval_const(rec.closed_form, precision_bits, cache)
+                closed = eval_const(rec.closed_form, precision_bits, cache, constants)
                 dev = abs(compiled - closed)
                 entry["closed"] = mpmath.nstr(closed.real, digits)
                 entry["dev_compiled_closed"] = mpmath.nstr(dev, 3)

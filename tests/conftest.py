@@ -21,7 +21,7 @@ from apery_words.oracle import OracleConfig, _scale_bits, direct_sum, direct_sum
 # ambient mpmath precision comfortably above that
 mpmath.mp.dps = 60
 from apery_words.pipeline import compile_spec
-from apery_words.evaluate import eval_wordsum
+from apery_words.evaluate import eval_wordsums
 from apery_words.series import IndexTerm, Parity, Relation, SeriesSpec, SpecValidationError
 from apery_words.words import WordSum
 
@@ -138,12 +138,13 @@ def depth4() -> list[SeriesSpec]:
 
 @pytest.fixture(scope="session")
 def corpus_results(corpus) -> list[CorpusEntry]:
-    out = []
-    for spec, res in zip(corpus, direct_sums(corpus, ORACLE_CFG)):
-        words = compile_spec(spec)
-        compiled = eval_wordsum(words, CORPUS_BITS)
-        out.append(CorpusEntry(spec, words, compiled, res.value, res.error_estimate))
-    return out
+    sums = [compile_spec(spec) for spec in corpus]
+    return [
+        CorpusEntry(spec, words, compiled, res.value, res.error_estimate)
+        for spec, words, compiled, res in zip(
+            corpus, sums, eval_wordsums(sums, CORPUS_BITS), direct_sums(corpus, ORACLE_CFG)
+        )
+    ]
 
 
 @pytest.fixture(scope="session")

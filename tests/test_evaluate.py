@@ -22,6 +22,7 @@ from apery_words.evaluate import (
     eval_segment,
     eval_word,
     eval_wordsum,
+    eval_wordsums,
 )
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
@@ -445,6 +446,12 @@ def test_walk_error_within_its_stated_bound(bits):
          "pole 1/2 inside the unit disk"),
         ((XM1, Atom(GaussRat(0), 1)), DivergentWordError, "dt/t-type atom at the position nearest 0"),
         ((XI, W0), DivergentWordError, "xi.w0"),
+        # a word evaluated through its conjugate names its own poles, in a
+        # lower piece and in an upper one
+        ((XM1, Atom(GaussRat(Fraction(1, 2), Fraction(-1, 2)))), PoleTooCloseError,
+         "pole 1/2-1/2i inside the unit disk"),
+        ((Atom(GaussRat(Fraction(3, 2), Fraction(-1, 2))), XM1, XI), PoleTooCloseError,
+         "pole -1/2+1/2i inside the unit disk"),
     ],
 )
 def test_eval_wordsum_errors_leave_the_memo_unchanged(monkeypatch, word, error, message):
@@ -528,11 +535,54 @@ def test_cold_eval_wordsum_opens_the_cache_once(monkeypatch, tmp_path):
     assert failing._fh is None
 
 
+def _assert_same_values(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert (g.real, g.imag, g.bits_lost) == (e.real, e.imag, e.bits_lost)
+
+
+@pytest.mark.parametrize("source", ["verify", "corpus"])
+def test_eval_wordsums_is_eval_wordsum_per_sum(monkeypatch, tmp_path, source):
+    if source == "verify":
+        sums = _verify_word_sums()
+    else:
+        sums = [compile_spec(spec) for spec in build_corpus(20)]
+    # cold: the memo empty and a fresh cache file each
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    one_by_one = ValueCache(tmp_path / "each.jsonl")
+    expected = [eval_wordsum(ws, 140, one_by_one) for ws in sums]
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    _assert_same_values(eval_wordsums(sums, 140, ValueCache(tmp_path / "batch.jsonl")), expected)
+    # the same lines in the same order
+    assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "each.jsonl").read_bytes()
+    # warm: every value from the reloaded cache, and no walk
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    monkeypatch.setattr(evaluate, "_walk", None)
+    _assert_same_values(eval_wordsums(sums, 140, ValueCache(tmp_path / "batch.jsonl")), expected)
+    assert not evaluate._segment_memo
+
+
+@pytest.mark.parametrize("bad", [(XI, W0), (XM1, Atom(GaussRat(Fraction(1, 2))))])
+def test_eval_wordsums_raises_the_first_error_of_its_sums(monkeypatch, bad):
+    # the faulty word sits in a later sum, and another fault in a sum after it
+    good = [compile_spec(s) for s in build_corpus(3)]
+    sums = good[:2] + [WordSum(terms={(XI, XM1): GaussRat(1), bad: GaussRat(1)})]
+    sums += [WordSum(terms={(XM1, Atom(GaussRat(Fraction(-1, 3)))): GaussRat(1)}), good[2]]
+    errors = []
+    for call in (lambda: [eval_wordsum(ws, 140) for ws in sums], lambda: eval_wordsums(sums, 140)):
+        monkeypatch.setattr(evaluate, "_segment_memo", {})
+        with pytest.raises(ValueError) as info:
+            call()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] in (DivergentWordError, PoleTooCloseError)
+
+
 def _mpc_piece(atoms, radius, bits):
     """A memoized piece as the walk once converted it: mpc at F bits."""
     if not atoms:
         return mpc(1)
-    re, im = evaluate._segment_memo[(atoms, radius, bits)]
+    re, im = evaluate._segment_memo[(atoms, radius.as_integer_ratio(), bits)]
     frac_bits = bits + evaluate._GUARD_BITS
     with workprec(frac_bits):
         return mpc(mpf((re, -frac_bits)), mpf((im, -frac_bits)))

@@ -1,10 +1,15 @@
 import json
+import re
+from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf, workprec
 
+from apery_words import constants, fixtures
+from apery_words.constants import CONSTANT_WORDS
 from apery_words.fixtures import (
     ORACLE_DIGITS,
     _oracle_values,
@@ -106,3 +111,64 @@ def test_oracle_prints_the_digits_of_its_config(tmp_path):
     assert entry["status"] == "PASS"
     assert mpf(entry["oracle_error_estimate"]) < mpf("1e-23")
     assert len(Decimal(entry["oracle"]).as_tuple().digits) == 20
+
+
+def test_verify_evaluates_each_catalog_constant_once(monkeypatch):
+    # the closed forms share one table of constants per run, and each
+    # record's closed form is still one eval_const call
+    words, closed_forms = Counter(), []
+    eval_word, eval_const = constants.eval_word, fixtures.eval_const
+    monkeypatch.setattr(
+        constants, "eval_word", lambda word, *a: words.update([word]) or eval_word(word, *a)
+    )
+    monkeypatch.setattr(
+        fixtures, "eval_const", lambda expr, *a: closed_forms.append(expr) or eval_const(expr, *a)
+    )
+    # the oracle plays no part in the closed forms
+    monkeypatch.setattr(
+        fixtures, "_oracle_values", lambda records, cfg: [(mpf(0), mpf(0))] * len(records)
+    )
+    verify_fixtures(precision_bits=140)
+    records = sorted(load_fixtures(), key=lambda r: r.id)
+    expected = [rec.closed_form for rec in records if rec.closed_form is not None]
+    assert closed_forms == expected
+    named = {name for expr in expected for name in re.findall(r"[A-Za-z_]\w*", expr)}
+    assert set(words) == {CONSTANT_WORDS[name][0] for name in named - {"pi", "log2"}}
+    assert set(words.values()) == {1}
+
+
+def _floor_log10(x: Fraction) -> int:
+    k = 0
+    while Fraction(10) ** k > x:
+        k -= 1
+    while Fraction(10) ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+def _exact(x: mpf) -> Fraction:
+    man, exp = x.man_exp
+    return abs(Fraction(man) * Fraction(2) ** exp)
+
+
+def _around(x: Fraction, bits: int) -> list[mpf]:
+    """The `bits`-bit mpf nearest x and its two neighbours one ulp away."""
+    with workprec(bits):
+        man, exp = (mpf(x.numerator) / x.denominator).man_exp
+        shift = bits - man.bit_length()
+        return [mpf(((man << shift) + d, exp - shift)) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("bits", [53, 140])
+def test_supported_digits_are_exact_beside_powers_of_ten(bits):
+    # the value at and one ulp beside 10^k, the estimate at and beside the
+    # mpf nearest 10^-j (exactly 10^-j for j <= 0)
+    for k in (-30, -7, -1, 0, 1, 5, 30):
+        for value in _around(Fraction(10) ** k, bits):
+            for j in (-3, 0, 1, 8, 16, 40):
+                for error in _around(Fraction(10) ** -j, bits):
+                    lead, last = _floor_log10(_exact(value)), _floor_log10(_exact(error))
+                    last += Fraction(10) ** last != _exact(error)
+                    expected = max(1, min(60, lead - last + 1))
+                    assert supported_digits(value, error, 60) == expected, (value, error)
+                    assert supported_digits(-value, error, 60) == expected
