@@ -47,7 +47,7 @@ integers, with F = precision_bits + _GUARD_BITS:
   exactly at 2^-2F and rounded once: each part to F significant bits, to
   nearest with ties to even, which is the value an mpf of F bits holds.
   It is kept as (re, im, exp), (re + im*i) * 2^exp, and the cache stores
-  and parses exactly that value, for representatives only;
+  exactly those integers, for representatives only, with a check digest;
 - a word sum puts its Gaussian-rational coefficients over one common
   denominator, sums coefficient times value exactly over the smallest
   exponent, and divides by the denominator once, rounding to F bits.  The
@@ -60,10 +60,10 @@ Values reach mpmath only at the end of `eval_wordsums`, `eval_word` and
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import os
-import re
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,7 +71,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, to_str
+from mpmath.libmp import from_man_exp
 
 from .gauss import GaussRat
 from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
@@ -85,9 +85,6 @@ _WALK_BITS = 12
 # a word value (re, im, exp): (re + im*i) * 2^exp, each part rounded to
 # F = precision_bits + _GUARD_BITS significant bits
 Value = tuple[int, int, int]
-
-# a decimal part of a cache line, as `put` writes it: whole, fraction, exponent
-_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?(?:e([+-]?[0-9]+))?")
 
 
 class DivergentWordError(ValueError):
@@ -156,34 +153,20 @@ def _join(re: tuple[int, int], im: tuple[int, int]) -> Value:
     return a << (e_a - e), b << (e_b - e), e
 
 
-def _parse(text: str, bits: int) -> tuple[int, int]:
-    """A decimal literal rounded to `bits` bits to nearest, as (man, e).
-
-    Literals are what `put` writes: [-]digits[.digits][e[+-]digits].  The
-    rounding is exact; it equals mpmath's from_str(text, bits, round_nearest),
-    which the cache read before, wherever from_str rounds exactly (decimal
-    exponents up to 400 in size).  A literal of another form, or one whose
-    decimal exponent is beyond 2 * bits in size, far outside what `put`
-    writes, raises ValueError, so its line counts as corrupt.
-    """
-    match = _DECIMAL.fullmatch(text)  # TypeError unless a string
-    if match is None:
-        raise ValueError(f"{text!r} is not a cached decimal")
-    whole, frac, tail = match.groups(default="")
-    man = int(whole + frac)
-    exp10 = (int(tail) if tail else 0) - len(frac)
-    if abs(exp10) > 2 * bits:
-        raise ValueError(f"{text!r} has a decimal exponent out of range")
-    if exp10 >= 0:
-        return _round(man * 10**exp10, 1, 0, bits)
-    return _round(man, 10**-exp10, 0, bits)
-
-
 def _to_big(value: Value, precision_bits: int) -> BigComplex:
     re, im, exp = value
     return BigComplex(
         mp.make_mpf(from_man_exp(re, exp)), mp.make_mpf(from_man_exp(im, exp)), precision_bits
     )
+
+
+def _digest(key: str, precision_bits: int, value: Value) -> str:
+    """A cache line's check: 16 hex digits of a sha256 over F, the value and
+    the key.  The key goes last and no other field holds a space, so no two
+    lines' fields give the same text."""
+    re, im, exp = value
+    text = f"{precision_bits + _GUARD_BITS} {exp} {re:x} {im:x} {key}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -380,15 +363,16 @@ def eval_segment(sw: SegmentWord, precision_bits: int, n_terms: int | None = Non
 class ValueCache:
     """Persistent (word, precision) -> value store, JSON lines at `path`.
 
-    Each line holds the word's key, its precision as a JSON integer and the
-    value's parts as decimal strings of ceil(F log10 2) + 1 digits; a line
-    is read by rounding its decimals to F bits, to nearest, so every value
-    written reads back exactly.  Lines of fewer digits, as older versions
-    wrote, read the same way.  Inserts append; a line of another form than
-    `put` writes is corrupt and skipped on load; concurrent writers can only
-    race on identical idempotent values.  The evaluator puts and gets the
-    keys of representatives only, so a line for another word, as older
-    versions wrote, is loaded but never served.
+    Each line holds the word's key `k`, its precision `p`, the value's
+    mantissas `re` and `im` as signed hex strings, their shared exponent
+    `e`, and `d`, 16 hex digits of a sha256 over the key, F and the value
+    (see _digest).  The integers are exact, so every value written reads
+    back as itself.  Inserts
+    append; a line whose digest does not match, as after an edit, a cut, a
+    change of the guard bits or in the decimal lines of older versions, is
+    skipped on load, so its word is computed and appended once more.
+    Concurrent writers can only race on identical idempotent values.  The
+    evaluator puts and gets the keys of representatives only.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -402,18 +386,18 @@ class ValueCache:
         # a byte that is not UTF-8 reads as U+FFFD, which no line put writes holds
         with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
                     rec = json.loads(line)
-                    key, bits = rec["k"], rec["p"]
-                    # put writes a JSON integer; 140.0 or "140" is not one
-                    if not isinstance(key, str) or type(bits) is not int or bits < _MIN_BITS:
+                    key, bits, exp = rec["k"], rec["p"], rec["e"]
+                    # put writes JSON integers; 140.0, "140" or true is not one
+                    if (not isinstance(key, str) or type(bits) is not int or type(exp) is not int
+                            or bits < _MIN_BITS):
                         continue
-                    frac_bits = bits + _GUARD_BITS
-                    value = _join(_parse(rec["re"], frac_bits), _parse(rec["im"], frac_bits))
-                except (ValueError, KeyError, TypeError):
+                    value = (int(rec["re"], 16), int(rec["im"], 16), exp)
+                    if rec["d"] != _digest(key, bits, value):
+                        continue
+                # RecursionError: JSON nested too deeply to decode
+                except (ValueError, KeyError, TypeError, RecursionError):
                     continue
                 self._mem[(key, bits)] = value
 
@@ -424,8 +408,10 @@ class ValueCache:
         if (key, precision_bits) in self._mem:
             return
         self._mem[(key, precision_bits)] = value
-        re, im = _decimals(value, precision_bits)
-        line = json.dumps({"k": key, "p": precision_bits, "re": re, "im": im}, sort_keys=True) + "\n"
+        re, im, exp = value
+        rec = {"k": key, "p": precision_bits, "re": f"{re:x}", "im": f"{im:x}", "e": exp,
+               "d": _digest(key, precision_bits, value)}
+        line = json.dumps(rec, sort_keys=True) + "\n"
         if self._fh is not None:
             self._fh.write(line)
             return
@@ -444,14 +430,6 @@ class ValueCache:
                 yield
             finally:
                 self._fh = None
-
-
-def _decimals(value: Value, precision_bits: int) -> list[str]:
-    """The decimal strings of a value's parts, ceil(F log10 2) + 1 digits
-    each: enough for every F-bit part to read back as itself (Matula)."""
-    digits = math.ceil((precision_bits + _GUARD_BITS) * math.log10(2)) + 1
-    re, im, exp = value
-    return [to_str(from_man_exp(part, exp), digits) for part in (re, im)]
 
 
 # in-process memo for the segment pieces of representatives, keyed by (atoms,

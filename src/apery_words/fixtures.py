@@ -136,7 +136,10 @@ def load_fixtures(path: str | None = None) -> list[FixtureRecord]:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("fixtures file nests JSON too deeply to read") from None
     if not isinstance(data, list):
         raise ValueError("fixtures file must hold a JSON list of records")
     return [_record_from_dict(item, i) for i, item in enumerate(data)]

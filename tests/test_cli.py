@@ -8,6 +8,7 @@ from importlib import resources
 import mpmath
 import pytest
 
+from apery_words import evaluate
 from apery_words.cli import _bits, cli_main
 from apery_words.evaluate import ValueCache, eval_wordsum
 from apery_words.pipeline import compile_spec
@@ -259,6 +260,13 @@ def test_verify_missing_fixtures_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_fixtures_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "fx.json"
+    path.write_text("[" * 200_000)
+    assert cli_main(["verify", "--fixtures", str(path), "--cache-path", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: fixtures file nests JSON too deeply")
+
+
 def test_verify_bad_fixture_head(tmp_path, capsys):
     path = tmp_path / "fx.json"
     path.write_text(json.dumps([{"id": "h", "harmonic": [{"k": [1], "head": "3n^2"}]}]))
@@ -437,13 +445,17 @@ def test_cache_env_override(tmp_path, monkeypatch, capsys):
 def test_cache_skips_lines_without_string_key(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CMZV_CACHE", raising=False)
     path = tmp_path / "cache.jsonl"
+    good = {"k": "w0.x1", "p": 140, "re": "3", "im": "0", "e": -1,
+            "d": evaluate._digest("w0.x1", 140, (3, 0, -1))}
+    bad = [
+        {k: v for k, v in good.items() if k != "k"},
+        {**good, "k": None},
+        # a digest that matches the list as `put` would render it
+        {**good, "k": ["w0"], "d": evaluate._digest(["w0"], 140, (3, 0, -1))},
+    ]
     # the last bad line is not UTF-8; it fails to parse like the others
-    path.write_bytes(
-        b'{"p": 140, "re": "1", "im": "0"}\n'
-        b'{"k": ["w0"], "p": 140, "re": "1", "im": "0"}\n'
-        b'\xff\n'
-        b'{"k": "w0.x1", "p": 140, "re": "1.5", "im": "0"}\n'
-    )
+    path.write_bytes("".join(json.dumps(rec) + "\n" for rec in bad).encode() + b"\xff\n"
+                     + json.dumps(good).encode() + b"\n")
     assert list(ValueCache(path)._mem) == [("w0.x1", 140)]
     rc = cli_main(["eval", "S[2n^1 > 0]", "--method", "compiled", "--cache-path", str(path)])
     assert rc == 0

@@ -7,10 +7,9 @@ from itertools import product
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, from_str, round_nearest, to_str
 
 from apery_words import evaluate
 from apery_words.evaluate import (
@@ -668,6 +667,9 @@ def test_bits_lost_is_the_l1_bound_over_the_sum():
 
 
 _CACHE_BITS = (64, 140, 330, 660)
+# F = 15,000 bits: a mantissa of 4,516 decimal digits, past the 4,300 that
+# Python converts between int and decimal text
+_WIDE_BITS = 15_000 - evaluate._GUARD_BITS
 
 
 @st.composite
@@ -682,73 +684,84 @@ def _cache_values(draw):
         if kind == "zero":
             return 0, 0
         man = draw(st.integers(1 << (frac_bits - 1), (1 << frac_bits) - 1))
-        # from_str rounds exactly while the decimal exponent stays within 400
-        # (mpmath 1.3), so tiny parts stay above 2^-200
-        lead = draw({"tiny": st.integers(-200, -60), "unit": st.integers(-12, -1),
+        lead = draw({"tiny": st.integers(-2000, -60), "unit": st.integers(-12, -1),
                      "large": st.integers(0, 2)}[kind])
         return draw(st.sampled_from((1, -1))) * man, lead + 1 - frac_bits
 
     return bits, evaluate._join(part(), part())
 
 
-def _parts(value):
+def _line(key, bits, value):
+    """The cache line that `put` writes for the value."""
     re, im, exp = value
-    return from_man_exp(re, exp), from_man_exp(im, exp)
+    return {"d": evaluate._digest(key, bits, value), "e": exp, "im": f"{im:x}", "k": key,
+            "p": bits, "re": f"{re:x}"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=_cache_values())
+@example(drawn=(140, (0, 0, 0)))
+@example(drawn=(140, (0, -(3 << 163), -165)))
+@example(drawn=(_WIDE_BITS, ((1 << 14_999) + 1, -(1 << 15_000) + 1, -15_000)))
 def test_cache_lines_read_back_exactly(tmp_path_factory, drawn):
     bits, value = drawn
-    frac_bits = bits + evaluate._GUARD_BITS
     path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
     ValueCache(path).put("w0.x1", bits, value)
-    rec = json.loads(path.read_text())
-    for text, part in zip((rec["re"], rec["im"]), _parts(value)):
-        parsed = from_man_exp(*evaluate._parse(text, frac_bits))
-        assert parsed == from_str(text, frac_bits, round_nearest)
-        assert parsed == part
-        # every part takes ceil(F log10 2) + 1 digits
-        assert text == to_str(part, math.ceil(frac_bits * math.log10(2)) + 1)
-    assert _parts(ValueCache(path).get("w0.x1", bits)) == _parts(value)
+    assert json.loads(path.read_text()) == _line("w0.x1", bits, value)
+    assert ValueCache(path).get("w0.x1", bits) == value
 
 
-def test_cache_skips_lines_it_does_not_write(tmp_path):
+def test_cache_skips_lines_it_does_not_write(monkeypatch, tmp_path):
     path = tmp_path / "cache.jsonl"
-    good = '{"im": "0.0", "k": "w0.x1", "p": 140, "re": "1.6449340668482264364724151666460251892189499012066"}'
+    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0, -164)
+    good = _line("w0.x1", 140, value)
+    other = _line("x-1.x1", 140, value)
     bad = [
-        # decimal exponents far beyond 2F: exact rounding would build a
-        # denominator or a numerator of about 10^9 digits
-        '{"im": "0", "k": "w0.x-1", "p": 140, "re": "1e-999999999"}',
-        '{"im": "1e999999999", "k": "w0.x-1", "p": 140, "re": "0"}',
-        '{"im": "0", "k": "w0.x-1", "p": 64, "re": "-1.5e+178"}',
-        # literals of other forms than put writes
-        '{"im": "0", "k": "x-1.x1", "p": 140, "re": "inf"}',
-        '{"im": "nan", "k": "x-1.x1", "p": 140, "re": "0"}',
-        '{"im": "0", "k": "x-1.x1", "p": 140, "re": "1E5"}',
-        '{"im": "0", "k": "x-1.x1", "p": 140, "re": "1_0"}',
-        '{"im": "0", "k": "x-1.x1", "p": 140, "re": " 1.0"}',
-        '{"im": "0", "k": "x-1.x1", "p": 140, "re": ".5"}',
-        '{"im": "0", "k": "x-1.x1", "p": 140, "re": 0.5}',
-        # precisions that are not JSON integers, as put writes them
-        '{"im": "0", "k": "x-1.x1", "p": 140.0, "re": "0.5"}',
-        '{"im": "0", "k": "x-1.x1", "p": "140", "re": "0.5"}',
-        '{"im": "0", "k": "x-1.x1", "p": 140.9, "re": "0.5"}',
+        {k: v for k, v in other.items() if k != "d"},
+        {**other, "d": "0" * 16},
+        {**other, "d": good["d"]},
+        # a value changed under its digest, and parts that are not hex strings
+        {**other, "re": other["re"].replace("0f0", "0f1")},
+        {**other, "re": "0x1g"},
+        {**other, "re": "1.5"},
+        {**other, "im": 0},
+        # precisions and exponents that are not JSON integers
+        {**other, "p": 140.0},
+        {**other, "p": True},
+        {**other, "p": "140"},
+        {**other, "e": -164.0},
+        {**other, "e": False},
+        {**other, "e": "-164"},
+        # the same under digests made for those fields
+        {**other, "p": 140.0, "d": evaluate._digest("x-1.x1", 140.0, value)},
+        {**other, "e": -164.0, "d": evaluate._digest("x-1.x1", 140, value[:2] + (-164.0,))},
+        # past the digits Python reads as an int
+        {**other, "e": "9" * 5000},
     ]
-    path.write_text("".join(line + "\n" for line in bad + [good]))
+    # a line written under another guard width
+    monkeypatch.setattr(evaluate, "_GUARD_BITS", evaluate._GUARD_BITS + 8)
+    bad.append(_line("x-1.x1", 140, value))
+    monkeypatch.undo()
+    text = "".join(json.dumps(rec) + "\n" for rec in bad + [good])
+    path.write_text(text.replace('"' + "9" * 5000 + '"', "9" * 5000))
     start = time.perf_counter()
     cache = ValueCache(path)
     assert time.perf_counter() - start < 1.0
     assert list(cache._mem) == [("w0.x1", 140)]
-    assert cache.get("w0.x1", 140) == evaluate._join(
-        evaluate._parse("1.6449340668482264364724151666460251892189499012066", 140 + evaluate._GUARD_BITS),
-        (0, 0))
-    # the exponent bound lies far outside what put writes at the lowest precision
-    frac_bits = 64 + evaluate._GUARD_BITS
-    assert evaluate._parse("-1.5e+177", frac_bits) == evaluate._round(-15 * 10**176, 1, 0, frac_bits)
+    assert cache.get("w0.x1", 140) == value
 
 
-# lines that the evaluator wrote before word values stayed on integers
+def test_cache_skips_deeply_nested_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0, -164)
+    path.write_text("[" * 200_000 + "\n" + '{"k": ' * 200_000 + "\n"
+                    + json.dumps(_line("w0.x1", 140, value)) + "\n")
+    cache = ValueCache(path)
+    assert list(cache._mem) == [("w0.x1", 140)]
+    assert abs(eval_word((W0, XM1), 140, cache).to_mpc() + mpmath.pi**2 / 12) < 1e-40
+
+
+# lines that the evaluator wrote while its cache held decimal strings
 _PARENT_LINES = [
     ((W0, XMI), '{"im": "0.91596559417721901505460351493238411077414937428162", "k": "w0.x-i", "p": 140, '
      '"re": "-0.20561675835602830455905189583075314865236873765086"}'),
@@ -766,37 +779,49 @@ _PARENT_LINES = [
 ]
 
 
-def test_parent_cache_lines_load_and_serve(monkeypatch, tmp_path):
+def test_parent_cache_lines_are_never_served(monkeypatch, tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(line + "\n" for _, line in _PARENT_LINES))
     cache = ValueCache(path)
-    assert len(cache._mem) == len(_PARENT_LINES)
-    # the lines of representatives serve; those of w0.x-i and x-i.x-1.xi load
-    # but are never read (test_cache_never_serves_lines_of_non_representatives)
-    served_lines = [(w, line) for w, line in _PARENT_LINES if not evaluate._representative(w)[1]]
-    assert len(served_lines) == 4
-    fresh = {}
-    for word, line in served_lines:
-        bits = json.loads(line)["p"]
-        fresh[word] = eval_word(word, bits)
-    monkeypatch.setattr(evaluate, "_walk", None)  # a served line never walks
-    for word, line in served_lines:
-        bits = json.loads(line)["p"]
-        served = eval_word(word, bits, cache)
+    assert not cache._mem
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    walk, walks = evaluate._walk, []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(evaluate, "_walk", counted)
+    reps = []
+    for word, line in _PARENT_LINES:
+        rec = json.loads(line)
+        bits, before = rec["p"], len(walks)
+        evaluate._segment_memo.clear()
+        value = eval_word(word, bits, cache).to_mpc()
+        assert len(walks) > before, rec["k"]  # recomputed, not served
         with workprec(bits + 64):
-            ref = fresh[word].to_mpc()
-            assert abs(served.to_mpc() - ref) <= mpf(2) ** -bits * max(1, abs(ref))
+            old = mpc(mpf(rec["re"]), mpf(rec["im"]))
+            assert abs(value - old) <= mpf(2) ** -bits * abs(old)
+        reps.append((word_key(evaluate._representative(word)[0]), bits))
+    # each recomputed representative is appended once, and serves from then on
+    lines = [json.loads(line) for line in path.read_text().splitlines()[len(_PARENT_LINES):]]
+    assert [(rec["k"], rec["p"]) for rec in lines] == reps
+    monkeypatch.setattr(evaluate, "_walk", None)
+    reloaded = ValueCache(path)
+    for word, line in _PARENT_LINES:
+        eval_word(word, json.loads(line)["p"], reloaded)
 
 
 def test_cache_never_serves_lines_of_non_representatives(monkeypatch, tmp_path):
-    # lines for x-i.x-1.xi and w0.x-i as versions that cached every word
-    # wrote them, the second with a wrong value: each word takes the conjugate
-    # of its representative, which is walked and put
+    # lines for x-i.x-1.xi and w0.x-i with valid digests, as if a version that
+    # cached every word had written them, the second with a wrong value: each
+    # word takes the conjugate of its representative, which is walked and put
     path = tmp_path / "cache.jsonl"
-    path.write_text(_PARENT_LINES[1][1] + "\n"
-                    + '{"im": "0.25", "k": "w0.x-i", "p": 140, "re": "0.5"}\n')
+    written = ValueCache(path)
+    written.put("x-i.x-1.xi", 140, evaluate._eval_words([(XMI, XM1, XI)], Fraction(1, 2), 140, None)[0])
+    written.put("w0.x-i", 140, (2, 1, -2))
     cache = ValueCache(path)
-    assert cache.get("w0.x-i", 140) is not None
+    assert cache.get("w0.x-i", 140) == (2, 1, -2)
     monkeypatch.setattr(evaluate, "_segment_memo", {})
     for word in ((XMI, XM1, XI), (W0, XMI)):
         served = eval_word(word, 140, cache)
