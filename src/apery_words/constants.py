@@ -91,7 +91,7 @@ def eval_const(
         if isinstance(node, ast.Expression):
             return walk(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
+            if type(node.value) is int:  # not True or False
                 return mpc(node.value)
             raise ConstExprError(f"only integer literals allowed, got {node.value!r}")
         if isinstance(node, ast.Name):
@@ -111,13 +111,16 @@ def eval_const(
                 if right == 0:
                     raise ConstZeroDivisionError(f"division by zero in closed form {expr!r}")
                 return left / right
-            if not isinstance(node.right, ast.Constant) or not isinstance(
-                node.right.value, int
-            ):
+            # an integer literal under at most one sign, as walk(node.right) allowed
+            exp, sign = node.right, 1
+            if isinstance(exp, ast.UnaryOp):
+                exp, sign = exp.operand, -1 if isinstance(exp.op, ast.USub) else 1
+            if not isinstance(exp, ast.Constant):
                 raise ConstExprError("exponents must be integer literals")
-            if left == 0 and node.right.value < 0:
+            power = sign * exp.value
+            if left == 0 and power < 0:
                 raise ConstZeroDivisionError(f"division by zero in closed form {expr!r}")
-            return left ** node.right.value
+            return left ** power
         raise ConstExprError(f"unsupported syntax: {ast.dump(node)}")
 
     try:

@@ -44,14 +44,16 @@ integers, with F = precision_bits + _GUARD_BITS:
   keeps each piece's value as the pair (re, im) at 2^-F that the walk
   leaves;
 - a word's value is its split sum of upper times lower piece, summed
-  exactly at 2^-2F and rounded once: each part to F significant bits, to
-  nearest with ties to even, which is the value an mpf of F bits holds.
-  It is kept as (re, im, exp), (re + im*i) * 2^exp, and the cache stores
+  exactly at 2^-2F and rounded once to the nearest multiple of 2^-F (ties
+  up), so it stays on the grid of its pieces: (re, im, -F), read as
+  (re + im*i) * 2^-F.  On the verify words each part lies within k + 1
+  units of 2^-F of its exact value, k the word's length.  The cache stores
   exactly those integers, for representatives only, with a check digest;
 - a word sum puts its Gaussian-rational coefficients over one common
   denominator, sums coefficient times value exactly over the smallest
-  exponent, and divides by the denominator once, rounding to F bits.  The
-  same loop counts the bits lost to cancellation.
+  exponent, and divides by the denominator once, as libmp rounds a
+  rational to an mpf of F bits.  The same loop counts the bits lost to
+  cancellation.
 
 Values reach mpmath only at the end of `eval_wordsums`, `eval_word` and
 `eval_segment`, which return them as BigComplex.
@@ -65,13 +67,13 @@ import json
 import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest
 
 from .gauss import GaussRat
 from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
@@ -82,8 +84,9 @@ _GUARD_BITS = 24
 # the terms of each series (see _walk)
 _WALK_BITS = 12
 
-# a word value (re, im, exp): (re + im*i) * 2^exp, each part rounded to
-# F = precision_bits + _GUARD_BITS significant bits
+# a word value (re, im, exp): (re + im*i) * 2^exp.  The evaluator gives exp =
+# -F, F = precision_bits + _GUARD_BITS, the grid of the walk's pieces; the
+# empty word is (1, 0, 0), and older cache lines hold other exponents
 Value = tuple[int, int, int]
 
 
@@ -120,44 +123,19 @@ class BigComplex:
             return mpc(self.real, self.imag)
 
 
-def _round(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
-    """(man, e) with man * 2^e = (num / den) * 2^exp, den > 0, rounded to
-    `bits` significant bits, to nearest with ties to even, as mpmath rounds."""
-    mag = abs(num)
-    if not num or den == 1 and mag.bit_length() <= bits:
-        return num, exp
-    # a quotient of bits + 1 or bits + 2 bits, and whether a remainder is left
-    shift = bits + 1 - mag.bit_length() + den.bit_length()
-    if shift >= 0:
-        quot, rem = divmod(mag << shift, den)
-    else:
-        quot, rem = divmod(mag, den << -shift)
-    drop = quot.bit_length() - bits
-    low = quot & ((1 << drop) - 1)
-    quot >>= drop
-    half = 1 << (drop - 1)
-    if low > half or (low == half and (rem or quot & 1)):
-        quot += 1
-    return (quot if num > 0 else -quot), exp - shift + drop
-
-
-def _join(re: tuple[int, int], im: tuple[int, int]) -> Value:
-    """One value from its two parts (man, e), over the smaller exponent of
-    the nonzero parts."""
-    (a, e_a), (b, e_b) = re, im
-    if not b:
-        return a, 0, e_a
-    if not a:
-        return 0, b, e_b
-    e = min(e_a, e_b)
-    return a << (e_a - e), b << (e_b - e), e
-
-
 def _to_big(value: Value, precision_bits: int) -> BigComplex:
     re, im, exp = value
     return BigComplex(
         mp.make_mpf(from_man_exp(re, exp)), mp.make_mpf(from_man_exp(im, exp)), precision_bits
     )
+
+
+def _line(key: str, precision_bits: int, value: Value) -> str:
+    """The cache line of a value (see ValueCache)."""
+    re, im, exp = value
+    rec = {"k": key, "p": precision_bits, "re": f"{re:x}", "im": f"{im:x}", "e": exp,
+           "d": _digest(key, precision_bits, value)}
+    return json.dumps(rec, sort_keys=True) + "\n"
 
 
 def _digest(key: str, precision_bits: int, value: Value) -> str:
@@ -351,13 +329,11 @@ def _walk(
 
 def eval_segment(sw: SegmentWord, precision_bits: int, n_terms: int | None = None) -> BigComplex:
     """Integrate the word over c > t_1 > ... > t_k > 0 by power series: the
-    walk (see _walk) of the trie that holds this one piece, rounded to F bits."""
+    walk (see _walk) of the trie that holds this one piece, its pair at 2^-F."""
     root = _Node()
     _add_piece(root, sw.atoms)
-    frac_bits = precision_bits + _GUARD_BITS
     re, im = _walk(root, sw.segment_radius, precision_bits, n_terms)[sw.atoms]
-    value = _join(_round(re, 1, -frac_bits, frac_bits), _round(im, 1, -frac_bits, frac_bits))
-    return _to_big(value, precision_bits)
+    return _to_big((re, im, -precision_bits - _GUARD_BITS), precision_bits)
 
 
 class ValueCache:
@@ -366,12 +342,19 @@ class ValueCache:
     Each line holds the word's key `k`, its precision `p`, the value's
     mantissas `re` and `im` as signed hex strings, their shared exponent
     `e`, and `d`, 16 hex digits of a sha256 over the key, F and the value
-    (see _digest).  The integers are exact, so every value written reads
-    back as itself.  Inserts
-    append; a line whose digest does not match, as after an edit, a cut, a
-    change of the guard bits or in the decimal lines of older versions, is
-    skipped on load, so its word is computed and appended once more.
-    Concurrent writers can only race on identical idempotent values.  The
+    (see _digest), so every value written reads back as itself.  A line
+    whose digest does not match (an edit, a cut, another guard width, the
+    decimal lines of older versions) is skipped on load and its word
+    computed once more.  Lines of versions that rounded a word's split sum
+    to F significant bits, not to 2^-F, are served: each part is within one
+    unit in its last place plus half a unit of 2^-F of this version's
+    value, under 2 units of 2^-F for |value| < 2.
+
+    Puts append, through `appending`.  If the load skipped a nonblank line,
+    met a key twice or found no final newline, the instance's first write
+    first rewrites the file to the lines it serves, through a temporary
+    file beside it and os.replace: a concurrent writer's lines can be lost
+    then, and are recomputed.  Appends race only on identical values.  The
     evaluator puts and gets the keys of representatives only.
     """
 
@@ -379,13 +362,16 @@ class ValueCache:
         self.path = os.fspath(path)
         self._mem: dict[tuple[str, int], Value] = {}
         self._fh = None  # the append handle of an `appending` block
+        self._stale = False  # the file holds more than the lines of _mem, or no final newline
         if os.path.exists(self.path):
             self._load()
 
     def _load(self) -> None:
+        nonblank, line = 0, "\n"
         # a byte that is not UTF-8 reads as U+FFFD, which no line put writes holds
         with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
+                nonblank += not line.isspace()
                 try:
                     rec = json.loads(line)
                     key, bits, exp = rec["k"], rec["p"], rec["e"]
@@ -400,6 +386,9 @@ class ValueCache:
                 except (ValueError, KeyError, TypeError, RecursionError):
                     continue
                 self._mem[(key, bits)] = value
+        # a line skipped or a key met twice; or a last line without its newline,
+        # which an append would run into
+        self._stale = nonblank > len(self._mem) or not line.endswith("\n")
 
     def get(self, key: str, precision_bits: int) -> Value | None:
         return self._mem.get((key, precision_bits))
@@ -407,24 +396,28 @@ class ValueCache:
     def put(self, key: str, precision_bits: int, value: Value) -> None:
         if (key, precision_bits) in self._mem:
             return
-        self._mem[(key, precision_bits)] = value
-        re, im, exp = value
-        rec = {"k": key, "p": precision_bits, "re": f"{re:x}", "im": f"{im:x}", "e": exp,
-               "d": _digest(key, precision_bits, value)}
-        line = json.dumps(rec, sort_keys=True) + "\n"
-        if self._fh is not None:
-            self._fh.write(line)
-            return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+        with self.appending() if self._fh is None else nullcontext():
+            self._mem[(key, precision_bits)] = value
+            self._fh.write(_line(key, precision_bits, value))
 
     @contextmanager
     def appending(self) -> Iterator[None]:
         """Let the puts inside the block share one append handle.
 
         The handle is line-buffered, so each line still reaches the file in
-        one write, and it is closed however the block is left.
+        one write, and it is closed however the block is left.  A stale file
+        is rewritten first (see ValueCache).
         """
+        if self._stale:
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.writelines(_line(*key, value) for key, value in self._mem.items())
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+            self._stale = False
         with open(self.path, "a", encoding="utf-8", buffering=1) as self._fh:
             try:
                 yield
@@ -451,9 +444,10 @@ def _eval_words(
     and that the memo lacks go into one suffix trie per radius, and one walk
     of each trie fills the memo; then each missing representative's upper
     times lower pieces are summed over its splittings exactly, on the memo's
-    integer pairs at 2^-F (so the sum is at 2^-2F), and rounded once to F
-    bits.  The missing representatives are written to the cache in the
-    order in which `words` first reaches them, through one append handle.
+    integer pairs at 2^-F (so the sum is at 2^-2F), and rounded once to the
+    nearest multiple of 2^-F.  The missing representatives are written to
+    the cache in the order in which `words` first reaches them, through one
+    append handle.
     """
     frac_bits = precision_bits + _GUARD_BITS
     upper_r, lower_r = (1 - c).as_integer_ratio(), c.as_integer_ratio()
@@ -484,7 +478,7 @@ def _eval_words(
     for radius, root in tries.items():
         for atoms, value in _walk(root, Fraction(*radius), precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
-    one = (1 << frac_bits, 0)
+    one, half = (1 << frac_bits, 0), 1 << (frac_bits - 1)
     for rep, _, splits in missing:
         total_re = total_im = 0
         for upper, lower in splits:
@@ -492,9 +486,8 @@ def _eval_words(
             l_re, l_im = _segment_memo[(lower, lower_r, precision_bits)] if lower else one
             total_re += u_re * l_re - u_im * l_im
             total_im += u_re * l_im + u_im * l_re
-        values[rep] = _join(
-            _round(total_re, 1, -2 * frac_bits, frac_bits),
-            _round(total_im, 1, -2 * frac_bits, frac_bits),
+        values[rep] = (
+            (total_re + half) >> frac_bits, (total_im + half) >> frac_bits, -frac_bits
         )
     if cache is not None and missing:
         with cache.appending():
@@ -539,8 +532,8 @@ def eval_wordsums(
     first raises.  A sum's coefficients go over one common denominator d,
     so the sum of numerator times word value is exact on integers over the
     smallest exponent of the values; it is divided by d once and rounded to
-    F bits, the one rounding of the word part.  The scalar, pi and 2/pi
-    parts are added in mpmath at F bits.
+    an mpf of F bits, the one rounding of the word part.  The scalar, pi and
+    2/pi parts are added in mpmath at F bits.
 
     The same loop sums the L1 bound |coef|_1 * |value|_1, where |x + yi|_1 =
     |x| + |y|, and the result's `bits_lost` is log2 of that bound over
@@ -572,10 +565,11 @@ def eval_wordsums(
         else:
             bits_lost = math.inf
         with workprec(frac_bits):
-            # each part rounded once to F bits, so mpf takes it exactly
-            total = mpc(
-                mpf(_round(sum_re, den, low, frac_bits)), mpf(_round(sum_im, den, low, frac_bits))
-            )
+            # each part divided by d and rounded once to F bits, so mpf takes it exactly
+            total = mpc(*[
+                mp.make_mpf(mpf_shift(from_rational(part, den, frac_bits, round_nearest), low))
+                for part in (sum_re, sum_im)
+            ])
             total += ws.scalar.to_mpc()
             if ws.scalar_pi:
                 total += mpf(ws.scalar_pi.numerator) / ws.scalar_pi.denominator * mpmath.pi

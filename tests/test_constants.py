@@ -1,10 +1,11 @@
 import mpmath
 import pytest
-from mpmath import workprec
+from mpmath import mpf, workprec
 
 from apery_words.constants import (
     CONSTANT_WORDS,
     ConstExprError,
+    ConstZeroDivisionError,
     constant_value,
     eval_const,
 )
@@ -91,5 +92,21 @@ def test_eval_const_division_by_zero():
 
 @pytest.mark.parametrize("expr", ["pi+", "1/(2-2)", "(pi-pi)**-1"])
 def test_eval_const_errors_are_typed(expr):
+    with pytest.raises(ConstExprError):
+        eval_const(expr, 128)
+
+
+def test_eval_const_signed_exponents():
+    # Python parses pi**-2 as pi ** (-(2)): one sign over the literal
+    with workprec(200):
+        assert abs(eval_const("pi**-2", 160) - 1 / mpmath.pi**2) < mpf(2) ** -120
+    with pytest.raises(ConstZeroDivisionError):
+        eval_const("(pi-pi)**-1", 128)
+    with pytest.raises(ConstExprError):
+        eval_const("pi**--2", 128)
+
+
+@pytest.mark.parametrize("expr", ["True*pi", "pi**True"])
+def test_eval_const_rejects_booleans(expr):
     with pytest.raises(ConstExprError):
         eval_const(expr, 128)

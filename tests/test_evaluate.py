@@ -371,6 +371,51 @@ def _verify_word_sums():
     ]
 
 
+def _verify_words():
+    """The distinct nonempty words of the bundled records' word sums."""
+    return list(dict.fromkeys(word for ws in _verify_word_sums() for word in ws.terms if word))
+
+
+@pytest.mark.parametrize("bits", [140, 330])
+def test_word_values_are_split_sums_rounded_to_the_grid(monkeypatch, bits):
+    # a representative's value is its split sum over the memo's pieces, exact
+    # at 2^-2F, rounded half up to a multiple of 2^-F; its conjugate takes
+    # (re, -im, exp)
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    frac_bits = bits + evaluate._GUARD_BITS
+    words = _verify_words()
+    values = evaluate._eval_words(words, Fraction(1, 2), bits, None)
+    piece = {(): (1 << frac_bits, 0)}
+    piece.update((atoms, v) for (atoms, r, b), v in evaluate._segment_memo.items() if b == bits)
+    for word, value in zip(words, values):
+        rep, conjugated = evaluate._representative(word)
+        total_re = total_im = 0
+        for i in range(len(rep) + 1):
+            u_re, u_im = piece[tuple(evaluate._flip(a) for a in reversed(rep[:i]))]
+            l_re, l_im = piece[rep[i:]]
+            total_re += u_re * l_re - u_im * l_im
+            total_im += u_re * l_im + u_im * l_re
+        re, im = [(2 * total + (1 << frac_bits)) // (1 << (frac_bits + 1))
+                  for total in (total_re, total_im)]
+        assert value == (re, -im if conjugated else im, -frac_bits), word_key(word)
+
+
+def test_word_values_within_length_plus_one_units_of_the_grid(monkeypatch):
+    # each part at 140 bits lies within k + 1 units of 2^-F of its value at
+    # 204 bits (64 more), k the word's length
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    words = _verify_words()
+    assert len(words) == 643
+    low = evaluate._eval_words(words, Fraction(1, 2), 140, None)
+    high = evaluate._eval_words(words, Fraction(1, 2), 204, None)
+    frac_bits = 140 + evaluate._GUARD_BITS
+    for word, (re, im, exp), (h_re, h_im, h_exp) in zip(words, low, high):
+        for part, h_part in ((re, h_re), (im, h_im)):
+            # on integers at 2^h_exp
+            error = abs((part << (exp - h_exp)) - h_part)
+            assert error <= (len(word) + 1) << (-frac_bits - h_exp), word_key(word)
+
+
 def test_walk_bit_identical_on_corpus_and_verify_pieces():
     sums = [compile_spec(spec) for spec in build_corpus(5)] + _verify_word_sums()
     pieces = _split_pieces(sums)
@@ -688,7 +733,10 @@ def _cache_values(draw):
                      "large": st.integers(0, 2)}[kind])
         return draw(st.sampled_from((1, -1))) * man, lead + 1 - frac_bits
 
-    return bits, evaluate._join(part(), part())
+    (re, e_re), (im, e_im) = part(), part()
+    # both parts over the smaller exponent of the nonzero ones
+    exp = min([e for man, e in ((re, e_re), (im, e_im)) if man], default=0)
+    return bits, (re << (e_re - exp), im << (e_im - exp), exp)
 
 
 def _line(key, bits, value):
@@ -803,13 +851,40 @@ def test_parent_cache_lines_are_never_served(monkeypatch, tmp_path):
             old = mpc(mpf(rec["re"]), mpf(rec["im"]))
             assert abs(value - old) <= mpf(2) ** -bits * abs(old)
         reps.append((word_key(evaluate._representative(word)[0]), bits))
-    # each recomputed representative is appended once, and serves from then on
-    lines = [json.loads(line) for line in path.read_text().splitlines()[len(_PARENT_LINES):]]
+    # the first write drops the skipped lines: the file holds each recomputed
+    # representative once, and serves it from then on
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [(rec["k"], rec["p"]) for rec in lines] == reps
     monkeypatch.setattr(evaluate, "_walk", None)
     reloaded = ValueCache(path)
     for word, line in _PARENT_LINES:
         eval_word(word, json.loads(line)["p"], reloaded)
+
+
+def test_first_write_drops_the_lines_the_load_skipped(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0, -164)
+    served = json.dumps(_line("w0.x1", 140, value), sort_keys=True) + "\n"
+    edited = {**_line("x-1.x1", 140, value), "d": "0" * 16}
+    text = "".join([served, served, _PARENT_LINES[2][1] + "\n", json.dumps(edited) + "\n",
+                    "[" * 200_000 + "\n"])
+    path.write_text(text)
+    # a run that writes nothing leaves the file alone
+    got, want = eval_word((W0, X1), 140, ValueCache(path)), evaluate._to_big(value, 140)
+    assert (got.real, got.imag) == (want.real, want.imag)
+    assert path.read_text() == text
+    # the first miss rewrites it to the served line, then appends
+    eval_word((XM1, X1), 140, ValueCache(path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert [lines[0], json.loads(lines[1])["k"]] == [served, "x-1.x1"] and len(lines) == 2
+    # a cache that skipped nothing keeps its bytes and is appended to
+    text = path.read_text()
+    eval_word((W0, W0, X1), 140, ValueCache(path))
+    assert path.read_text().startswith(text) and len(path.read_text().splitlines()) == 3
+    # a last line without its newline is rewritten before a put appends
+    path.write_text(served[:-1])
+    ValueCache(path).put("x-1.x1", 140, value)
+    assert list(ValueCache(path)._mem) == [("w0.x1", 140), ("x-1.x1", 140)]
 
 
 def test_cache_never_serves_lines_of_non_representatives(monkeypatch, tmp_path):
