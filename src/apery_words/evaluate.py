@@ -45,15 +45,15 @@ integers, with F = precision_bits + _GUARD_BITS:
   leaves;
 - a word's value is its split sum of upper times lower piece, summed
   exactly at 2^-2F and rounded once to the nearest multiple of 2^-F (ties
-  up), so it stays on the grid of its pieces: (re, im, -F), read as
-  (re + im*i) * 2^-F.  On the verify words each part lies within k + 1
-  units of 2^-F of its exact value, k the word's length.  The cache stores
-  exactly those integers, for representatives only, with a check digest;
+  up), so it stays on the grid of its pieces: the pair (re, im), read as
+  (re + im*i) * 2^-F; the empty word is (2^F, 0).  On the verify words each
+  part lies within k + 1 units of 2^-F of its exact value, k the word's
+  length.  The cache stores exactly those integers, for representatives
+  only, with a check digest, and serves no line off the grid;
 - a word sum puts its Gaussian-rational coefficients over one common
-  denominator, sums coefficient times value exactly over the smallest
-  exponent, and divides by the denominator once, as libmp rounds a
-  rational to an mpf of F bits.  The same loop counts the bits lost to
-  cancellation.
+  denominator d, sums coefficient times value exactly on the grid, and
+  divides by d * 2^F once, as libmp rounds a rational to an mpf of F bits.
+  The same loop counts the bits lost to cancellation.
 
 Values reach mpmath only at the end of `eval_wordsums`, `eval_word` and
 `eval_segment`, which return them as BigComplex.
@@ -73,7 +73,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .gauss import GaussRat
 from .words import Atom, Word, WordSum, deconcatenations, is_convergent, word_key
@@ -84,10 +84,9 @@ _GUARD_BITS = 24
 # the terms of each series (see _walk)
 _WALK_BITS = 12
 
-# a word value (re, im, exp): (re + im*i) * 2^exp.  The evaluator gives exp =
-# -F, F = precision_bits + _GUARD_BITS, the grid of the walk's pieces; the
-# empty word is (1, 0, 0), and older cache lines hold other exponents
-Value = tuple[int, int, int]
+# a word value (re, im): (re + im*i) * 2^-F, F = precision_bits + _GUARD_BITS,
+# on the grid of the walk's pieces; the empty word is (2^F, 0)
+Value = tuple[int, int]
 
 
 class DivergentWordError(ValueError):
@@ -124,17 +123,15 @@ class BigComplex:
 
 
 def _to_big(value: Value, precision_bits: int) -> BigComplex:
-    re, im, exp = value
-    return BigComplex(
-        mp.make_mpf(from_man_exp(re, exp)), mp.make_mpf(from_man_exp(im, exp)), precision_bits
-    )
+    exp = -precision_bits - _GUARD_BITS
+    return BigComplex(*[mp.make_mpf(from_man_exp(part, exp)) for part in value], precision_bits)
 
 
 def _line(key: str, precision_bits: int, value: Value) -> str:
     """The cache line of a value (see ValueCache)."""
-    re, im, exp = value
-    rec = {"k": key, "p": precision_bits, "re": f"{re:x}", "im": f"{im:x}", "e": exp,
-           "d": _digest(key, precision_bits, value)}
+    re, im = value
+    rec = {"k": key, "p": precision_bits, "re": f"{re:x}", "im": f"{im:x}",
+           "e": -precision_bits - _GUARD_BITS, "d": _digest(key, precision_bits, value)}
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
@@ -142,8 +139,8 @@ def _digest(key: str, precision_bits: int, value: Value) -> str:
     """A cache line's check: 16 hex digits of a sha256 over F, the value and
     the key.  The key goes last and no other field holds a space, so no two
     lines' fields give the same text."""
-    re, im, exp = value
-    text = f"{precision_bits + _GUARD_BITS} {exp} {re:x} {im:x} {key}"
+    re, im = value
+    text = f"{precision_bits + _GUARD_BITS} {-precision_bits - _GUARD_BITS} {re:x} {im:x} {key}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -332,23 +329,21 @@ def eval_segment(sw: SegmentWord, precision_bits: int, n_terms: int | None = Non
     walk (see _walk) of the trie that holds this one piece, its pair at 2^-F."""
     root = _Node()
     _add_piece(root, sw.atoms)
-    re, im = _walk(root, sw.segment_radius, precision_bits, n_terms)[sw.atoms]
-    return _to_big((re, im, -precision_bits - _GUARD_BITS), precision_bits)
+    return _to_big(_walk(root, sw.segment_radius, precision_bits, n_terms)[sw.atoms], precision_bits)
 
 
 class ValueCache:
     """Persistent (word, precision) -> value store, JSON lines at `path`.
 
     Each line holds the word's key `k`, its precision `p`, the value's
-    mantissas `re` and `im` as signed hex strings, their shared exponent
-    `e`, and `d`, 16 hex digits of a sha256 over the key, F and the value
+    parts `re` and `im` at 2^-F as signed hex strings, the exponent `e` =
+    -F, and `d`, 16 hex digits of a sha256 over the key, F and the value
     (see _digest), so every value written reads back as itself.  A line
     whose digest does not match (an edit, a cut, another guard width, the
-    decimal lines of older versions) is skipped on load and its word
-    computed once more.  Lines of versions that rounded a word's split sum
-    to F significant bits, not to 2^-F, are served: each part is within one
-    unit in its last place plus half a unit of 2^-F of this version's
-    value, under 2 units of 2^-F for |value| < 2.
+    decimal lines of older versions), or whose exponent is not -F (the
+    lines of versions that rounded a word's split sum to F significant
+    bits), is skipped on load and its word computed once more.  So a value
+    served is the value this version computes.
 
     Puts append, through `appending`.  If the load skipped a nonblank line,
     met a key twice or found no final newline, the instance's first write
@@ -374,12 +369,12 @@ class ValueCache:
                 nonblank += not line.isspace()
                 try:
                     rec = json.loads(line)
-                    key, bits, exp = rec["k"], rec["p"], rec["e"]
-                    # put writes JSON integers; 140.0, "140" or true is not one
-                    if (not isinstance(key, str) or type(bits) is not int or type(exp) is not int
-                            or bits < _MIN_BITS):
+                    key, bits = rec["k"], rec["p"]
+                    # put writes JSON integers, and e = -F; 140.0, "140" or true is not one
+                    if (not isinstance(key, str) or type(bits) is not int or bits < _MIN_BITS
+                            or type(rec["e"]) is not int or rec["e"] != -bits - _GUARD_BITS):
                         continue
-                    value = (int(rec["re"], 16), int(rec["im"], 16), exp)
+                    value = (int(rec["re"], 16), int(rec["im"], 16))
                     if rec["d"] != _digest(key, bits, value):
                         continue
                 # RecursionError: JSON nested too deeply to decode
@@ -428,7 +423,7 @@ class ValueCache:
 # in-process memo for the segment pieces of representatives, keyed by (atoms,
 # radius as (numerator, denominator), bits), which hash in C; prefixes repeat
 # heavily across words
-_segment_memo: dict[tuple[tuple[Atom, ...], tuple[int, int], int], tuple[int, int]] = {}
+_segment_memo: dict[tuple[tuple[Atom, ...], tuple[int, int], int], Value] = {}
 
 
 def _eval_words(
@@ -439,20 +434,23 @@ def _eval_words(
 
     Only representatives (see _representative) are looked up, walked, summed
     and cached; a word that is the conjugate of its representative takes the
-    representative's value (re, -im, exp).  Each representative's cache
-    entry is looked up once.  The pieces of the representatives that miss
-    and that the memo lacks go into one suffix trie per radius, and one walk
-    of each trie fills the memo; then each missing representative's upper
-    times lower pieces are summed over its splittings exactly, on the memo's
+    representative's value (re, -im).  Each representative's cache entry is
+    looked up once.  The pieces of the representatives that miss and that
+    the memo lacks go into one suffix trie per radius, and one walk of each
+    trie fills the memo; then each missing representative's upper times
+    lower pieces are summed over its splittings exactly, on the memo's
     integer pairs at 2^-F (so the sum is at 2^-2F), and rounded once to the
     nearest multiple of 2^-F.  The missing representatives are written to
     the cache in the order in which `words` first reaches them, through one
-    append handle.
+    append handle.  A precision under _MIN_BITS raises before any of this.
     """
+    if precision_bits < _MIN_BITS:
+        raise ValueError(f"precision_bits must be >= {_MIN_BITS}")
     frac_bits = precision_bits + _GUARD_BITS
+    one = (1 << frac_bits, 0)
     upper_r, lower_r = (1 - c).as_integer_ratio(), c.as_integer_ratio()
     # each representative's value, None while it is missing
-    values: dict[Word, Value | None] = {(): (1, 0, 0)}
+    values: dict[Word, Value | None] = {(): one}
     resolved = []
     missing = []
     tries: dict[tuple[int, int], _Node] = {}
@@ -474,11 +472,11 @@ def _eval_words(
                         if atoms and (atoms, radius, precision_bits) not in _segment_memo:
                             _add_piece(tries.setdefault(radius, _Node()), atoms, conjugated)
                 missing.append((rep, key, splits))
-        resolved.append((rep, conjugated))
+        resolved.append((rep, -1 if conjugated else 1))
     for radius, root in tries.items():
         for atoms, value in _walk(root, Fraction(*radius), precision_bits).items():
             _segment_memo[(atoms, radius, precision_bits)] = value
-    one, half = (1 << frac_bits, 0), 1 << (frac_bits - 1)
+    half = 1 << (frac_bits - 1)
     for rep, _, splits in missing:
         total_re = total_im = 0
         for upper, lower in splits:
@@ -486,18 +484,12 @@ def _eval_words(
             l_re, l_im = _segment_memo[(lower, lower_r, precision_bits)] if lower else one
             total_re += u_re * l_re - u_im * l_im
             total_im += u_re * l_im + u_im * l_re
-        values[rep] = (
-            (total_re + half) >> frac_bits, (total_im + half) >> frac_bits, -frac_bits
-        )
+        values[rep] = ((total_re + half) >> frac_bits, (total_im + half) >> frac_bits)
     if cache is not None and missing:
         with cache.appending():
             for rep, key, _ in missing:
                 cache.put(key, precision_bits, values[rep])
-    out = []
-    for rep, conjugated in resolved:
-        re, im, exp = values[rep]
-        out.append((re, -im, exp) if conjugated else (re, im, exp))
-    return out
+    return [(values[rep][0], sign * values[rep][1]) for rep, sign in resolved]
 
 
 def eval_word(
@@ -530,10 +522,10 @@ def eval_wordsums(
     trie node is stepped once, the cache gets the lines that one call per
     sum would write, in the same order, and of several faulty words the
     first raises.  A sum's coefficients go over one common denominator d,
-    so the sum of numerator times word value is exact on integers over the
-    smallest exponent of the values; it is divided by d once and rounded to
-    an mpf of F bits, the one rounding of the word part.  The scalar, pi and
-    2/pi parts are added in mpmath at F bits.
+    so the sum of numerator times word value is exact on integers at 2^-F;
+    it is divided by d * 2^F once and rounded to an mpf of F bits, the one
+    rounding of the word part.  The scalar, pi and 2/pi parts are added in
+    mpmath at F bits.
 
     The same loop sums the L1 bound |coef|_1 * |value|_1, where |x + yi|_1 =
     |x| + |y|, and the result's `bits_lost` is log2 of that bound over
@@ -548,16 +540,14 @@ def eval_wordsums(
     for ws in wordsums:
         coefs = ws.terms.values()
         den = math.lcm(*[q for c in coefs for q in (c.re.denominator, c.im.denominator)])
-        low = min((values[word][2] for word in ws.terms), default=0)
         sum_re = sum_im = bound = 0
         for word, coef in ws.terms.items():
-            re, im, exp = values[word]
+            re, im = values[word]
             a = coef.re.numerator * (den // coef.re.denominator)
             b = coef.im.numerator * (den // coef.im.denominator)
-            shift = exp - low
-            sum_re += (a * re - b * im) << shift
-            sum_im += (a * im + b * re) << shift
-            bound += (abs(a) + abs(b)) * (abs(re) + abs(im)) << shift
+            sum_re += a * re - b * im
+            sum_im += a * im + b * re
+            bound += (abs(a) + abs(b)) * (abs(re) + abs(im))
         if not bound:
             bits_lost = 0.0
         elif sum_re or sum_im:
@@ -565,9 +555,9 @@ def eval_wordsums(
         else:
             bits_lost = math.inf
         with workprec(frac_bits):
-            # each part divided by d and rounded once to F bits, so mpf takes it exactly
+            # each part over d * 2^F, rounded once to F bits, so mpf takes it exactly
             total = mpc(*[
-                mp.make_mpf(mpf_shift(from_rational(part, den, frac_bits, round_nearest), low))
+                mp.make_mpf(from_rational(part, den << frac_bits, frac_bits, round_nearest))
                 for part in (sum_re, sum_im)
             ])
             total += ws.scalar.to_mpc()

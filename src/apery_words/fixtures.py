@@ -126,7 +126,8 @@ def _record_from_dict(data: dict, index: int) -> FixtureRecord:
         parts=parts,
         closed_form=closed_form,
         printed_value=printed,
-        anchor=data.get("anchor", ""),
+        # null, as for the other optional fields, is the field left out
+        anchor=_text(data, "anchor", owner) or "",
     )
 
 
@@ -142,7 +143,12 @@ def load_fixtures(path: str | None = None) -> list[FixtureRecord]:
         raise ValueError("fixtures file nests JSON too deeply to read") from None
     if not isinstance(data, list):
         raise ValueError("fixtures file must hold a JSON list of records")
-    return [_record_from_dict(item, i) for i, item in enumerate(data)]
+    records: dict[str, FixtureRecord] = {}
+    for i, item in enumerate(data):
+        rec = _record_from_dict(item, i)
+        if records.setdefault(rec.id, rec) is not rec:
+            raise ValueError(f"fixture {rec.id}: id is used by two records")
+    return list(records.values())
 
 
 def _mpf(q: Fraction) -> mpf:

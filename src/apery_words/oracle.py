@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -84,35 +84,36 @@ class ConfigTooSmallError(ValueError):
 
 @dataclass
 class OracleConfig:
-    """Samples at cutoff * 2^(i/2), i = 0..2L, L the levels.
+    """Samples at cutoff * 2^(i/2), i = 0..2L, L the `levels`.
 
-    Left as None, the cutoff is 125 and L = max(7, (precision_digits + 25)
-    // 6), and L is then a cap: each item (with x = 1) is fitted after every
-    odd sample count 2l + 1 >= 3 and settles at the first l whose estimate
-    is at most 10^(1 - digits), one unit in the last digit; only an item
-    that has not settled by L is swept to cutoff * 2^L.  At the cap a level
-    gains about 10^3, and on the bundled items every tail estimate stays
-    10^3 under its 10^(-digits/2) budget (7 levels to 22 digits, 8 at 25, 10
-    at 40).  Levels that are given are always swept in full.
+    Left as None, the cutoff is 125, and `extrapolation_levels` stays None:
+    L = max(7, (precision_digits + 25) // 6) is then a cap.  Each item (with
+    x = 1) is fitted after every odd sample count 2l + 1 >= 3 and settles at
+    the first l whose estimate is at most 10^(1 - digits), one unit in the
+    last digit; only an item that has not settled by L is swept to cutoff *
+    2^L.  At the cap a level gains about 10^3, and on the bundled items every
+    tail estimate stays 10^3 under its 10^(-digits/2) budget (7 levels to 22
+    digits, 8 at 25, 10 at 40).  Given levels are always swept in full.
     """
 
     cutoff: int | None = None
     extrapolation_levels: int | None = None
     precision_digits: int = 40
-    _levels_are_cap: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.cutoff is None:
             self.cutoff = 125
-        if self.extrapolation_levels is None:
-            self.extrapolation_levels = max(7, (self.precision_digits + 25) // 6)
-            self._levels_are_cap = True
         if self.cutoff < 100:
             raise ValueError("cutoff must be >= 100")
         if self.precision_digits < 15:
             raise ValueError("precision_digits must be >= 15")
-        if self.extrapolation_levels < 0:
+        if self.extrapolation_levels is not None and self.extrapolation_levels < 0:
             raise ValueError("extrapolation_levels must be >= 0")
+
+    @property
+    def levels(self) -> int:
+        given = self.extrapolation_levels
+        return max(7, (self.precision_digits + 25) // 6) if given is None else given
 
 
 @dataclass(frozen=True)
@@ -423,7 +424,7 @@ def direct_sums(
     the position of the first item that misses it in its `index`.
     """
     cfg = cfg or OracleConfig()
-    digits = cfg.precision_digits
+    digits, levels, capped = cfg.precision_digits, cfg.levels, cfg.extrapolation_levels is None
     jobs = {item: _job(item) for item in items}
     by_first: dict[int, list[_Job]] = {}
     for job in dict.fromkeys(jobs.values()):
@@ -432,20 +433,20 @@ def direct_sums(
         first = max(cfg.cutoff, job.start)
         if job.x != 1:
             reach = (digits + 3) * math.log(10) / (-2 * math.log(job.x))
-            first = max(first, math.ceil(reach / 2**cfg.extrapolation_levels))
+            first = max(first, math.ceil(reach / 2**levels))
         by_first.setdefault(first, []).append(job)
     with workdps(digits + 15):
         target, budget = mpf(10) ** (1 - digits), mpf(10) ** (-digits / 2)
     weights: _Weights = {}
     fitted: dict[_Job, OracleResult] = {}
     for first, group in by_first.items():
-        points = _checkpoints(first, cfg.extrapolation_levels)
+        points = _checkpoints(first, levels)
 
         # reads this group and its points: it runs only within their sweep
         def checkpoint(running: list[int], sums: list[list[int]]) -> set[int]:
             count = len(sums[running[0]])
             last = count == len(points)
-            if not (last or cfg._levels_are_cap and count >= 3 and count % 2):
+            if not (last or capped and count >= 3 and count % 2):
                 return set()
             fits = {j: _fit(group[j], points, sums[j], digits, weights)
                     for j in running if last or group[j].x == 1}

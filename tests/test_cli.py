@@ -239,6 +239,19 @@ def test_verify_default_flags(tmp_path, capsys):
     assert "passed 1/1" in capsys.readouterr().out
 
 
+def test_verify_reads_a_null_anchor_as_left_out(tmp_path, capsys):
+    # like the other optional text fields; the report never holds a null anchor
+    bundled = json.loads(resources.files("apery_words").joinpath("data/fixtures.json").read_text())
+    rec = next(r for r in bundled if r["id"] == "a16-odd-even-even-111")
+    left_out = {k: v for k, v in rec.items() if k != "anchor"}
+    path, report = tmp_path / "fx.json", tmp_path / "report.json"
+    path.write_text(json.dumps([{**rec, "anchor": None}, {**left_out, "id": "b"}]))
+    rc = cli_main(["verify", "--fixtures", str(path), "--cache-path", str(tmp_path / "c.jsonl"),
+                   "--json", str(report)])
+    assert rc == 0
+    assert [r["anchor"] for r in json.loads(report.read_text())["records"]] == ["", ""]
+
+
 def test_verify_names_failing_record(tmp_path, capsys):
     # both records fail the oracle budget at cutoff 100 and 4 levels; the
     # error names the first in sorted id order
@@ -324,6 +337,9 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
         ([{"id": "x", "closed_form": "pi"}], "error: fixture x has neither a series nor harmonic parts"),
         ([{"id": "x", "series": "S[2n^1 > 0]", "harmonic": {}}],
          "error: fixture x: harmonic must be a list of parts"),
+        ([{"id": "x", "series": "S[2n^1 > 0]", "anchor": 5}], "error: fixture x: anchor must be a string"),
+        ([{"id": "x", "series": "S[2n^1 > 0]"}, {"id": "y", "series": "S[2n^1 > 0]"},
+          {"id": "x", "series": "S[2n^1 > 2n^1 > 0]"}], "error: fixture x: id is used by two records"),
     ],
     ids=["top-level-object", "record-not-object", "record-without-id", "part-without-head",
          "id-not-string", "series-not-string", "closed-form-not-string",
@@ -332,7 +348,7 @@ def test_verify_bad_fixture_head(tmp_path, capsys):
          "printed-value-underscore", "printed-value-arabic-indic", "printed-value-nan",
          "printed-value-blank", "coef-arabic-indic", "coef-underscore", "series-tail",
          "series-x", "series-invalid", "part-invalid", "series-and-harmonic", "neither",
-         "harmonic-not-list"],
+         "harmonic-not-list", "anchor-not-string", "id-twice"],
 )
 def test_verify_malformed_fixtures(records, message, tmp_path, capsys):
     path = tmp_path / "fx.json"
@@ -445,13 +461,13 @@ def test_cache_env_override(tmp_path, monkeypatch, capsys):
 def test_cache_skips_lines_without_string_key(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CMZV_CACHE", raising=False)
     path = tmp_path / "cache.jsonl"
-    good = {"k": "w0.x1", "p": 140, "re": "3", "im": "0", "e": -1,
-            "d": evaluate._digest("w0.x1", 140, (3, 0, -1))}
+    good = {"k": "w0.x1", "p": 140, "re": "3", "im": "0", "e": -164,
+            "d": evaluate._digest("w0.x1", 140, (3, 0))}
     bad = [
         {k: v for k, v in good.items() if k != "k"},
         {**good, "k": None},
         # a digest that matches the list as `put` would render it
-        {**good, "k": ["w0"], "d": evaluate._digest(["w0"], 140, (3, 0, -1))},
+        {**good, "k": ["w0"], "d": evaluate._digest(["w0"], 140, (3, 0))},
     ]
     # the last bad line is not UTF-8; it fails to parse like the others
     path.write_bytes("".join(json.dumps(rec) + "\n" for rec in bad).encode() + b"\xff\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -26,7 +27,7 @@ from apery_words.evaluate import (
 from apery_words.fixtures import load_fixtures
 from apery_words.gauss import GaussRat
 from apery_words.pipeline import compile_harmonic, compile_spec
-from apery_words.series import SeriesSpec
+from apery_words.series import SeriesSpec, parse_spec
 from apery_words.words import W0, X1, XI, XM1, XMI, Atom, WordSum, deconcatenations, word_key
 from conftest import build_corpus, split_value
 
@@ -380,7 +381,7 @@ def _verify_words():
 def test_word_values_are_split_sums_rounded_to_the_grid(monkeypatch, bits):
     # a representative's value is its split sum over the memo's pieces, exact
     # at 2^-2F, rounded half up to a multiple of 2^-F; its conjugate takes
-    # (re, -im, exp)
+    # (re, -im)
     monkeypatch.setattr(evaluate, "_segment_memo", {})
     frac_bits = bits + evaluate._GUARD_BITS
     words = _verify_words()
@@ -397,7 +398,7 @@ def test_word_values_are_split_sums_rounded_to_the_grid(monkeypatch, bits):
             total_im += u_re * l_im + u_im * l_re
         re, im = [(2 * total + (1 << frac_bits)) // (1 << (frac_bits + 1))
                   for total in (total_re, total_im)]
-        assert value == (re, -im if conjugated else im, -frac_bits), word_key(word)
+        assert value == (re, -im if conjugated else im), word_key(word)
 
 
 def test_word_values_within_length_plus_one_units_of_the_grid(monkeypatch):
@@ -408,12 +409,12 @@ def test_word_values_within_length_plus_one_units_of_the_grid(monkeypatch):
     assert len(words) == 643
     low = evaluate._eval_words(words, Fraction(1, 2), 140, None)
     high = evaluate._eval_words(words, Fraction(1, 2), 204, None)
-    frac_bits = 140 + evaluate._GUARD_BITS
-    for word, (re, im, exp), (h_re, h_im, h_exp) in zip(words, low, high):
-        for part, h_part in ((re, h_re), (im, h_im)):
-            # on integers at 2^h_exp
-            error = abs((part << (exp - h_exp)) - h_part)
-            assert error <= (len(word) + 1) << (-frac_bits - h_exp), word_key(word)
+    shift = 204 - 140
+    for word, parts, h_parts in zip(words, low, high):
+        for part, h_part in zip(parts, h_parts):
+            # on integers at 2^-F of 204 bits, where a unit of 2^-F at 140 is 2^shift
+            error = abs((part << shift) - h_part)
+            assert error <= (len(word) + 1) << shift, word_key(word)
 
 
 def test_walk_bit_identical_on_corpus_and_verify_pieces():
@@ -507,6 +508,25 @@ def test_eval_wordsum_errors_leave_the_memo_unchanged(monkeypatch, word, error, 
     with pytest.raises(error) as info:
         eval_wordsum(ws, 140)
     assert str(info.value) == message
+    assert evaluate._segment_memo == before
+
+
+@pytest.mark.parametrize("call", ["eval_word", "eval_wordsum", "eval_wordsums"])
+def test_precision_under_64_bits_raises_before_any_work(monkeypatch, tmp_path, call):
+    # no cache lookup, walk or write comes before the error
+    path = tmp_path / "cache.jsonl"
+    eval_word((W0, XM1), 140, ValueCache(path))
+    text = path.read_text()
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    eval_word((XI, XM1), 140)
+    before = dict(evaluate._segment_memo)
+    ws = compile_spec(parse_spec("S[2n^1 > 2n+1^1 > 0]"))
+    run = {"eval_word": lambda cache: eval_word((W0, XI, XM1), 63, cache),
+           "eval_wordsum": lambda cache: eval_wordsum(ws, 63, cache),
+           "eval_wordsums": lambda cache: eval_wordsums([ws], 63, cache)}[call]
+    with pytest.raises(ValueError, match="precision_bits must be >= 64"):
+        run(ValueCache(path))
+    assert path.read_text() == text
     assert evaluate._segment_memo == before
 
 
@@ -719,38 +739,43 @@ _WIDE_BITS = 15_000 - evaluate._GUARD_BITS
 
 @st.composite
 def _cache_values(draw):
-    """A precision and a value at its F bits: each part zero, or signed with
-    |part| tiny, in [2^-12, 1) or in [1, 8)."""
+    """A precision and a value on its grid, integers at 2^-F: each part zero,
+    or signed with |part| in (0, 2^-60), in [2^-12, 1) or in [1, 8)."""
     bits = draw(st.sampled_from(_CACHE_BITS))
     frac_bits = bits + evaluate._GUARD_BITS
 
     def part():
         kind = draw(st.sampled_from(("zero", "tiny", "unit", "large")))
         if kind == "zero":
-            return 0, 0
-        man = draw(st.integers(1 << (frac_bits - 1), (1 << frac_bits) - 1))
-        lead = draw({"tiny": st.integers(-2000, -60), "unit": st.integers(-12, -1),
-                     "large": st.integers(0, 2)}[kind])
-        return draw(st.sampled_from((1, -1))) * man, lead + 1 - frac_bits
+            return 0
+        low, high = {"tiny": (0, frac_bits - 60), "unit": (frac_bits - 12, frac_bits),
+                     "large": (frac_bits, frac_bits + 3)}[kind]
+        man = draw(st.integers(1 << low, (1 << high) - 1))
+        return draw(st.sampled_from((1, -1))) * man
 
-    (re, e_re), (im, e_im) = part(), part()
-    # both parts over the smaller exponent of the nonzero ones
-    exp = min([e for man, e in ((re, e_re), (im, e_im)) if man], default=0)
-    return bits, (re << (e_re - exp), im << (e_im - exp), exp)
+    return bits, (part(), part())
+
+
+def _digest_text(key, bits, value, exp):
+    """A line's digest as _digest computes it, but over any exponent: the
+    digest of a line that older versions wrote off the grid."""
+    re, im = value
+    text = f"{bits + evaluate._GUARD_BITS} {exp} {re:x} {im:x} {key}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _line(key, bits, value):
     """The cache line that `put` writes for the value."""
-    re, im, exp = value
-    return {"d": evaluate._digest(key, bits, value), "e": exp, "im": f"{im:x}", "k": key,
-            "p": bits, "re": f"{re:x}"}
+    re, im = value
+    return {"d": evaluate._digest(key, bits, value), "e": -bits - evaluate._GUARD_BITS,
+            "im": f"{im:x}", "k": key, "p": bits, "re": f"{re:x}"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=_cache_values())
-@example(drawn=(140, (0, 0, 0)))
-@example(drawn=(140, (0, -(3 << 163), -165)))
-@example(drawn=(_WIDE_BITS, ((1 << 14_999) + 1, -(1 << 15_000) + 1, -15_000)))
+@example(drawn=(140, (0, 0)))
+@example(drawn=(140, (0, -(3 << 162))))
+@example(drawn=(_WIDE_BITS, ((1 << 14_999) + 1, -(1 << 15_000) + 1)))
 def test_cache_lines_read_back_exactly(tmp_path_factory, drawn):
     bits, value = drawn
     path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
@@ -761,7 +786,7 @@ def test_cache_lines_read_back_exactly(tmp_path_factory, drawn):
 
 def test_cache_skips_lines_it_does_not_write(monkeypatch, tmp_path):
     path = tmp_path / "cache.jsonl"
-    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0, -164)
+    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0)
     good = _line("w0.x1", 140, value)
     other = _line("x-1.x1", 140, value)
     bad = [
@@ -782,7 +807,10 @@ def test_cache_skips_lines_it_does_not_write(monkeypatch, tmp_path):
         {**other, "e": "-164"},
         # the same under digests made for those fields
         {**other, "p": 140.0, "d": evaluate._digest("x-1.x1", 140.0, value)},
-        {**other, "e": -164.0, "d": evaluate._digest("x-1.x1", 140, value[:2] + (-164.0,))},
+        {**other, "e": -164.0, "d": _digest_text("x-1.x1", 140, value, -164.0)},
+        # the value at an exponent off the grid, under its digest
+        {**other, "e": -165, "re": f"{2 * value[0]:x}",
+         "d": _digest_text("x-1.x1", 140, (2 * value[0], 0), -165)},
         # past the digits Python reads as an int
         {**other, "e": "9" * 5000},
     ]
@@ -801,12 +829,24 @@ def test_cache_skips_lines_it_does_not_write(monkeypatch, tmp_path):
 
 def test_cache_skips_deeply_nested_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0, -164)
+    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0)
     path.write_text("[" * 200_000 + "\n" + '{"k": ' * 200_000 + "\n"
                     + json.dumps(_line("w0.x1", 140, value)) + "\n")
     cache = ValueCache(path)
     assert list(cache._mem) == [("w0.x1", 140)]
     assert abs(eval_word((W0, XM1), 140, cache).to_mpc() + mpmath.pi**2 / 12) < 1e-40
+
+
+def _counted_walks(monkeypatch) -> list:
+    """Record the arguments of every walk from here on."""
+    walk, walks = evaluate._walk, []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(evaluate, "_walk", counted)
+    return walks
 
 
 # lines that the evaluator wrote while its cache held decimal strings
@@ -833,13 +873,7 @@ def test_parent_cache_lines_are_never_served(monkeypatch, tmp_path):
     cache = ValueCache(path)
     assert not cache._mem
     monkeypatch.setattr(evaluate, "_segment_memo", {})
-    walk, walks = evaluate._walk, []
-
-    def counted(*args):
-        walks.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(evaluate, "_walk", counted)
+    walks = _counted_walks(monkeypatch)
     reps = []
     for word, line in _PARENT_LINES:
         rec = json.loads(line)
@@ -863,7 +897,7 @@ def test_parent_cache_lines_are_never_served(monkeypatch, tmp_path):
 
 def test_first_write_drops_the_lines_the_load_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
-    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0, -164)
+    value = (0x1a51a6627bafd1ab3b7c9f18a1d30d1b0f0, 0)
     served = json.dumps(_line("w0.x1", 140, value), sort_keys=True) + "\n"
     edited = {**_line("x-1.x1", 140, value), "d": "0" * 16}
     text = "".join([served, served, _PARENT_LINES[2][1] + "\n", json.dumps(edited) + "\n",
@@ -887,6 +921,67 @@ def test_first_write_drops_the_lines_the_load_skipped(tmp_path):
     assert list(ValueCache(path)._mem) == [("w0.x1", 140), ("x-1.x1", 140)]
 
 
+def test_lines_off_the_grid_are_skipped_and_recomputed_once(monkeypatch, tmp_path):
+    # a verify word's value at 2^-(F + 1), its parts doubled, under a valid
+    # digest: the same value off the grid, as older versions could write it
+    word = (XI, XM1, XMI)
+    assert word in _verify_words() and evaluate._representative(word) == (word, False)
+    key, bits, frac_bits = word_key(word), 140, 140 + evaluate._GUARD_BITS
+    value = evaluate._eval_words([word], Fraction(1, 2), bits, None)[0]
+    doubled = tuple(2 * part for part in value)
+    off = {**_line(key, bits, doubled), "e": -frac_bits - 1,
+           "d": _digest_text(key, bits, doubled, -frac_bits - 1)}
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(off, sort_keys=True) + "\n")
+    cache = ValueCache(path)
+    assert not cache._mem
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    walks = _counted_walks(monkeypatch)
+    got, want = eval_word(word, bits, cache), evaluate._to_big(value, bits)
+    assert (got.real, got.imag) == (want.real, want.imag)
+    assert len(walks) == 1
+    # the first write dropped the line: the file holds the grid line alone,
+    # which the next run serves without a walk
+    assert [json.loads(line) for line in path.read_text().splitlines()] == [_line(key, bits, value)]
+    evaluate._segment_memo.clear()
+    got = eval_word(word, bits, ValueCache(path))
+    assert (got.real, got.imag) == (want.real, want.imag)
+    assert len(walks) == 1
+
+
+# lines of the verify cache at 149 bits that a version rounding each word's
+# split sum to F significant bits wrote: only the first lies on the grid
+_SIGNIFICANT_BIT_LINES = [
+    ((W0, XM1), '{"d": "168f8e36c175f9f3", "e": -173, "im": "0", "k": "w0.x-1", "p": 149, '
+     '"re": "-1a51a6625307d3230e7b1224401759cbd6b911b55023"}'),
+    ((W0, X1), '{"d": "ca8ee5f43405f7d8", "e": -172, "im": "0", "k": "w0.x1", "p": 149, '
+     '"re": "1a51a6625307d3230e7b1224401759cbd6b911b55023"}'),
+    ((XM1, XM1), '{"d": "ab31c0518374c1ee", "e": -175, "im": "0", "k": "x-1.x-1", "p": 149, '
+     '"re": "1ebfbdff82c58ea86f16b06ec9735fcaa3a2751c30d1"}'),
+]
+
+
+def test_only_grid_lines_of_older_versions_are_served(monkeypatch, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(line + "\n" for _, line in _SIGNIFICANT_BIT_LINES))
+    cache = ValueCache(path)
+    assert list(cache._mem) == [("w0.x-1", 149)]
+    monkeypatch.setattr(evaluate, "_segment_memo", {})
+    walks = _counted_walks(monkeypatch)
+    for (word, _), walked in zip(_SIGNIFICANT_BIT_LINES, (False, True, True)):
+        before = len(walks)
+        served = eval_word(word, 149, cache)
+        assert (len(walks) > before) == walked, word_key(word)
+        fresh = eval_word(word, 149)
+        assert (served.real, served.imag) == (fresh.real, fresh.imag), word_key(word)
+    # the grid line stays first, and each key is held once, at -F
+    lines = path.read_text().splitlines()
+    assert lines[0] == _SIGNIFICANT_BIT_LINES[0][1]
+    recs = [json.loads(line) for line in lines]
+    assert [rec["k"] for rec in recs] == ["w0.x-1", "w0.x1", "x-1.x-1"]
+    assert all(rec["e"] == -149 - evaluate._GUARD_BITS for rec in recs)
+
+
 def test_cache_never_serves_lines_of_non_representatives(monkeypatch, tmp_path):
     # lines for x-i.x-1.xi and w0.x-i with valid digests, as if a version that
     # cached every word had written them, the second with a wrong value: each
@@ -894,9 +989,9 @@ def test_cache_never_serves_lines_of_non_representatives(monkeypatch, tmp_path):
     path = tmp_path / "cache.jsonl"
     written = ValueCache(path)
     written.put("x-i.x-1.xi", 140, evaluate._eval_words([(XMI, XM1, XI)], Fraction(1, 2), 140, None)[0])
-    written.put("w0.x-i", 140, (2, 1, -2))
+    written.put("w0.x-i", 140, (2, 1))
     cache = ValueCache(path)
-    assert cache.get("w0.x-i", 140) == (2, 1, -2)
+    assert cache.get("w0.x-i", 140) == (2, 1)
     monkeypatch.setattr(evaluate, "_segment_memo", {})
     for word in ((XMI, XM1, XI), (W0, XMI)):
         served = eval_word(word, 140, cache)

@@ -103,6 +103,22 @@ def test_slow_geometric_decay_settles():
     assert abs(res.value - ref.value) < 1e-12
 
 
+def test_config_keeps_its_levels_as_given():
+    # a derived cap and the same levels given are distinct configs, and say so
+    derived, given = OracleConfig(precision_digits=16), OracleConfig(125, 7, 16)
+    assert derived != given and repr(derived) != repr(given)
+    assert derived.extrapolation_levels is None
+    # a replaced config derives its cap from its own digits
+    assert replace(derived, precision_digits=40) == OracleConfig(precision_digits=40)
+    assert derived.levels == given.levels == 7
+    assert replace(derived, precision_digits=40).levels == 10
+    # and it settles under the cap, where the given levels sweep in full
+    spec = parse_spec("S[2n^1 > 0]")
+    settled = direct_sum(spec, replace(given, extrapolation_levels=None))
+    assert settled.terms_used == direct_sum(spec, derived).terms_used
+    assert settled.terms_used < direct_sum(spec, given).terms_used == 125 * 2**7 + 1
+
+
 def test_config_too_small():
     with pytest.raises(ConfigTooSmallError):
         direct_sum(
@@ -738,7 +754,7 @@ def test_settled_items_match_the_sweep_to_their_level(verify_batch):
             assert (res.value, res.error_estimate, res.terms_used) == (
                 ref.value, ref.error_estimate, ref.terms_used
             ), item
-            assert level == cfg.extrapolation_levels or res.error_estimate <= 1e-15, item
+            assert level == cfg.levels or res.error_estimate <= 1e-15, item
 
 
 def test_a_settled_item_is_the_same_alone_as_in_the_batch(verify_batch):
@@ -756,7 +772,7 @@ def test_verify_items_settle_below_the_cap(verify_batch):
     # sweep indices fall with them
     cfg = OracleConfig(precision_digits=16)
     results, _, _, sweeps = verify_batch(cfg)
-    cap = cfg.cutoff * 2**cfg.extrapolation_levels + 1
+    cap = cfg.cutoff * 2**cfg.levels + 1
     early = [res for res in results if res.terms_used < cap]
     assert early and all(res.error_estimate <= mpf(10) ** -15 for res in early)
     assert len(early) > len(results) // 2
